@@ -10,22 +10,15 @@ import argparse
 import json
 import time
 
-from antoine.geom3 import circle_circle_distance
-from antoine.necklace import build_necklace, validate_necklace
+from antoine.necklace import binding_margins, build_necklace, validate_necklace
 
 
 def probe(m: int, clearance_grid: int) -> dict:
-    n = build_necklace(m)
-    need = 2.0 * n.child_tube
-    adjacent = circle_circle_distance(n.child_circles[0], n.child_circles[1], clearance_grid)
-    wrap = circle_circle_distance(n.child_circles[0], n.child_circles[-1], clearance_grid)
-    skip = circle_circle_distance(n.child_circles[0], n.child_circles[2], clearance_grid)
+    margins = binding_margins(build_necklace(m), clearance_grid)
     return {
         "m": m,
-        "adjacent_clearance": adjacent - need,
-        "wrap_clearance": wrap - need,
-        "skip_clearance": skip - need,
-        "geometry_ok": min(adjacent, wrap, skip) > need,
+        **{f"{name}_clearance": value for name, value in margins.items()},
+        "geometry_ok": min(margins.values()) > 0.0,
     }
 
 
@@ -51,7 +44,8 @@ def main() -> int:
         rows.append(row)
         print(
             f"m={m:3d}  adj={row['adjacent_clearance']:+.5f}  wrap={row['wrap_clearance']:+.5f}  "
-            f"skip={row['skip_clearance']:+.5f}  geometry={'ok' if row['geometry_ok'] else 'fail'}"
+            f"skip={row['skip_clearance']:+.5f}  contained={row['contained_clearance']:+.5f}  "
+            f"geometry={'ok' if row['geometry_ok'] else 'fail'}"
             + (f"  full={'PASS' if row.get('full_validation') else 'fail'}" if "full_validation" in row else "")
         )
 

@@ -46,6 +46,7 @@ from .necklace import (
     Necklace,
     StageSummary,
     ValidationReport,
+    binding_margins,
     build_necklace,
     find_min_valid_multiplicity,
     locate_child,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import dynamics, exports
 from .errors import AntoineError, InvalidMultiplicity
-from .linking import link_matrix
 from .necklace import build_necklace, stage_summary, validate_necklace
 
 
@@ -28,24 +28,46 @@ def _even_int(text: str) -> int:
     return value
 
 
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _floats(text: str, count: int | None = None) -> list[float]:
     parts = [float(x) for x in text.split(",")]
     if count is not None and len(parts) != count:
         raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers, got {len(parts)}")
+    if not all(math.isfinite(x) for x in parts):
+        raise argparse.ArgumentTypeError(f"numbers must be finite, got {text}")
     return parts
 
 
 def _bbox(text: str):
     v = _floats(text, 6)
-    return (v[0], v[1], v[2]), (v[3], v[4], v[5])
+    lo, hi = (v[0], v[1], v[2]), (v[3], v[4], v[5])
+    if not all(b > a for a, b in zip(lo, hi)):
+        raise argparse.ArgumentTypeError(f"bounding box is degenerate: need x1 > x0, y1 > y0, z1 > z0, got {text}")
+    return lo, hi
+
+
+def _scales(text: str) -> list[float]:
+    v = _floats(text)
+    if len(v) < 2 or min(v) <= 0.0:
+        raise argparse.ArgumentTypeError(f"need at least two positive box sizes, got {text}")
+    return v
 
 
 def _grid(text: str) -> tuple[int, int, int]:
     parts = [int(x) for x in text.split(",")]
     if len(parts) == 1:
         parts = parts * 3
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be one or three comma-separated integers")
+    if len(parts) != 3 or not all(2 <= d <= 1024 for d in parts):
+        raise argparse.ArgumentTypeError("grid must be one or three comma-separated integers in 2..1024")
     return tuple(parts)
 
 
@@ -74,8 +96,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     n = build_necklace(args.m)
     report = validate_necklace(n, clearance_grid=args.grid_n, poly_n=args.poly_n, quad_n=args.quad_n)
-    matrix = link_matrix(n, poly_n=args.poly_n, quad_n=args.quad_n, strict=False)
-    _emit({"validation": report.to_json_dict(), "link_matrix": matrix.to_json_dict()}, args.out)
+    _emit({"validation": report.to_json_dict(), "link_matrix": report.link_matrix.to_json_dict()}, args.out)
     return 0 if report.passed else 1
 
 
@@ -86,6 +107,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
+    if args.sample_k < args.p_max:
+        raise argparse.ArgumentTypeError(f"--sample-k ({args.sample_k}) must be >= --p-max ({args.p_max})")
     n = build_necklace(args.m)
     points = dynamics.enumerate_periodic(n, args.p_max, cap=args.cap, seed=args.seed)
     density = {
@@ -172,57 +195,60 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every construction check and the link matrix")
     common(p, seed=False)
-    p.add_argument("--grid-n", type=int, default=512, help="clearance certificate grid")
-    p.add_argument("--poly-n", type=int, default=512, help="polygon vertices per circle")
-    p.add_argument("--quad-n", type=int, default=256, help="quadrature grid per circle")
+    p.add_argument("--grid-n", type=_at_least(8), default=512, help="clearance certificate grid")
+    p.add_argument("--poly-n", type=_at_least(64), default=512, help="polygon vertices per circle")
+    p.add_argument("--quad-n", type=_at_least(16), default=256, help="quadrature grid per circle")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="escape-depth volume grid (.vol + JSON sidecar)")
     common(p)
     p.add_argument("--grid", type=_grid, default=(64, 64, 64), help="voxels per axis (n or nx,ny,nz)")
     p.add_argument("--bbox", type=_bbox, default=exports.DEFAULT_BBOX, help="x0,y0,z0,x1,y1,z1")
-    p.add_argument("--budget", type=int, default=dynamics.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(1), default=dynamics.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_classify, out="escape.vol")
 
     p = sub.add_parser("periodic", help="periodic orbit representatives and density distances")
     common(p)
-    p.add_argument("--p-max", type=int, default=2)
-    p.add_argument("--cap", type=int, default=20000, help="word sample cap per period")
-    p.add_argument("--sample-k", type=int, default=12, help="reference stage for density")
+    p.add_argument("--p-max", type=_at_least(1), default=2)
+    p.add_argument("--cap", type=_at_least(1), default=20000, help="word sample cap per period")
+    p.add_argument("--sample-k", type=_at_least(1), default=12, help="reference stage for density (>= --p-max)")
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("dimension", help="box-counting dimension of an attractor sample")
     common(p)
-    p.add_argument("--count", type=int, default=100000)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--scales", type=_floats, default=None, help="comma-separated box sizes")
+    p.add_argument("--count", type=_at_least(1000), default=100000)
+    p.add_argument("--depth", type=_at_least(8), default=12)
+    p.add_argument("--scales", type=_scales, default=None, help="comma-separated box sizes")
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("export", help="write stage meshes or attractor point clouds")
     common(p)
     p.add_argument("--what", choices=("mesh", "points"), default="mesh")
-    p.add_argument("--stage", type=int, default=1)
-    p.add_argument("--nu", type=int, default=48)
-    p.add_argument("--nv", type=int, default=24)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--stage", type=_at_least(0), default=1)
+    p.add_argument("--nu", type=_at_least(8), default=48)
+    p.add_argument("--nv", type=_at_least(8), default=24)
+    p.add_argument("--count", type=_at_least(1), default=10000)
+    p.add_argument("--depth", type=_at_least(8), default=20)
     p.add_argument("--format", choices=("obj", "ply", "xyz", "csv"), default="obj")
     p.set_defaults(func=_cmd_export, out="stage.obj")
 
     p = sub.add_parser("map", help="orbit record of one point under the dynamics")
     common(p, seed=False)
     p.add_argument("--point", type=lambda s: _floats(s, 3), required=True, help="x,y,z")
-    p.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_BUDGET)
-    p.add_argument("--degree-root", type=int, default=None, help="exterior model degree root")
+    p.add_argument("--max-iter", type=_at_least(1), default=dynamics.DEFAULT_BUDGET)
+    p.add_argument("--degree-root", type=_at_least(2), default=None, help="exterior model degree root")
     p.set_defaults(func=_cmd_map)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # a check that spans several arguments
+        parser.error(str(exc))
     except InvalidMultiplicity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -125,6 +125,7 @@ def classify_points(
                  (0-padded), or None when itinerary_digits == 0
 
     Deterministic: pure array arithmetic, no RNG, independent of chunking.
+    Raises ValueError on a non-finite point, which has no dynamical label.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -146,6 +147,8 @@ def classify_points(
 
 
 def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, inverse_maps, status, depth, itinerary):
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     d0 = point_circle_distance(n.base_torus.core, pts)
     exterior = d0 > n.base_torus.tube + boundary_tol
     status[exterior] = EXTERIOR
@@ -464,6 +467,8 @@ def orbit(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError(f"point must be finite, got {p}")
     itinerary: list[int] = []
     exit_kind = EscapeKind.SURVIVED
     exit_depth: int | None = None

@@ -191,9 +191,6 @@ class Circle3:
     def transform(self, s: Similarity3) -> "Circle3":
         return Circle3(s.apply(self.center), s.scale * self.radius, s.rot.apply(self.normal))
 
-    def distance_to(self, p: Vec3) -> float | np.ndarray:
-        return point_circle_distance(self, p)
-
 
 class Membership(Enum):
     INSIDE = "inside"
@@ -240,52 +237,21 @@ def point_circle_distance(c: Circle3, p: Vec3):
     return float(d) if d.ndim == 0 else d
 
 
-def torus_contains(t: SolidTorus, p: Vec3, tol: float = 1e-12) -> Membership:
-    return t.contains(p, tol)
-
-
-def _golden_min(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section minimum of a unimodal-enough scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
-
-
 def circle_circle_distance(a: Circle3, b: Circle3, grid_n: int = 512) -> float:
     """Certified lower bound on the minimum distance between two circles.
 
     For each circle: sample grid_n arc-uniform points, take the exact
-    point-to-circle distance to the other circle, refine the minimum locally,
-    then subtract the half-step Lipschitz sampling error (arc-length
+    point-to-circle distance to the other circle, and subtract the half-step
+    Lipschitz sampling error from the smallest one (arc-length
     parametrization is 1-Lipschitz into R^3). The best of the two one-sided
     bounds is returned. There is no closed form for the exact minimum;
     a sound lower bound is what disjointness certificates need.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
-    best = -math.inf
     step = 2.0 * math.pi / grid_n
-    for src, dst in ((a, b), (b, a)):
-        angles = np.arange(grid_n) * step
-        d = point_circle_distance(dst, src.point_at(angles))
-        i = int(np.argmin(d))
-        refined = _golden_min(
-            lambda t: float(point_circle_distance(dst, src.point_at(t))),
-            angles[i] - step,
-            angles[i] + step,
-        )
-        d_min = min(float(d[i]), refined)
-        best = max(best, d_min - 0.5 * step * src.radius)
-    return best
+    angles = np.arange(grid_n) * step
+    return max(
+        float(np.min(point_circle_distance(dst, src.point_at(angles)))) - 0.5 * step * src.radius
+        for src, dst in ((a, b), (b, a))
+    )

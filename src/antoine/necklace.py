@@ -22,17 +22,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidMultiplicity, MultipleChildren
-from .geom3 import Circle3, Membership, Rotation3, Similarity3, SolidTorus, Vec3, circle_circle_distance, point_circle_distance
+from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, Vec3, circle_circle_distance, point_circle_distance
+
+if TYPE_CHECKING:
+    from .linking import LinkMatrix
 
 Address = tuple[int, ...]
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
 PLANE_TILT = math.pi / 4
+
+# fixed certificate settings: samples per child circle in the containment
+# bound, deviation allowed in the symmetry checks, and the largest accepted
+# gap between the Gauss quadrature and the exact polygonal linking numbers
+CONTAINMENT_SAMPLES = 512
+SYMMETRY_TOL = 1e-10
+GAUSS_TOL = 0.1
 
 
 def two_slot_rotation(m: int) -> Rotation3:
@@ -200,7 +211,9 @@ class ValidationReport:
     """Outcome of every stage-1 hypothesis check, with margins.
 
     Margins are positive slack: a check passes iff its margin is > 0 (with
-    the convention written into each check below).
+    the convention written into each check below). link_matrix holds the
+    linking numbers behind the link checks (None when linking was not
+    checked); it is reported on its own, not in to_json_dict.
     """
 
     multiplicity: int
@@ -209,6 +222,7 @@ class ValidationReport:
     min_pair_clearance: float
     containment_clearance: float
     checks: tuple[CheckRecord, ...]
+    link_matrix: LinkMatrix | None = None
 
     @property
     def passed(self) -> bool:
@@ -242,14 +256,20 @@ def _circle_deviation(a: Circle3, b: Circle3) -> float:
     return max(center_dev, radius_dev, normal_dev)
 
 
+def _containment_margin(n: Necklace, circles) -> float:
+    """Certified slack of the given child tori inside the open parent torus."""
+    half_step = math.pi * n.contraction / CONTAINMENT_SAMPLES
+    d_max = max(
+        float(np.max(point_circle_distance(n.base_torus.core, c.sample(CONTAINMENT_SAMPLES)))) for c in circles
+    )
+    return n.base_torus.tube - (d_max + half_step + n.child_tube)
+
+
 def validate_necklace(
     n: Necklace,
     clearance_grid: int = 512,
-    containment_samples: int = 512,
     poly_n: int = 512,
     quad_n: int = 256,
-    symmetry_tol: float = 1e-10,
-    gauss_tol: float = 0.1,
     check_linking: bool = True,
 ) -> ValidationReport:
     """Run every stage-1 hypothesis check and record pass/fail with margins.
@@ -263,12 +283,12 @@ def validate_necklace(
       maps_onto_circles   each child map sends base circle samples onto its
                           child circle
       link_pattern        |lk| = 1 exactly for adjacent slots, 0 otherwise
-      link_gauss_agreement  quadrature linking within gauss_tol of the
+      link_gauss_agreement  quadrature linking within GAUSS_TOL of the
                           exact integers
 
     The clearance and containment margins are Lipschitz-certified (sampling
     error subtracted), so a positive margin is a proof at stated grid sizes,
-    not a heuristic.
+    not a heuristic. The link matrix is computed once and kept on the report.
     """
     m = n.multiplicity
     checks: list[CheckRecord] = []
@@ -283,13 +303,7 @@ def validate_necklace(
     checks.append(CheckRecord("children_disjoint", min_clearance > 0.0, min_clearance, 0.0))
 
     # (b) containment in the open parent torus
-    half_step = math.pi * n.contraction / containment_samples
-    contain_clearance = math.inf
-    for c in n.child_circles:
-        d_max = float(np.max(point_circle_distance(n.base_torus.core, c.sample(containment_samples))))
-        contain_clearance = min(
-            contain_clearance, n.base_torus.tube - (d_max + half_step + n.child_tube)
-        )
+    contain_clearance = _containment_margin(n, n.child_circles)
     checks.append(CheckRecord("children_contained", contain_clearance > 0.0, contain_clearance, 0.0))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2
@@ -299,7 +313,7 @@ def validate_necklace(
     for j in range(m):
         target = n.child_circles[(j + 2) % m]
         rho_dev = max(rho_dev, _circle_deviation(n.child_circles[j].transform(rho_sim), target))
-    checks.append(CheckRecord("rho_equivariance", rho_dev < symmetry_tol, symmetry_tol - rho_dev, symmetry_tol))
+    checks.append(CheckRecord("rho_equivariance", rho_dev < SYMMETRY_TOL, SYMMETRY_TOL - rho_dev, SYMMETRY_TOL))
 
     # (d) involution symmetry: the pi-rotation about x1 swaps children 1 and m
     iota_sim = Similarity3(1.0, Rotation3.about_axis(np.array([1.0, 0.0, 0.0]), math.pi), np.zeros(3))
@@ -307,7 +321,7 @@ def validate_necklace(
         _circle_deviation(n.child_circles[0].transform(iota_sim), n.child_circles[m - 1]),
         _circle_deviation(n.child_circles[m - 1].transform(iota_sim), n.child_circles[0]),
     )
-    checks.append(CheckRecord("iota_symmetry", iota_dev < symmetry_tol, symmetry_tol - iota_dev, symmetry_tol))
+    checks.append(CheckRecord("iota_symmetry", iota_dev < SYMMETRY_TOL, SYMMETRY_TOL - iota_dev, SYMMETRY_TOL))
 
     # each child map must carry the base circle onto its child circle
     map_tol = 1e-10
@@ -318,10 +332,11 @@ def validate_necklace(
     checks.append(CheckRecord("maps_onto_circles", map_dev < map_tol, map_tol - map_dev, map_tol))
 
     # (e) linking pattern, delegated to the linking module
+    lm = None
     if check_linking:
         from .linking import link_matrix
 
-        lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n, gauss_tol=gauss_tol, strict=False)
+        lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n)
         expected = np.zeros((m, m), dtype=int)
         for j in range(m):
             expected[j, (j + 1) % m] = 1
@@ -329,12 +344,7 @@ def validate_necklace(
         entry_err = int(np.max(np.abs(np.abs(lm.entries) - expected)))
         checks.append(CheckRecord("link_pattern", entry_err == 0, 0.5 - entry_err, 0.0))
         checks.append(
-            CheckRecord(
-                "link_gauss_agreement",
-                lm.max_gauss_gap < gauss_tol,
-                gauss_tol - lm.max_gauss_gap,
-                gauss_tol,
-            )
+            CheckRecord("link_gauss_agreement", lm.max_gauss_gap < GAUSS_TOL, GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL)
         )
 
     return ValidationReport(
@@ -344,38 +354,42 @@ def validate_necklace(
         min_pair_clearance=min_clearance,
         containment_clearance=contain_clearance,
         checks=tuple(checks),
+        link_matrix=lm,
     )
 
 
-def _geometry_precheck(m: int, clearance_grid: int = 512) -> bool:
-    """Cheap reject for the multiplicity scan: adjacent/skip clearances and containment.
+def binding_margins(n: Necklace, clearance_grid: int = 512) -> dict[str, float]:
+    """Certified margins of the child pairs and children that bind the stage-1 geometry.
 
-    Uses the same certified bounds as validate_necklace but only on the pairs
-    that bind (adjacent and next-nearest; the rest are congruent by the exact
-    rotation symmetry, which the full validation then recertifies pair by pair).
+    adjacent, wrap, skip: clearance of pairs (1, 2), (1, m), (1, 3) minus twice
+    the child tube; contained: containment margin of children 1 and 2. These
+    are validate_necklace's bounds on a subset of its pairs and children, so a
+    margin <= 0 fails children_disjoint or children_contained there; the rest
+    are rotation-congruent to these, so positive margins are a cheap precheck.
     """
-    n = build_necklace(m)
     need = 2.0 * n.child_tube
-    for i, j in ((0, 1), (0, m - 1), (0, 2)):
-        if circle_circle_distance(n.child_circles[i], n.child_circles[j], clearance_grid) <= need:
-            return False
-    half_step = math.pi * n.contraction / 512
-    for c in n.child_circles[:2]:
-        d_max = float(np.max(point_circle_distance(n.base_torus.core, c.sample(512))))
-        if n.base_torus.tube - (d_max + half_step + n.child_tube) <= 0.0:
-            return False
-    return True
+    c = n.child_circles
+    return {
+        "adjacent": circle_circle_distance(c[0], c[1], clearance_grid) - need,
+        "wrap": circle_circle_distance(c[0], c[-1], clearance_grid) - need,
+        "skip": circle_circle_distance(c[0], c[2], clearance_grid) - need,
+        "contained": _containment_margin(n, c[:2]),
+    }
 
 
 def find_min_valid_multiplicity(limit: int = 1000, **validate_kwargs) -> tuple[int, ValidationReport]:
     """Scan even m upward and return the first that passes every check.
 
-    Raises InvalidMultiplicity if nothing validates up to `limit`.
+    Multiplicities whose binding margins are not all positive are skipped
+    without a full validation. Raises InvalidMultiplicity if nothing
+    validates up to `limit`.
     """
+    grid = validate_kwargs.get("clearance_grid", 512)
     for m in range(10, limit + 1, 2):
-        if not _geometry_precheck(m, validate_kwargs.get("clearance_grid", 512)):
+        n = build_necklace(m)
+        if min(binding_margins(n, grid).values()) <= 0.0:
             continue
-        report = validate_necklace(build_necklace(m), **validate_kwargs)
+        report = validate_necklace(n, **validate_kwargs)
         if report.passed:
             return m, report
     raise InvalidMultiplicity(f"no even multiplicity <= {limit} passes validation")

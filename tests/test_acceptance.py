@@ -35,11 +35,11 @@ from antoine.exports import export_mesh, export_points, export_volume, mesh_eule
 from antoine.geom3 import Membership
 from antoine.linking import link_matrix
 from antoine.necklace import (
-    _geometry_precheck,
+    binding_margins,
     build_necklace,
+    find_min_valid_multiplicity,
     stage_summary,
     torus_at,
-    validate_necklace,
     word_map,
 )
 
@@ -58,16 +58,17 @@ def criterion(number: int, description: str):
 
 @pytest.fixture(scope="module")
 def scan_result():
-    """Minimal validating multiplicity, with the validation run timed alone.
+    """Minimal validating multiplicity from the package scan, timed with its validation.
 
-    Prechecks certify failure of smaller m: a failed adjacent or skip
-    clearance bound is exactly the children_disjoint check failing, so full
-    validation at those m cannot pass.
+    The prechecks reject every smaller m by showing that a certified lower
+    bound fails: a binding-pair clearance or containment margin <= 0 means
+    the children_disjoint or children_contained check fails at the default
+    grid, so full validation at those m cannot pass. They are not
+    overlap witnesses: a failed lower bound does not prove that two tori meet.
     """
-    rejected = [m for m in range(10, M_STAR, 2) if not _geometry_precheck(m)]
-    candidate = next(m for m in range(10, 1001, 2) if _geometry_precheck(m))
+    rejected = [m for m in range(10, M_STAR, 2) if min(binding_margins(build_necklace(m)).values()) <= 0.0]
     t0 = time.perf_counter()
-    report = validate_necklace(build_necklace(candidate))
+    candidate, report = find_min_valid_multiplicity()
     elapsed = time.perf_counter() - t0
     return rejected, candidate, report, elapsed
 
@@ -75,13 +76,13 @@ def scan_result():
 @pytest.fixture(scope="module")
 def matrix_result(necklace40):
     t0 = time.perf_counter()
-    lm = link_matrix(necklace40, poly_n=512, quad_n=256, strict=False)
+    lm = link_matrix(necklace40, poly_n=512, quad_n=256)
     return lm, time.perf_counter() - t0
 
 
 def test_criterion_1_construction_validity(scan_result):
     rejected, m_star, report, elapsed = scan_result
-    with criterion(1, f"minimal validating multiplicity m*={m_star}, validate in {elapsed:.1f}s"):
+    with criterion(1, f"minimal validating multiplicity m*={m_star}, scan and validate in {elapsed:.1f}s"):
         assert rejected == list(range(10, M_STAR, 2))  # everything below fails
         assert m_star == M_STAR <= 1000
         assert report.passed

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from antoine import linking
 from antoine.cli import main
+from antoine.necklace import build_necklace
 
 
 def run(capsys, *argv):
@@ -26,6 +28,47 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--m", "40", "--grid-n", "4"],
+            ["verify", "--m", "40", "--poly-n", "32"],
+            ["verify", "--m", "40", "--quad-n", "8"],
+            ["classify", "--m", "40", "--budget", "0"],
+            ["classify", "--m", "40", "--grid", "1"],
+            ["classify", "--m", "40", "--grid", "2000"],
+            ["classify", "--m", "40", "--grid", "16", "--bbox", "0,0,0,0,1,1"],
+            ["classify", "--m", "40", "--grid", "16", "--bbox", "0,0,0,nan,1,1"],
+            ["periodic", "--m", "40", "--p-max", "0"],
+            ["periodic", "--m", "40", "--cap", "0"],
+            ["periodic", "--m", "40", "--sample-k", "0"],
+            ["periodic", "--m", "40", "--p-max", "3", "--sample-k", "2"],
+            ["dimension", "--m", "40", "--count", "10"],
+            ["dimension", "--m", "40", "--depth", "4"],
+            ["dimension", "--m", "40", "--scales", "0.1"],
+            ["export", "--m", "40", "--what", "points", "--count", "-5", "--format", "xyz"],
+            ["export", "--m", "40", "--what", "points", "--depth", "3", "--format", "xyz"],
+            ["export", "--m", "40", "--what", "points"],
+            ["export", "--m", "40", "--what", "points", "--format", "ply"],
+            ["export", "--m", "40", "--what", "mesh", "--format", "xyz"],
+            ["export", "--m", "16", "--what", "mesh", "--stage", "-1"],
+            ["export", "--m", "16", "--what", "mesh", "--nu", "4"],
+            ["export", "--m", "16", "--what", "mesh", "--nv", "4"],
+            ["map", "--m", "40", "--point", "0,0,0", "--max-iter", "0"],
+            ["map", "--m", "40", "--point", "0,0,0", "--degree-root", "1"],
+            ["map", "--m", "40", "--point", "nan,0,0"],
+            ["map", "--m", "40", "--point", "0,inf,0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_2_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert "error:" in stderr.strip().splitlines()[-1]
 
 
 class TestBuild:
@@ -52,6 +95,28 @@ class TestVerify:
         assert doc["link_matrix"]["m"] == 40
         entries = np.array(doc["link_matrix"]["entries"]).reshape(40, 40)
         assert np.array_equal(entries, entries.T)
+
+    @pytest.mark.parametrize("m", [40, 16])
+    def test_links_once_and_emits_that_matrix(self, capsys, monkeypatch, m):
+        # counted at the matrix and at the pair level, so that a second
+        # matrix computed through any imported name is seen too
+        originals = {name: getattr(linking, name) for name in ("link_matrix", "polygonal_linking")}
+        calls = dict.fromkeys(originals, 0)
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return originals[name](*args, **kwargs)
+
+            return wrapper
+
+        for name in originals:
+            monkeypatch.setattr(linking, name, counting(name))
+        code, out = run(capsys, "verify", "--m", str(m), "--grid-n", "256", "--poly-n", "128", "--quad-n", "64")
+        assert calls == {"link_matrix": 1, "polygonal_linking": m * (m - 1) // 2}
+        assert code == (0 if m == 40 else 1)
+        direct = originals["link_matrix"](build_necklace(m), poly_n=128, quad_n=64)
+        assert json.loads(out)["link_matrix"] == direct.to_json_dict()
 
     def test_invalid_construction_exits_1(self, capsys):
         code, out = run(capsys, "verify", "--m", "16", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32")

@@ -149,6 +149,20 @@ class TestEscapeDepth:
         assert ratio == pytest.approx(necklace40.expansion ** len(w), rel=1e-10)
 
 
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_by_every_entry_point(self, necklace40, bad):
+        p = np.array([0.9, bad, 0.0])
+        # the bad point sits in the second chunk, after a finite first one
+        pts = np.array([[0.9, 0.1, 0.0], [0.0, 0.0, 0.0], p])
+        with pytest.raises(ValueError):
+            classify_points(necklace40, pts, 4, chunk=2)
+        with pytest.raises(ValueError):
+            escape_depth(necklace40, p, 4)
+        with pytest.raises(ValueError):
+            orbit(necklace40, ExteriorModel(2), p, 4)
+
+
 class TestCodingPoint:
     def test_pure_tail_is_fixed_point(self, necklace40):
         assert np.allclose(

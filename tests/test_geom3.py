@@ -16,6 +16,7 @@ from antoine.geom3 import (
     point_circle_distance,
     vec3,
 )
+from antoine.necklace import build_necklace
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -223,14 +224,25 @@ class TestCircleCircleDistance:
         assert 1.95 <= bound <= 2.0
 
     def test_necklace_pair_certified_vs_dense_oracle(self, necklace40):
-        # dense-sampling oracle: the true minimum can only be below the
-        # sampled minimum, and the certified bound must sit below both
-        a, b = necklace40.child_circles[0], necklace40.child_circles[2]
-        bound = circle_circle_distance(a, b, 64)
-        pa, pb = a.sample(4096), b.sample(4096)
-        oracle = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2).min()
-        assert bound <= oracle
-        assert bound > 2.0 * necklace40.child_tube
+        # dense-sampling oracle: the exact distances from dense samples of one
+        # circle to the other can only sit at or above the true minimum, and
+        # the certified bound must sit below them. The m = 38 adjacent pair is
+        # the one whose grid-512 bound falls short of twice the child tube.
+        necklace38 = build_necklace(38)
+        cases = [
+            (necklace40, 2, 64, True),
+            (necklace40, 1, 512, True),
+            (necklace38, 1, 512, False),
+        ]
+        for n, j, grid, certified in cases:
+            a, b = n.child_circles[0], n.child_circles[j]
+            bound = circle_circle_distance(a, b, grid)
+            oracle = min(
+                point_circle_distance(b, a.sample(65536)).min(), point_circle_distance(a, b.sample(65536)).min()
+            )
+            assert bound <= oracle
+            if certified:
+                assert bound > 2.0 * n.child_tube
 
     def test_grid_too_small(self):
         a = Circle3(np.zeros(3), 1.0, E3)

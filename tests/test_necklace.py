@@ -8,7 +8,9 @@ import pytest
 from antoine.errors import InvalidMultiplicity, MultipleChildren
 from antoine.geom3 import Membership, point_circle_distance
 from antoine.necklace import (
+    binding_margins,
     build_necklace,
+    find_min_valid_multiplicity,
     locate_child,
     stage_summary,
     torus_at,
@@ -16,6 +18,8 @@ from antoine.necklace import (
     validate_necklace,
     word_map,
 )
+
+from conftest import M_STAR
 
 
 class TestBuild:
@@ -82,6 +86,26 @@ class TestValidate:
         assert list(parsed) == ["multiplicity", "passed", "constants", "checks"]
         assert list(parsed["checks"][0]) == ["name", "pass", "margin", "tolerance"]
         assert parsed["constants"]["child_tube"] == pytest.approx(32.0 / 40**2)
+
+    def test_link_matrix_only_when_linking_checked(self, geometry_report40):
+        assert geometry_report40.link_matrix is None
+
+
+class TestMultiplicityScan:
+    @pytest.mark.parametrize("m", [16, 40])
+    def test_binding_margins_bound_the_full_checks(self, m):
+        # the binding pairs and children are a subset of what validation
+        # certifies, with the same bounds, so their margins can only be larger
+        margins = binding_margins(build_necklace(m))
+        by_name = {c.name: c for c in validate_necklace(build_necklace(m), check_linking=False).checks}
+        assert min(margins["adjacent"], margins["wrap"], margins["skip"]) >= by_name["children_disjoint"].margin
+        assert margins["contained"] >= by_name["children_contained"].margin
+
+    def test_find_min_valid_multiplicity(self):
+        m, report = find_min_valid_multiplicity(poly_n=128, quad_n=64)
+        assert m == M_STAR
+        assert report.passed
+        assert report.link_matrix.multiplicity == M_STAR
 
 
 class TestTorusAt:
