@@ -38,6 +38,7 @@ from .geom3 import (
     Similarity3,
     SolidTorus,
     circle_circle_distance,
+    fixed_points,
     point_circle_distance,
     vec3,
 )
@@ -49,9 +50,9 @@ from .necklace import (
     binding_margins,
     build_necklace,
     find_min_valid_multiplicity,
-    locate_child,
     stage_summary,
     torus_at,
     validate_necklace,
     word_map,
+    word_maps,
 )

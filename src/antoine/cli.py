@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -71,6 +72,18 @@ def _grid(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a flag that takes a list of numbers to a value starting with '-'
+    (`--point -0.5,0,0` -> `--point=-0.5,0,0`), which argparse would read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--bbox", "--scales") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out is None:
@@ -102,7 +115,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     n = build_necklace(args.m)
-    exports.export_volume(n, args.grid, args.bbox, args.budget, args.out, seed=args.seed)
+    exports.export_volume(n, args.grid, args.bbox, args.budget, args.out)
     return 0
 
 
@@ -201,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="escape-depth volume grid (.vol + JSON sidecar)")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--grid", type=_grid, default=(64, 64, 64), help="voxels per axis (n or nx,ny,nz)")
     p.add_argument("--bbox", type=_bbox, default=exports.DEFAULT_BBOX, help="x0,y0,z0,x1,y1,z1")
     p.add_argument("--budget", type=_at_least(1), default=dynamics.DEFAULT_BUDGET)
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:  # a check that spans several arguments

@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
-from .geom3 import Vec3, point_circle_distance
-from .necklace import Address, Necklace, check_word, child_distances, locate_child, word_map
+from .geom3 import Vec3, fixed_points, point_circle_distance
+from .necklace import Address, Necklace, child_distances, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
 NOISE_FLOOR = 8e-16
@@ -51,6 +51,9 @@ class EscapeKind(Enum):
     SURVIVED = "survived"
 
 
+_ESCAPE_KINDS = {EXTERIOR: EscapeKind.EXTERIOR, ESCAPED: EscapeKind.ESCAPED, SURVIVED: EscapeKind.SURVIVED}
+
+
 @dataclass(frozen=True)
 class EscapeOutcome:
     """Classification of one starting point.
@@ -62,18 +65,6 @@ class EscapeOutcome:
 
     kind: EscapeKind
     depth: int
-
-    @staticmethod
-    def exterior() -> "EscapeOutcome":
-        return EscapeOutcome(EscapeKind.EXTERIOR, 0)
-
-    @staticmethod
-    def escaped_at(k: int) -> "EscapeOutcome":
-        return EscapeOutcome(EscapeKind.ESCAPED, k)
-
-    @staticmethod
-    def survived(budget: int) -> "EscapeOutcome":
-        return EscapeOutcome(EscapeKind.SURVIVED, budget)
 
 
 class StepKind(Enum):
@@ -90,20 +81,19 @@ class StepResult:
 
 
 def inner_step(n: Necklace, p: Vec3, tol: float = BOUNDARY_TOL) -> StepResult:
-    """One step of the map at crisp tolerance.
+    """One step of the map at crisp tolerance: the classifier's first step with no noise term.
 
     Outside the parent torus: NOT_IN_T0. In a child torus: the inverse child
     similarity is applied and the digit recorded. In the parent but in no
     child: EXITS (one application of the covering part of the map leaves the
-    parent; its pointwise values are not modeled here, see `orbit`).
+    parent; its pointwise values are not modeled here, see `orbit`). Raises
+    MultipleChildren when two children claim the point within tol, which
+    only happens on a necklace whose disjointness certificate fails.
     """
-    p = np.asarray(p, dtype=float)
-    if point_circle_distance(n.base_torus.core, p) > n.base_torus.tube + tol:
-        return StepResult(StepKind.NOT_IN_T0)
-    j = locate_child(n, p, tol)
-    if j is None:
-        return StepResult(StepKind.EXITS)
-    return StepResult(StepKind.MAPPED, n.child_maps[j - 1].invert().apply(p), j)
+    status, _, digits, x = _pull_back(n, p, 1, tol, 0.0)
+    if status == SURVIVED:
+        return StepResult(StepKind.MAPPED, x, digits[0])
+    return StepResult(StepKind.NOT_IN_T0 if status == EXTERIOR else StepKind.EXITS)
 
 
 def classify_points(
@@ -135,30 +125,33 @@ def classify_points(
     depth = np.full(n_pts, budget, dtype=np.int32)
     itinerary = np.zeros((n_pts, itinerary_digits), dtype=np.int16) if itinerary_digits else None
 
-    inverse_maps = [s.invert() for s in n.child_maps]
     for lo in range(0, n_pts, chunk):
         hi = min(lo + chunk, n_pts)
         _classify_chunk(
-            n, pts[lo:hi], budget, boundary_tol, noise_floor, inverse_maps,
+            n, pts[lo:hi], budget, boundary_tol, noise_floor,
             status[lo:hi], depth[lo:hi],
             itinerary[lo:hi] if itinerary is not None else None,
         )
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, inverse_maps, status, depth, itinerary):
+def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, status, depth, itinerary):
+    """The pullback step loop over one chunk: writes status, depth and itinerary in place and
+    returns each point's last position (where it left the parent or the children, where its
+    tolerance ball covered several children, or after `budget` pullbacks)."""
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
+    last = np.array(pts, dtype=float)
     d0 = point_circle_distance(n.base_torus.core, pts)
     exterior = d0 > n.base_torus.tube + boundary_tol
     status[exterior] = EXTERIOR
     depth[exterior] = 0
 
     active = np.flatnonzero(~exterior)
-    cur = pts[active].copy()
+    cur = last[active]
     for k in range(budget):
         if active.size == 0:
-            return
+            break
         noise = noise_floor * n.expansion**k
         tol_k = boundary_tol + noise
         claims = child_distances(n, cur) <= n.child_tube + tol_k
@@ -181,9 +174,8 @@ def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, inverse_maps, sta
             depth[active[fuzzy]] = budget
 
         stay = n_claims == 1
+        last[active[~stay]] = cur[~stay]
         active = active[stay]
-        if active.size == 0:
-            return
         cur = cur[stay]
         digits = np.argmax(claims[stay], axis=1)
         if itinerary is not None and k < itinerary.shape[1]:
@@ -191,9 +183,23 @@ def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, inverse_maps, sta
         nxt = np.empty_like(cur)
         for j in np.unique(digits):
             sel = digits == j
-            nxt[sel] = inverse_maps[j].apply(cur[sel])
+            nxt[sel] = n.inverse_maps[j].apply(cur[sel])
         cur = nxt
     # anything still active has survived the budget (the defaults already say so)
+    last[active] = cur
+    return last
+
+
+def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_floor: float):
+    """One point through the classifier's step loop: (status, depth, digits, last position)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    status = np.full(1, SURVIVED, dtype=np.uint8)
+    depth = np.full(1, budget, dtype=np.int32)
+    itinerary = np.zeros((1, budget), dtype=np.int16)
+    pts = np.asarray(p, dtype=float).reshape(1, 3)
+    last = _classify_chunk(n, pts, budget, boundary_tol, noise_floor, status, depth, itinerary)
+    return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 
 
 def escape_depth(
@@ -209,14 +215,8 @@ def escape_depth(
     the itinerary digits as the address, for as long as a double can resolve
     the stage.
     """
-    status, depth, _ = classify_points(
-        n, np.asarray(p, dtype=float)[None, :], budget, boundary_tol, noise_floor
-    )
-    if status[0] == EXTERIOR:
-        return EscapeOutcome.exterior()
-    if status[0] == ESCAPED:
-        return EscapeOutcome.escaped_at(int(depth[0]))
-    return EscapeOutcome.survived(budget)
+    status, depth, _, _ = _pull_back(n, p, budget, boundary_tol, noise_floor)
+    return EscapeOutcome(_ESCAPE_KINDS[status], depth)
 
 
 def coding_point(n: Necklace, prefix: Address, tail: Address) -> Vec3:
@@ -225,8 +225,7 @@ def coding_point(n: Necklace, prefix: Address, tail: Address) -> Vec3:
     The repeated tail pins a fixed point of the composed contraction; the
     prefix then pushes it into the stage-len(prefix) torus of that address.
     """
-    tail = check_word(n, tail)
-    if not tail:
+    if not len(tail):
         raise ValueError("tail word must be nonempty")
     return word_map(n, prefix).apply(word_map(n, tail).fixed_point())
 
@@ -247,12 +246,12 @@ def periodic_point(n: Necklace, word: Address) -> PeriodicPoint:
     Under the dynamics it is periodic with period len(word), itinerary equal
     to the word repeated, and per-cycle expansion (m/4)^len(word).
     """
-    word = check_word(n, word)
+    word = tuple(int(d) for d in word)
     if not word:
         raise ValueError("periodic word must be nonempty")
     return PeriodicPoint(
         word=word,
-        point=word_map(n, word).fixed_point(),
+        point=fixed_points(*word_maps(n, [word]))[0],
         period=len(word),
         multiplier=n.expansion ** len(word),
     )
@@ -282,21 +281,27 @@ def enumerate_periodic(
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    m = n.multiplicity
     rng = np.random.default_rng(seed)
     seen: set[Address] = set()
     out: list[PeriodicPoint] = []
     for p in range(1, p_max + 1):
-        if m**p <= cap:
-            words = itertools.product(range(1, m + 1), repeat=p)
-        else:
-            words = map(tuple, rng.integers(1, m + 1, size=(cap, p)).tolist())
-        for w in words:
+        reps = []
+        for w in _period_words(n.multiplicity, p, cap, rng).tolist():
             rep = _least_rotation(_primitive_root(tuple(w)))
             if len(rep) == p and rep not in seen:
                 seen.add(rep)
-                out.append(periodic_point(n, rep))
+                reps.append(rep)
+        points = fixed_points(*word_maps(n, np.array(reps, dtype=int).reshape(-1, p)))
+        out += [PeriodicPoint(w, x, p, n.expansion**p) for w, x in zip(reps, points)]
     return out
+
+
+def _period_words(m: int, p: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """All m^p words of length p as rows in lexicographic order, or cap seeded
+    uniform ones from rng when m^p exceeds cap."""
+    if m**p <= cap:
+        return np.array(list(itertools.product(range(1, m + 1), repeat=p)))
+    return rng.integers(1, m + 1, size=(cap, p))
 
 
 def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray, chunk: int = 64) -> float:
@@ -312,18 +317,11 @@ def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray, chunk: int =
 def periodic_point_cloud(n: Necklace, p_max: int, cap: int = 200000, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Fixed points of all words of length <= p_max (every orbit point, not
     one representative per orbit), as an (N, 3) array."""
-    m = n.multiplicity
-    pts = []
-    for p in range(1, p_max + 1):
-        if m**p <= cap:
-            words = itertools.product(range(1, m + 1), repeat=p)
-        else:
-            # seed derived per period so the clouds are nested across p_max
-            sub = np.random.default_rng(seed + p)
-            words = map(tuple, sub.integers(1, m + 1, size=(cap, p)).tolist())
-        for w in words:
-            pts.append(word_map(n, tuple(w)).fixed_point())
-    return np.array(pts)
+    # seed derived per period so the clouds are nested across p_max
+    return np.concatenate([
+        fixed_points(*word_maps(n, _period_words(n.multiplicity, p, cap, np.random.default_rng(seed + p))))
+        for p in range(1, p_max + 1)
+    ])
 
 
 def density_report(
@@ -346,9 +344,8 @@ def density_report(
         raise ValueError("need p_max >= 1 and sample_k >= p_max")
     rng = np.random.default_rng(seed)
     addresses = rng.integers(1, n.multiplicity + 1, size=(ref_count, sample_k))
-    reference = np.array(
-        [word_map(n, tuple(a)).apply(n.base_torus.core.center) for a in addresses.tolist()]
-    )
+    # the base circle is centered at the origin, so each torus center is its word map's shift
+    _, _, reference = word_maps(n, addresses)
     return _one_sided_hausdorff(reference, periodic_point_cloud(n, p_max, seed=seed))
 
 
@@ -457,45 +454,18 @@ def orbit(
 ) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
-    Inner steps use the same noise-aware tolerance schedule as the
-    classifier. On exit (or for a point already outside the parent torus)
-    the position is handed to the radial model, clamped out to norm 2 if
-    needed, and norms are recorded until they pass the recording cap;
-    escape is certified once a norm reaches 2^d, after which the model map
-    is strictly norm-increasing.
+    Inner steps are the classifier's step loop on one point. On exit (or
+    for a point already outside the parent torus) the position is handed to
+    the radial model, clamped out to norm 2 if needed, and norms are
+    recorded until they pass the recording cap; escape is certified once a
+    norm reaches 2^d, after which the model map is strictly norm-increasing.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        raise ValueError(f"point must be finite, got {p}")
-    itinerary: list[int] = []
-    exit_kind = EscapeKind.SURVIVED
-    exit_depth: int | None = None
-
-    x = p.copy()
-    if point_circle_distance(n.base_torus.core, x) > n.base_torus.tube + boundary_tol:
-        exit_kind = EscapeKind.EXTERIOR
-    else:
-        for k in range(max_iter):
-            noise = noise_floor * n.expansion**k
-            d = child_distances(n, x[None, :])[0]
-            claimed = np.flatnonzero(d <= n.child_tube + boundary_tol + noise)
-            if claimed.size == 0:
-                exit_kind = EscapeKind.ESCAPED
-                exit_depth = k
-                break
-            if claimed.size > 1:
-                if noise <= boundary_tol:
-                    raise MultipleChildren(f"point {x} claimed by children {claimed + 1}")
-                break  # resolution exhausted: survived
-            j = int(claimed[0]) + 1
-            itinerary.append(j)
-            x = n.child_maps[j - 1].invert().apply(x)
-
-    if exit_kind == EscapeKind.SURVIVED:
+    status, depth, itinerary, x = _pull_back(n, p, max_iter, boundary_tol, noise_floor)
+    exit_kind = _ESCAPE_KINDS[status]
+    if exit_kind is EscapeKind.SURVIVED:
         return OrbitRecord(
-            start=p, itinerary=tuple(itinerary), exit=exit_kind, exit_depth=None,
+            start=p, itinerary=itinerary, exit=exit_kind, exit_depth=None,
             handoff=None, handoff_clamped=False, exterior_norms=(),
             escape_certified=False, model_degree_root=model.degree_root,
         )
@@ -516,7 +486,7 @@ def orbit(
         x = exterior_model_map(x, model)
         norms.append(float(np.linalg.norm(x)))
     return OrbitRecord(
-        start=p, itinerary=tuple(itinerary), exit=exit_kind, exit_depth=exit_depth,
+        start=p, itinerary=itinerary, exit=exit_kind, exit_depth=depth if status == ESCAPED else None,
         handoff=handoff, handoff_clamped=clamped, exterior_norms=tuple(norms),
         escape_certified=any(v >= model.outer_radius for v in norms),
         model_degree_root=model.degree_root,

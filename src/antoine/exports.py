@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
 from .errors import TooManyTori
-from .geom3 import SolidTorus
-from .necklace import Address, Necklace, torus_at
+from .geom3 import Rotation3, Similarity3, SolidTorus
+from .necklace import Address, Necklace, word_maps
 
 VOL_EXTERIOR = 0xFFFE
 VOL_SURVIVED = 0xFFFF
@@ -107,7 +107,8 @@ def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
     if count > MAX_EXPORT_TORI:
         raise TooManyTori(f"stage {k} holds {count} tori, cap is {MAX_EXPORT_TORI}")
     addresses = tuple(itertools.product(range(1, n.multiplicity + 1), repeat=k))
-    meshes = tuple(torus_mesh(torus_at(n, a), nu, nv) for a in addresses)
+    maps = zip(*word_maps(n, np.array(addresses, dtype=int).reshape(count, k)))
+    meshes = tuple(torus_mesh(n.base_torus.transform(Similarity3(s, Rotation3(r), t)), nu, nv) for s, r, t in maps)
     return MeshStage(k, nu, nv, addresses, meshes)
 
 
@@ -250,13 +251,7 @@ def classify_volume(
     return VolumeGrid(dims, lo, hi, values)
 
 
-def write_volume(
-    grid: VolumeGrid,
-    path: str | Path,
-    m: int,
-    budget: int,
-    seed: int = 0,
-) -> None:
+def write_volume(grid: VolumeGrid, path: str | Path, m: int, budget: int) -> None:
     """Raw little-endian uint16 voxels plus a JSON sidecar at path + '.json'."""
     path = Path(path)
     path.write_bytes(grid.values.astype("<u2").tobytes())
@@ -265,7 +260,6 @@ def write_volume(
         "bbox": [[float(x) for x in grid.bbox_min], [float(x) for x in grid.bbox_max]],
         "budget": budget,
         "m": m,
-        "seed": seed,
         "encoding": {"exterior": VOL_EXTERIOR, "survived": VOL_SURVIVED},
         "order": "x-fastest, little-endian uint16",
     }
@@ -284,10 +278,9 @@ def export_volume(
     bbox=DEFAULT_BBOX,
     budget: int = DEFAULT_BUDGET,
     path: str | Path = "escape.vol",
-    seed: int = 0,
 ) -> VolumeGrid:
     grid = classify_volume(n, dims, bbox, budget)
-    write_volume(grid, path, n.multiplicity, budget, seed)
+    write_volume(grid, path, n.multiplicity, budget)
     return grid
 
 

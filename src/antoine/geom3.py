@@ -41,29 +41,39 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def project_rotations(mats: np.ndarray) -> np.ndarray:
+    """Nearest proper rotations to a stack of (..., 3, 3) matrices.
+
+    A matrix off orthonormal by more than 1e-15 is replaced by its polar
+    factor (via SVD), which keeps long composition chains orthonormal to
+    machine precision. Matrices farther than 1e-8 from a rotation, or with
+    negative determinant, are rejected rather than silently repaired.
+    """
+    flat = np.array(mats, dtype=float).reshape(-1, 3, 3)
+    defect = np.abs(flat.transpose(0, 2, 1) @ flat - _EYE3).max(axis=(1, 2))
+    if ((defect > 1e-8) | (np.linalg.det(flat) < 0.0)).any():
+        raise ValueError("matrix is not a proper rotation")
+    redo = defect > 1e-15
+    if redo.any():
+        u, _, vt = np.linalg.svd(flat[redo])
+        flat[redo] = u @ vt
+    return flat.reshape(np.shape(mats))
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation3:
     """Proper rotation of 3-space, stored as an orthonormal matrix.
 
     The constructor projects its input onto the nearest rotation matrix
-    (polar factor via SVD), which keeps long composition chains orthonormal
-    to machine precision. Inputs farther than 1e-8 from a rotation are
-    rejected rather than silently repaired.
+    (see project_rotations).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (3, 3):
+        if np.shape(self.matrix) != (3, 3):
             raise ValueError("rotation matrix must be 3x3")
-        defect = np.abs(mat.T @ mat - _EYE3).max()
-        if defect > 1e-8 or np.linalg.det(mat) < 0.0:
-            raise ValueError("matrix is not a proper rotation")
-        if defect > 1e-15:
-            u, _, vt = np.linalg.svd(mat)
-            mat = u @ vt
-        object.__setattr__(self, "matrix", _as_readonly(mat))
+        object.__setattr__(self, "matrix", _as_readonly(project_rotations(self.matrix)))
 
     @staticmethod
     def identity() -> "Rotation3":
@@ -145,10 +155,20 @@ class Similarity3:
         return Similarity3(1.0 / self.scale, rinv, rinv.apply(-self.shift) / self.scale)
 
     def fixed_point(self) -> Vec3:
-        """The unique x with apply(x) = x, by solving (I - scale * R) x = shift."""
-        if abs(self.scale - 1.0) < 1e-12:
-            raise NoUniqueFixedPoint(f"scale {self.scale} is too close to 1")
-        return np.linalg.solve(_EYE3 - self.scale * self.rot.matrix, self.shift)
+        """The unique x with apply(x) = x (see fixed_points)."""
+        return fixed_points(np.array([self.scale]), self.rot.matrix[None], self.shift[None])[0]
+
+
+def fixed_points(scales: np.ndarray, rots: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(N, 3) fixed points of N stacked similarities x -> scale * R x + shift.
+
+    Solves (I - scale * R) x = shift for each row. Raises NoUniqueFixedPoint
+    when a scale is within 1e-12 of 1.
+    """
+    near_one = np.abs(scales - 1.0) < 1e-12
+    if near_one.any():
+        raise NoUniqueFixedPoint(f"scale {scales[near_one][0]} is too close to 1")
+    return np.linalg.solve(_EYE3 - scales[:, None, None] * rots, shifts[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,8 +26,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidMultiplicity, MultipleChildren
-from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, Vec3, circle_circle_distance, point_circle_distance
+from .errors import InvalidMultiplicity
+from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
+from .geom3 import project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -59,6 +60,8 @@ class Necklace:
     base_torus: SolidTorus
     child_circles: tuple[Circle3, ...]
     child_maps: tuple[Similarity3, ...]
+    # their inverses, which the pullback dynamics applies
+    inverse_maps: tuple[Similarity3, ...]
     child_tube: float
     # stacked copies of the child circle data, for vectorized membership tests
     child_centers: np.ndarray
@@ -128,26 +131,42 @@ def build_necklace(m: int) -> Necklace:
         base_torus=base_torus,
         child_circles=circles,
         child_maps=tuple(maps),
+        inverse_maps=tuple(s.invert() for s in maps),
         child_tube=32.0 / m**2,
         child_centers=np.array([c.center for c in circles]),
         child_normals=np.array([c.normal for c in circles]),
     )
 
 
-def check_word(n: Necklace, word: Address) -> Address:
-    word = tuple(int(d) for d in word)
-    for d in word:
-        if not 1 <= d <= n.multiplicity:
-            raise ValueError(f"address digit {d} out of range 1..{n.multiplicity}")
-    return word
+def word_maps(n: Necklace, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composed child similarities of N words of one length, as stacked arrays.
+
+    words is an (N, L) array of digits 1..m. Returns scales (N,), rotations
+    (N, 3, 3) and shifts (N, 3); row i is map(w1) after map(w2) after ... for
+    word i, composed left to right with the arithmetic of Similarity3.compose,
+    so each row equals the compose chain bit for bit.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    if words.ndim != 2 or (words.size and not (words.min() >= 1 and words.max() <= n.multiplicity)):
+        raise ValueError(f"words must be an (N, L) array of address digits in 1..{n.multiplicity}")
+    child_rots = np.array([s.rot.matrix for s in n.child_maps])
+    child_shifts = np.array([s.shift for s in n.child_maps])
+    scales = np.ones(words.shape[0])
+    rots = np.tile(np.eye(3), (words.shape[0], 1, 1))
+    shifts = np.zeros((words.shape[0], 3))
+    for d in (words - 1).T:
+        # shift before scale and rotation, which it reads; matmul, as in
+        # Rotation3.apply (an einsum rounds differently)
+        shifts = scales[:, None] * (child_shifts[d][:, None, :] @ rots.transpose(0, 2, 1))[:, 0] + shifts
+        scales = scales * n.contraction  # the ratio of every child map
+        rots = project_rotations(rots @ child_rots[d])
+    return scales, rots, shifts
 
 
 def word_map(n: Necklace, word: Address) -> Similarity3:
     """Composed child similarity of the word: map(w1) after map(w2) after ..."""
-    acc = Similarity3.identity()
-    for d in check_word(n, word):
-        acc = acc.compose(n.child_maps[d - 1])
-    return acc
+    (scale,), (rot,), (shift,) = word_maps(n, [word])
+    return Similarity3(float(scale), Rotation3(rot), shift)
 
 
 def torus_at(n: Necklace, word: Address) -> SolidTorus:
@@ -163,22 +182,6 @@ def child_distances(n: Necklace, points: np.ndarray) -> np.ndarray:
     w_perp = w - h[:, :, None] * n.child_normals[None, :, :]
     rho = np.linalg.norm(w_perp, axis=2)
     return np.hypot(rho - n.contraction, h)
-
-
-def locate_child(n: Necklace, p: Vec3, tol: float = 1e-12) -> int | None:
-    """The unique child slot whose solid torus contains p, or None.
-
-    Boundary points (within tol of the tube surface) count as contained.
-    Raises MultipleChildren when two children claim the point, which can
-    only happen on a necklace whose disjointness certificate fails.
-    """
-    d = child_distances(n, np.asarray(p, dtype=float)[None, :])[0]
-    claimed = np.flatnonzero(d <= n.child_tube + tol)
-    if claimed.size == 0:
-        return None
-    if claimed.size > 1:
-        raise MultipleChildren(f"children {[int(j) + 1 for j in claimed]} all contain {p}")
-    return int(claimed[0]) + 1
 
 
 @dataclass(frozen=True)

@@ -246,8 +246,7 @@ def test_criterion_7_dimension_consistency(necklace40):
 def test_criterion_8_determinism_and_formats(necklace40, tmp_path):
     with criterion(8, "byte-identical reruns; exported stage-1 tori watertight, Euler 0"):
         for name in ("a", "b"):
-            export_volume(necklace40, (24, 24, 24), ((-1.6,) * 3, (1.6,) * 3), 12,
-                          tmp_path / f"{name}.vol", seed=7)
+            export_volume(necklace40, (24, 24, 24), ((-1.6,) * 3, (1.6,) * 3), 12, tmp_path / f"{name}.vol")
             export_points(chaos_game_sample(necklace40, 500, 12, seed=7), "xyz", tmp_path / f"{name}.xyz")
             export_mesh(necklace40, 1, 16, 8, "obj", tmp_path / f"{name}.obj")
         for ext in ("vol", "vol.json", "xyz", "obj"):

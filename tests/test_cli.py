@@ -70,6 +70,20 @@ class TestUsageErrors:
         assert "Traceback" not in stderr
         assert "error:" in stderr.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "--m", "40", "--grid", "16", "--bbox", "-1,-1,-1,-1,1,1"], "degenerate"),
+            (["dimension", "--m", "40", "--scales", "-0.1,0.2"], "positive box sizes"),
+        ],
+    )
+    def test_negative_value_reaches_its_check(self, capsys, argv, message):
+        # a value that starts with '-' is the flag's value, not an option
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBuild:
     def test_constants(self, capsys):
@@ -126,12 +140,18 @@ class TestVerify:
 
 class TestClassify:
     def test_deterministic_volumes(self, tmp_path, capsys):
-        args = ["classify", "--m", "40", "--grid", "16", "--budget", "12", "--seed", "5"]
+        args = ["classify", "--m", "40", "--grid", "16", "--budget", "12"]
         a, b = tmp_path / "a.vol", tmp_path / "b.vol"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        assert json.loads((tmp_path / "a.vol.json").read_text())["seed"] == 5
+        assert "seed" not in json.loads((tmp_path / "a.vol.json").read_text())
+
+    def test_negative_bbox(self, tmp_path):
+        out = tmp_path / "e.vol"
+        args = ["classify", "--m", "40", "--grid", "8", "--budget", "4", "--bbox", "-1.6,-1.6,-1.6,1.6,1.6,1.6"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert json.loads((tmp_path / "e.vol.json").read_text())["bbox"] == [[-1.6] * 3, [1.6] * 3]
 
 
 class TestPeriodic:
@@ -182,6 +202,11 @@ class TestMap:
         assert doc["exit"] == "exterior"
         assert doc["exterior_norms"][:3] == [3.0, 9.0, 81.0]
         assert doc["escape_certified"] is True
+
+    def test_negative_point(self, capsys):
+        code, out = run(capsys, "map", "--m", "40", "--point", "-0.5,0,0", "--max-iter", "3")
+        assert code == 0
+        assert json.loads(out)["start"] == [-0.5, 0.0, 0.0]
 
     def test_degree_root_defaults_to_square_root(self, capsys):
         code, out = run(capsys, "map", "--m", "16", "--point", "0,0,0", "--max-iter", "3")

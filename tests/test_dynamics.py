@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antoine.errors import DegenerateFit, NonInvertibleJacobian, UndefinedAtOrigin
+from antoine.errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
 from antoine.dynamics import (
     DEFAULT_BUDGET,
     ESCAPED,
@@ -59,6 +60,24 @@ class TestInnerStep:
             assert d > necklace40.child_tube
         assert inner_step(necklace40, p).kind is StepKind.EXITS
 
+    def test_core_sample_digit(self, necklace40):
+        p = necklace40.child_circles[0].sample(8)[2]
+        assert inner_step(necklace40, p).digit == 1
+
+    def test_child_center_exits(self, necklace40):
+        # the circle center is radius 4/m from the curve, above tube 32/m^2
+        assert inner_step(necklace40, necklace40.child_centers[0]).kind is StepKind.EXITS
+
+    def test_multiple_children_on_invalid_necklace(self, necklace40):
+        fat = dataclasses.replace(necklace40, child_tube=8.0 * necklace40.child_tube)
+        a, b = fat.child_circles[0], fat.child_circles[1]
+        pa = a.sample(512)
+        db = point_circle_distance(b, pa)
+        p = pa[int(np.argmin(db))]
+        mid = 0.5 * (p + b.sample(512)[int(np.argmin(point_circle_distance(a, b.sample(512))))])
+        with pytest.raises(MultipleChildren):
+            inner_step(fat, mid)
+
     def test_conjugacy(self, necklace40):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -68,6 +87,56 @@ class TestInnerStep:
             r = inner_step(necklace40, p)
             back = necklace40.child_maps[r.digit - 1].apply(r.point)
             assert np.linalg.norm(back - p) <= 1e-12 * (1.0 + np.linalg.norm(p))
+
+
+def mixed_points(n, seed):
+    """Seeded uniform points, attractor samples, and points within 1e-10 of
+    the parent's and the children's tube surfaces."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(-1.6, 1.6, size=(200, 3))
+    attractor = chaos_game_sample(n, 100, 20, seed=seed)
+    near = []
+    for delta in rng.uniform(-1e-10, 1e-10, size=100):
+        j = int(rng.integers(0, n.multiplicity))
+        c = n.child_circles[j]
+        on = c.point_at(rng.uniform(0, 2 * math.pi))
+        u = (on - c.center) / c.radius
+        near.append(c.center + (c.radius + n.child_tube + delta) * u)
+        base = n.base_torus.core.point_at(rng.uniform(0, 2 * math.pi))
+        near.append(base * (1.0 + n.base_torus.tube + delta))
+    return np.concatenate([uniform, attractor, np.array(near)])
+
+
+class TestOneStepLoop:
+    """orbit, inner_step and escape_depth run the classifier's step loop on one point."""
+
+    def test_orbit_matches_classifier(self, necklace40):
+        pts = mixed_points(necklace40, 41)
+        budget = 20
+        status, depth, itinerary = classify_points(necklace40, pts, budget, itinerary_digits=budget)
+        kinds = {EXTERIOR: EscapeKind.EXTERIOR, ESCAPED: EscapeKind.ESCAPED, SURVIVED: EscapeKind.SURVIVED}
+        assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
+        for p, s, d, digits in zip(pts, status, depth, itinerary):
+            rec = orbit(necklace40, ExteriorModel(2), p, max_iter=budget)
+            assert rec.exit is kinds[int(s)]
+            assert rec.exit_depth == (int(d) if s == ESCAPED else None)
+            assert rec.itinerary == tuple(int(x) for x in digits if x)
+            out = escape_depth(necklace40, p, budget)
+            assert (out.kind, out.depth) == (kinds[int(s)], int(d))
+
+    def test_inner_step_matches_classifier(self, necklace40):
+        pts = mixed_points(necklace40, 42)
+        status, _, itinerary = classify_points(necklace40, pts, 1, noise_floor=0.0, itinerary_digits=1)
+        kinds = {EXTERIOR: StepKind.NOT_IN_T0, ESCAPED: StepKind.EXITS, SURVIVED: StepKind.MAPPED}
+        assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
+        for p, s, digits in zip(pts, status, itinerary):
+            r = inner_step(necklace40, p)
+            assert r.kind is kinds[int(s)]
+            if r.kind is StepKind.MAPPED:
+                assert r.digit == int(digits[0])
+                assert np.array_equal(r.point, necklace40.inverse_maps[r.digit - 1].apply(p))
+            else:
+                assert r.digit is None and r.point is None
 
 
 class TestEscapeDepth:
@@ -161,6 +230,8 @@ class TestNonFinitePoints:
             escape_depth(necklace40, p, 4)
         with pytest.raises(ValueError):
             orbit(necklace40, ExteriorModel(2), p, 4)
+        with pytest.raises(ValueError):
+            inner_step(necklace40, p)
 
 
 class TestCodingPoint:

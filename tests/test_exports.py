@@ -130,12 +130,12 @@ class TestVolume:
 
     def test_write_load_roundtrip(self, necklace40, tmp_path):
         path = tmp_path / "e.vol"
-        grid = export_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5, path, seed=9)
+        grid = export_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5, path)
         loaded = load_volume(path)
         assert loaded.dims == (6, 5, 4)
         assert np.array_equal(loaded.values, grid.values)
         sidecar = json.loads((tmp_path / "e.vol.json").read_text())
-        assert sidecar["m"] == 40 and sidecar["budget"] == 5 and sidecar["seed"] == 9
+        assert sidecar["m"] == 40 and sidecar["budget"] == 5 and "seed" not in sidecar
         assert sidecar["encoding"] == {"exterior": VOL_EXTERIOR, "survived": VOL_SURVIVED}
 
     def test_rerun_byte_identical(self, necklace40, tmp_path):

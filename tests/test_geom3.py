@@ -13,6 +13,7 @@ from antoine.geom3 import (
     Similarity3,
     SolidTorus,
     circle_circle_distance,
+    fixed_points,
     point_circle_distance,
     vec3,
 )
@@ -132,6 +133,18 @@ class TestFixedPoint:
         s = Similarity3(1.0, Rotation3.about_axis(E3, 0.3), vec3(1, 0, 0))
         with pytest.raises(NoUniqueFixedPoint):
             s.fixed_point()
+
+    def test_stacked_solve_equals_fixed_point(self):
+        rng = np.random.default_rng(7)
+        sims = [random_similarity(rng) for _ in range(50)]
+        sims = [s for s in sims if abs(s.scale - 1.0) >= 0.05]
+        stacked = fixed_points(
+            np.array([s.scale for s in sims]), np.array([s.rot.matrix for s in sims]), np.array([s.shift for s in sims])
+        )
+        for s, x in zip(sims, stacked):
+            assert np.array_equal(x, s.fixed_point())
+        with pytest.raises(NoUniqueFixedPoint):
+            fixed_points(np.array([0.5, 1.0]), np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)))
 
     @given(similarities)
     def test_residual(self, s):

@@ -1,22 +1,23 @@
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from antoine.errors import InvalidMultiplicity, MultipleChildren
-from antoine.geom3 import Membership, point_circle_distance
+from antoine.errors import InvalidMultiplicity
+from antoine.geom3 import Membership, Similarity3, point_circle_distance
 from antoine.necklace import (
     binding_margins,
     build_necklace,
     find_min_valid_multiplicity,
-    locate_child,
     stage_summary,
     torus_at,
     two_slot_rotation,
     validate_necklace,
     word_map,
+    word_maps,
 )
 
 from conftest import M_STAR
@@ -178,27 +179,46 @@ class TestTorusAt:
             torus_at(necklace40, (41,))
 
 
-class TestLocateChild:
-    def test_core_sample(self, necklace40):
-        p = necklace40.child_circles[0].sample(8)[2]
-        assert locate_child(necklace40, p) == 1
+class TestWordMaps:
+    @staticmethod
+    def chain(n, word):
+        """The compose chain of the word, and whether any link re-projected its rotation."""
+        acc, reprojected = Similarity3.identity(), False
+        for d in word:
+            nxt = acc.compose(n.child_maps[d - 1])
+            reprojected |= not np.array_equal(nxt.rot.matrix, acc.rot.matrix @ n.child_maps[d - 1].rot.matrix)
+            acc = nxt
+        return acc, reprojected
 
-    def test_origin(self, necklace40):
-        assert locate_child(necklace40, np.zeros(3)) is None
+    @pytest.mark.parametrize("length,count", [(2, None), (3, 2000), (12, 256)])
+    def test_rows_equal_compose_chain(self, necklace40, length, count):
+        if count is None:
+            words = np.array(list(itertools.product(range(1, 41), repeat=length)))
+        else:
+            words = np.random.default_rng(40 + length).integers(1, 41, size=(count, length))
+        scales, rots, shifts = word_maps(necklace40, words)
+        reprojected = 0
+        for w, s, r, t in zip(words.tolist(), scales, rots, shifts):
+            ref, redo = self.chain(necklace40, w)
+            reprojected += redo
+            assert s == ref.scale
+            assert np.array_equal(r, ref.rot.matrix)
+            assert np.array_equal(t, ref.shift)
+        # the length-3 and length-12 samples must cover the SVD branch of the projection
+        assert length == 2 or reprojected > 0
 
-    def test_child_center_excluded(self, necklace40):
-        # the circle center is radius 4/m from the curve, above tube 32/m^2
-        assert locate_child(necklace40, necklace40.child_centers[0]) is None
+    def test_word_map_is_one_row(self, necklace40):
+        w = (7, 40, 13, 2)
+        s = word_map(necklace40, w)
+        scales, rots, shifts = word_maps(necklace40, [w])
+        assert s.scale == scales[0] and np.array_equal(s.rot.matrix, rots[0]) and np.array_equal(s.shift, shifts[0])
+        empty = word_map(necklace40, ())
+        assert empty.scale == 1.0 and np.array_equal(empty.rot.matrix, np.eye(3)) and not empty.shift.any()
 
-    def test_multiple_children_on_invalid_necklace(self, necklace40):
-        fat = dataclasses.replace(necklace40, child_tube=8.0 * necklace40.child_tube)
-        a, b = fat.child_circles[0], fat.child_circles[1]
-        pa = a.sample(512)
-        db = point_circle_distance(b, pa)
-        p = pa[int(np.argmin(db))]
-        mid = 0.5 * (p + b.sample(512)[int(np.argmin(point_circle_distance(a, b.sample(512))))])
-        with pytest.raises(MultipleChildren):
-            locate_child(fat, mid)
+    @pytest.mark.parametrize("words", [[[0, 1]], [[1, 41]], [1, 2]])
+    def test_bad_words_rejected(self, necklace40, words):
+        with pytest.raises(ValueError):
+            word_maps(necklace40, words)
 
 
 class TestStageSummary:
