@@ -13,7 +13,7 @@ floating-point noise by m/4 per step, so child membership at step k is only
 decidable while (m/4)^k * eps stays below the stage-1 clearances. The
 classifier threads a per-step tolerance
 
-    tol_k = boundary_tol + noise_floor * (m/4)^k
+    tol_k = BOUNDARY_TOL + NOISE_FLOOR * (m/4)^k
 
 through the membership tests. While tol_k is below the clearances the
 itinerary digits are exact; once the tolerance ball covers several children
@@ -80,17 +80,17 @@ class StepResult:
     digit: int | None = None
 
 
-def inner_step(n: Necklace, p: Vec3, tol: float = BOUNDARY_TOL) -> StepResult:
+def inner_step(n: Necklace, p: Vec3) -> StepResult:
     """One step of the map at crisp tolerance: the classifier's first step with no noise term.
 
     Outside the parent torus: NOT_IN_T0. In a child torus: the inverse child
     similarity is applied and the digit recorded. In the parent but in no
     child: EXITS (one application of the covering part of the map leaves the
     parent; its pointwise values are not modeled here, see `orbit`). Raises
-    MultipleChildren when two children claim the point within tol, which
-    only happens on a necklace whose disjointness certificate fails.
+    MultipleChildren when two children claim the point within BOUNDARY_TOL,
+    which only happens on a necklace whose disjointness certificate fails.
     """
-    status, _, digits, x = _pull_back(n, p, 1, tol, 0.0)
+    status, _, digits, x = _pull_back(n, p, 1, BOUNDARY_TOL, 0.0)
     if status == SURVIVED:
         return StepResult(StepKind.MAPPED, x, digits[0])
     return StepResult(StepKind.NOT_IN_T0 if status == EXTERIOR else StepKind.EXITS)
@@ -100,7 +100,6 @@ def classify_points(
     n: Necklace,
     points: np.ndarray,
     budget: int = DEFAULT_BUDGET,
-    boundary_tol: float = BOUNDARY_TOL,
     noise_floor: float = NOISE_FLOOR,
     itinerary_digits: int = 0,
     chunk: int = 16384,
@@ -128,17 +127,17 @@ def classify_points(
     for lo in range(0, n_pts, chunk):
         hi = min(lo + chunk, n_pts)
         _classify_chunk(
-            n, pts[lo:hi], budget, boundary_tol, noise_floor,
+            n, pts[lo:hi], lo, budget, BOUNDARY_TOL, noise_floor,
             status[lo:hi], depth[lo:hi],
             itinerary[lo:hi] if itinerary is not None else None,
         )
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, status, depth, itinerary):
-    """The pullback step loop over one chunk: writes status, depth and itinerary in place and
-    returns each point's last position (where it left the parent or the children, where its
-    tolerance ball covered several children, or after `budget` pullbacks)."""
+def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, depth, itinerary):
+    """The pullback step loop over one chunk from input index `first`: writes status, depth and
+    itinerary in place and returns each point's last position (where it left the parent or the
+    children, where its tolerance ball covered several children, or after `budget` pullbacks)."""
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     last = np.array(pts, dtype=float)
@@ -164,7 +163,7 @@ def _classify_chunk(n, pts, budget, boundary_tol, noise_floor, status, depth, it
         fuzzy = n_claims > 1
         if np.any(fuzzy):
             if noise <= boundary_tol:
-                bad = active[fuzzy][0]
+                bad = first + active[fuzzy][0]
                 raise MultipleChildren(
                     f"point index {bad} claimed by several children at crisp tolerance; invalid necklace"
                 )
@@ -198,24 +197,18 @@ def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_flo
     depth = np.full(1, budget, dtype=np.int32)
     itinerary = np.zeros((1, budget), dtype=np.int16)
     pts = np.asarray(p, dtype=float).reshape(1, 3)
-    last = _classify_chunk(n, pts, budget, boundary_tol, noise_floor, status, depth, itinerary)
+    last = _classify_chunk(n, pts, 0, budget, boundary_tol, noise_floor, status, depth, itinerary)
     return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 
 
-def escape_depth(
-    n: Necklace,
-    p: Vec3,
-    budget: int = DEFAULT_BUDGET,
-    boundary_tol: float = BOUNDARY_TOL,
-    noise_floor: float = NOISE_FLOOR,
-) -> EscapeOutcome:
+def escape_depth(n: Necklace, p: Vec3, budget: int = DEFAULT_BUDGET) -> EscapeOutcome:
     """Escape classification of a single point (see module docstring).
 
     Equivalent to direct containment testing against the address tori, with
     the itinerary digits as the address, for as long as a double can resolve
     the stage.
     """
-    status, depth, _, _ = _pull_back(n, p, budget, boundary_tol, noise_floor)
+    status, depth, _, _ = _pull_back(n, p, budget, BOUNDARY_TOL, NOISE_FLOOR)
     return EscapeOutcome(_ESCAPE_KINDS[status], depth)
 
 
@@ -444,14 +437,7 @@ class OrbitRecord:
 _NORM_RECORD_CAP = 1e12
 
 
-def orbit(
-    n: Necklace,
-    model: ExteriorModel,
-    p: Vec3,
-    max_iter: int = DEFAULT_BUDGET,
-    boundary_tol: float = BOUNDARY_TOL,
-    noise_floor: float = NOISE_FLOOR,
-) -> OrbitRecord:
+def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
     Inner steps are the classifier's step loop on one point. On exit (or
@@ -461,7 +447,7 @@ def orbit(
     norm reaches 2^d, after which the model map is strictly norm-increasing.
     """
     p = np.asarray(p, dtype=float)
-    status, depth, itinerary, x = _pull_back(n, p, max_iter, boundary_tol, noise_floor)
+    status, depth, itinerary, x = _pull_back(n, p, max_iter, BOUNDARY_TOL, NOISE_FLOOR)
     exit_kind = _ESCAPE_KINDS[status]
     if exit_kind is EscapeKind.SURVIVED:
         return OrbitRecord(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
 from .errors import TooManyTori
-from .geom3 import Rotation3, Similarity3, SolidTorus
+from .geom3 import SolidTorus, circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
 
 VOL_EXTERIOR = 0xFFFE
@@ -34,24 +34,24 @@ def _fmt(x: float) -> str:
 # meshes
 
 
-def torus_mesh(t: SolidTorus, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Watertight nu x nv tube tessellation: (nu*nv, 3) vertices, (2*nu*nv, 3) triangles.
+def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Watertight nu x nv tube tessellations of T tori: (T, nu*nv, 3) vertices, (2*nu*nv, 3) triangles.
 
-    nu runs along the core circle, nv around the tube; triangles are ordered
-    with outward normals (positive signed volume).
+    centers and unit normals are (T, 3), radii and tubes (T,). nu runs along the core circle,
+    nv around the tube. In each torus's right-handed frame (u, v, normal) the one triangle
+    list winds with outward normals (positive signed volume).
     """
     if nu < 8 or nv < 8:
         raise ValueError("need nu >= 8 and nv >= 8")
-    u_basis, v_basis = t.core.basis()
-    normal = t.core.normal
-    a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)
-    b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)
-    radial = np.cos(a)[:, None] * u_basis + np.sin(a)[:, None] * v_basis  # (nu, 3)
-    ring = t.core.center + t.core.radius * radial
+    u_basis, v_basis = circle_frames(normals)
+    a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)[None, :, None]
+    b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)[None, None, :, None]
+    radial = np.cos(a) * u_basis[:, None, :] + np.sin(a) * v_basis[:, None, :]  # (T, nu, 3)
+    ring = centers[:, None, :] + radii[:, None, None] * radial
     verts = (
-        ring[:, None, :]
-        + t.tube * (np.cos(b)[None, :, None] * radial[:, None, :] + np.sin(b)[None, :, None] * normal)
-    ).reshape(nu * nv, 3)
+        ring[:, :, None, :]
+        + tubes[:, None, None, None] * (np.cos(b) * radial[:, :, None, :] + np.sin(b) * normals[:, None, None, :])
+    ).reshape(-1, nu * nv, 3)
 
     idx = np.arange(nu * nv).reshape(nu, nv)
     i00 = idx
@@ -60,10 +60,14 @@ def torus_mesh(t: SolidTorus, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]
     i11 = np.roll(np.roll(idx, -1, axis=0), -1, axis=1)
     tri_a = np.stack([i00, i10, i11], axis=2).reshape(-1, 3)
     tri_b = np.stack([i00, i11, i01], axis=2).reshape(-1, 3)
-    tris = np.concatenate([tri_a, tri_b], axis=0)
-    if mesh_signed_volume(verts, tris) < 0.0:
-        tris = tris[:, ::-1]
-    return verts, tris
+    return verts, np.concatenate([tri_a, tri_b], axis=0)
+
+
+def torus_mesh(t: SolidTorus, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """One torus tessellated: (nu*nv, 3) vertices, (2*nu*nv, 3) triangles (see torus_meshes)."""
+    c = t.core
+    verts, tris = torus_meshes(c.center[None], np.array([c.radius]), c.normal[None], np.array([t.tube]), nu, nv)
+    return verts[0], tris
 
 
 def mesh_signed_volume(verts: np.ndarray, tris: np.ndarray) -> float:
@@ -90,13 +94,15 @@ def mesh_euler_characteristic(verts: np.ndarray, tris: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MeshStage:
-    """All tori of one stage, tessellated: one (vertices, triangles) pair per torus."""
+    """All tori of one stage, tessellated in one pass: verts[i], of shape (nu*nv, 3), is the
+    torus at addresses[i], and every row shares the (2*nu*nv, 3) triangle list tris."""
 
     stage: int
     nu: int
     nv: int
     addresses: tuple[Address, ...]
-    meshes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    verts: np.ndarray
+    tris: np.ndarray
 
 
 def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
@@ -107,9 +113,10 @@ def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
     if count > MAX_EXPORT_TORI:
         raise TooManyTori(f"stage {k} holds {count} tori, cap is {MAX_EXPORT_TORI}")
     addresses = tuple(itertools.product(range(1, n.multiplicity + 1), repeat=k))
-    maps = zip(*word_maps(n, np.array(addresses, dtype=int).reshape(count, k)))
-    meshes = tuple(torus_mesh(n.base_torus.transform(Similarity3(s, Rotation3(r), t)), nu, nv) for s, r, t in maps)
-    return MeshStage(k, nu, nv, addresses, meshes)
+    scales, rots, shifts = word_maps(n, np.array(addresses, dtype=int).reshape(count, k))
+    # the base circle is the unit circle about e3 at the origin, so these equal SolidTorus.transform's bit for bit
+    verts, tris = torus_meshes(shifts, scales, unit_rows(rots[:, :, 2]), scales * n.base_torus.tube, nu, nv)
+    return MeshStage(k, nu, nv, addresses, verts, tris)
 
 
 def _object_name(address: Address) -> str:
@@ -122,14 +129,12 @@ def write_obj(stage: MeshStage, path: str | Path, header: dict | None = None) ->
     if header:
         for key, value in header.items():
             lines.append(f"# {key}={value}")
-    offset = 0
-    for address, (verts, tris) in zip(stage.addresses, stage.meshes):
+    for i, (address, verts) in enumerate(zip(stage.addresses, stage.verts)):
         lines.append(f"o {_object_name(address)}")
         for v in verts:
             lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-        for t in tris:
-            lines.append(f"f {t[0] + 1 + offset} {t[1] + 1 + offset} {t[2] + 1 + offset}")
-        offset += verts.shape[0]
+        for t in stage.tris + 1 + i * verts.shape[0]:
+            lines.append(f"f {t[0]} {t[1]} {t[2]}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -152,15 +157,14 @@ def parse_obj(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:
     """Binary little-endian PLY: float64 vertices, int32 index lists, tori merged."""
-    verts = np.concatenate([v for v, _ in stage.meshes], axis=0)
-    offsets = np.cumsum([0] + [v.shape[0] for v, _ in stage.meshes[:-1]])
-    tris = np.concatenate([t + off for (_, t), off in zip(stage.meshes, offsets)], axis=0)
+    count, per_torus, _ = stage.verts.shape
+    tris = (stage.tris + per_torus * np.arange(count)[:, None, None]).reshape(-1, 3)
     comments = "".join(f"comment {k}={v}\n" for k, v in (header or {}).items())
     head = (
         "ply\n"
         "format binary_little_endian 1.0\n"
         f"{comments}"
-        f"element vertex {verts.shape[0]}\n"
+        f"element vertex {count * per_torus}\n"
         "property double x\nproperty double y\nproperty double z\n"
         f"element face {tris.shape[0]}\n"
         "property list uchar int32 vertex_indices\n"
@@ -168,7 +172,7 @@ def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) ->
     )
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
-        fh.write(verts.astype("<f8").tobytes())
+        fh.write(stage.verts.astype("<f8").tobytes())
         face_dtype = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
         faces = np.empty(tris.shape[0], dtype=face_dtype)
         faces["n"] = 3

@@ -41,6 +41,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def unit_rows(vs: np.ndarray) -> np.ndarray:
+    """_unit on each row of an (N, 3) stack (a stacked norm(axis=1) rounds differently)."""
+    return np.array([_unit(v) for v in vs]).reshape(-1, 3)
+
+
+def circle_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal in-plane frames (u, v) with u x v = normal, for (N, 3) unit normals."""
+    e = np.where(np.abs(normals[:, 2:]) < 0.75, _EYE3[2], _EYE3[0])
+    u = unit_rows(np.cross(e, normals))
+    return u, np.cross(normals, u)
+
+
 def project_rotations(mats: np.ndarray) -> np.ndarray:
     """Nearest proper rotations to a stack of (..., 3, 3) matrices.
 
@@ -191,11 +203,8 @@ class Circle3:
         object.__setattr__(self, "normal", _as_readonly(_unit(np.asarray(self.normal, dtype=float))))
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic orthonormal in-plane frame (u, v) with u x v = normal."""
-        n = self.normal
-        e = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.75 else np.array([1.0, 0.0, 0.0])
-        u = _unit(np.cross(e, n))
-        v = np.cross(n, u)
+        """Deterministic orthonormal in-plane frame (u, v) with u x v = normal (see circle_frames)."""
+        (u,), (v,) = circle_frames(self.normal[None])
         return u, v
 
     def point_at(self, angle) -> Vec3:

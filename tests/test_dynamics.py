@@ -77,6 +77,10 @@ class TestInnerStep:
         mid = 0.5 * (p + b.sample(512)[int(np.argmin(point_circle_distance(a, b.sample(512))))])
         with pytest.raises(MultipleChildren):
             inner_step(fat, mid)
+        # in a later chunk the message names the point's index in the input
+        pts = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], mid])
+        with pytest.raises(MultipleChildren, match="point index 3 "):
+            classify_points(fat, pts, 4, chunk=2)
 
     def test_conjugacy(self, necklace40):
         rng = np.random.default_rng(21)

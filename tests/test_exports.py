@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -24,7 +25,7 @@ from antoine.exports import (
     torus_mesh,
     voxel_centers,
 )
-from antoine.necklace import torus_at
+from antoine.necklace import build_necklace, torus_at
 
 
 class TestTorusMesh:
@@ -49,11 +50,24 @@ class TestTorusMesh:
 
     def test_stage_one_counts(self, necklace16):
         stage = mesh_stage(necklace16, 1, 16, 8)
-        assert len(stage.meshes) == 16
-        assert sum(v.shape[0] for v, _ in stage.meshes) == 16 * 16 * 8
-        for verts, tris in stage.meshes:
-            assert mesh_is_watertight(verts, tris)
-            assert mesh_euler_characteristic(verts, tris) == 0
+        assert len(stage.verts) == 16
+        assert sum(v.shape[0] for v in stage.verts) == 16 * 16 * 8
+        for verts in stage.verts:
+            assert mesh_is_watertight(verts, stage.tris)
+            assert mesh_euler_characteristic(verts, stage.tris) == 0
+
+    @pytest.mark.parametrize("m, k", [(16, 0), (16, 1), (16, 2), (40, 1)])
+    def test_stage_rows_are_torus_meshes(self, m, k):
+        n = build_necklace(m)
+        stage = mesh_stage(n, k, 16, 8)
+        assert stage.verts.shape == (m**k, 16 * 8, 3)
+        for address, verts in zip(stage.addresses, stage.verts):
+            one_verts, one_tris = torus_mesh(torus_at(n, address), 16, 8)
+            assert np.array_equal(verts, one_verts)
+            assert np.array_equal(stage.tris, one_tris)
+            assert mesh_is_watertight(verts, stage.tris)
+            assert mesh_euler_characteristic(verts, stage.tris) == 0
+            assert mesh_signed_volume(verts, stage.tris) > 0
 
     def test_too_many_tori(self, necklace16):
         with pytest.raises(TooManyTori):
@@ -66,9 +80,9 @@ class TestObjPly:
         stage = export_mesh(necklace16, 1, 16, 8, "obj", path)
         parsed = parse_obj(path)
         assert len(parsed) == 16
-        for (v0, t0), (v1, t1) in zip(stage.meshes, parsed):
+        for v0, (v1, t1) in zip(stage.verts, parsed):
             assert v0.tobytes() == v1.tobytes()  # 17 significant digits round-trip floats
-            assert np.array_equal(t0, t1)
+            assert np.array_equal(stage.tris, t1)
 
     def test_obj_determinism(self, necklace16, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -91,12 +105,26 @@ class TestObjPly:
         assert "format binary_little_endian 1.0" in text
         assert "element vertex 96" in text
         assert "property double x" in text
-        verts = stage.meshes[0][0]
+        verts = stage.verts[0]
         assert body[: 8 * 3] == verts[0].astype("<f8").tobytes()
         face_bytes = body[96 * 24 :]
         count, i0, i1, i2 = struct.unpack("<Biii", face_bytes[:13])
         assert count == 3
-        assert (i0, i1, i2) == tuple(stage.meshes[0][1][0])
+        assert (i0, i1, i2) == tuple(stage.tris[0])
+
+
+class TestDigests:
+    """Artifact bytes pinned across changes: sha256 of an m = 40 stage-2 PLY and a 64^3 volume."""
+
+    def test_stage2_ply(self, necklace40, tmp_path):
+        export_mesh(necklace40, 2, 16, 8, "ply", tmp_path / "s.ply")
+        digest = hashlib.sha256((tmp_path / "s.ply").read_bytes()).hexdigest()
+        assert digest == "f196c961334302f0896a6a0de65f835d71ad61aee7da94d70404e23c5c841629"
+
+    def test_volume_64(self, necklace40, tmp_path):
+        export_volume(necklace40, (64, 64, 64), path=tmp_path / "e.vol")
+        digest = hashlib.sha256((tmp_path / "e.vol").read_bytes()).hexdigest()
+        assert digest == "8e3858b84b0657652829f94268004617936bc02556101c76b8078859da4779ca"
 
 
 class TestVolume:
