@@ -234,9 +234,12 @@ def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
     """(N, 3) voxel centers in x-fastest order."""
     lo = np.asarray(bbox_min, dtype=float)
     hi = np.asarray(bbox_max, dtype=float)
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(dims[i]) + 0.5) / dims[i] for i in range(3)]
-    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    return np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+    x, y, z = (lo[i] + (hi[i] - lo[i]) * (np.arange(dims[i]) + 0.5) / dims[i] for i in range(3))
+    centers = np.empty((dims[2], dims[1], dims[0], 3))
+    centers[..., 0] = x
+    centers[..., 1] = y[:, None]
+    centers[..., 2] = z[:, None, None]
+    return centers.reshape(-1, 3)
 
 
 def classify_volume(

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MinSeparationTooSmall, NoGenericProjection
+from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
 from .geom3 import Circle3, Similarity3
 from .necklace import Necklace
 
@@ -27,9 +27,13 @@ DEFAULT_PROJECTION_SEED = 20210917
 
 @dataclass(frozen=True, eq=False)
 class PolyLoop:
-    """Closed polygonal loop: ordered vertices (n, 3), edge n-1 -> 0 implied."""
+    """Closed polygonal loop: ordered vertices (n, 3), edge n-1 -> 0 implied.
+
+    edge_lengths[i] is the length of edge i -> i+1, computed once.
+    """
 
     vertices: np.ndarray
+    edge_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -37,12 +41,13 @@ class PolyLoop:
             raise ValueError("loop needs at least 3 vertices of shape (n, 3)")
         if not np.all(np.isfinite(v)):
             raise ValueError("loop vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
-        if np.min(np.linalg.norm(edges, axis=1)) < 1e-14:
+        lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+        if np.min(lengths) < 1e-14:
             raise ValueError("consecutive loop vertices must be distinct")
         v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        for name, value in (("vertices", v), ("edge_lengths", lengths)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_circle(c: Circle3, n: int) -> "PolyLoop":
@@ -84,42 +89,103 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
     return float(integrand.sum() * weight / (4.0 * math.pi))
 
 
+def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors: the same products and differences, less overhead."""
+    return np.array([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]])
+
+
 def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = direction / np.linalg.norm(direction)
     e = np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(e, w)
+    u = _cross(e, w)
     u /= np.linalg.norm(u)
-    v = np.cross(w, u)
+    v = _cross(w, u)
     return u, v, w
 
 
+def _next(x: np.ndarray) -> np.ndarray:
+    """Row i holds x[i + 1], wrapping around (np.roll(x, -1, axis=0))."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+_BLOCK = 16  # consecutive segments per box in the coarse level of the crossing search
+
+
+def _overlapping(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Mask of the 2D box pairs that overlap or touch, broadcast over leading axes."""
+    return (
+        (lo_a[..., 0] <= hi_b[..., 0])
+        & (lo_b[..., 0] <= hi_a[..., 0])
+        & (lo_a[..., 1] <= hi_b[..., 1])
+        & (lo_b[..., 1] <= hi_a[..., 1])
+    )
+
+
+def _candidate_pairs(p_a, q_a, len_a, p_b, q_b, len_b, guard) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of projected segments p[i] -> q[i] whose padded boxes overlap.
+
+    Each box is padded by guard * (segment length) on every side, so it holds
+    every point p + t (q - p) with t in [-guard, 1 + guard]: every crossing
+    with t and s within guard of [0, 1] survives. Two levels: the boxes of
+    _BLOCK consecutive segments first, then the segment boxes inside the
+    overlapping block pairs only.
+    """
+    pad_a, pad_b = (guard * len_a)[:, None], (guard * len_b)[:, None]
+    lo_a, hi_a = np.minimum(p_a, q_a) - pad_a, np.maximum(p_a, q_a) + pad_a
+    lo_b, hi_b = np.minimum(p_b, q_b) - pad_b, np.maximum(p_b, q_b) + pad_b
+    start_a, start_b = np.arange(0, len(p_a), _BLOCK), np.arange(0, len(p_b), _BLOCK)
+    blocks_a, blocks_b = np.nonzero(
+        _overlapping(
+            np.minimum.reduceat(lo_a, start_a)[:, None],
+            np.maximum.reduceat(hi_a, start_a)[:, None],
+            np.minimum.reduceat(lo_b, start_b)[None, :],
+            np.maximum.reduceat(hi_b, start_b)[None, :],
+        )
+    )
+    offsets = np.arange(_BLOCK)
+    ia, ib = np.broadcast_arrays(
+        blocks_a[:, None, None] * _BLOCK + offsets[:, None], blocks_b[:, None, None] * _BLOCK + offsets
+    )
+    ia, ib = ia.reshape(-1), ib.reshape(-1)
+    keep = (ia < len(p_a)) & (ib < len(p_b))  # the last block of a loop may be short
+    ia, ib = ia[keep], ib[keep]
+    hit = _overlapping(lo_a[ia], hi_a[ia], lo_b[ib], hi_b[ib])
+    return ia[hit], ib[hit]
+
+
 def _try_projection(a: PolyLoop, b: PolyLoop, w: np.ndarray, guard: float) -> int | None:
-    """Signed a-over-b crossing count along direction w, or None if degenerate."""
+    """Signed a-over-b crossing count along direction w, or None if degenerate.
+
+    Degenerate means: a projected edge of near-zero length, a crossing that
+    lies on both segments within guard of an endpoint, or a crossing whose
+    two depths differ by less than guard. Only the segment pairs that
+    _candidate_pairs keeps can cross, so the formulas run on those alone.
+    """
     u, v, w = _projection_frame(w)
     basis2 = np.stack([u, v], axis=1)
     a2, b2 = a.vertices @ basis2, b.vertices @ basis2
     za, zb = a.vertices @ w, b.vertices @ w
 
-    d_a = np.roll(a2, -1, axis=0) - a2
-    d_b = np.roll(b2, -1, axis=0) - b2
+    a2_next, b2_next = _next(a2), _next(b2)
+    d_a, d_b = a2_next - a2, b2_next - b2
+    len_a = np.linalg.norm(d_a, axis=1)
+    len_b = np.linalg.norm(d_b, axis=1)
     # a projected segment of near-zero length means an edge almost parallel to w
-    scale_a = np.linalg.norm(np.roll(a.vertices, -1, 0) - a.vertices, axis=1)
-    scale_b = np.linalg.norm(np.roll(b.vertices, -1, 0) - b.vertices, axis=1)
-    if np.any(np.linalg.norm(d_a, axis=1) < guard * scale_a) or np.any(
-        np.linalg.norm(d_b, axis=1) < guard * scale_b
-    ):
+    if np.any(len_a < guard * a.edge_lengths) or np.any(len_b < guard * b.edge_lengths):
         return None
 
-    r = b2[None, :, :] - a2[:, None, :]
-    denom = d_a[:, None, 0] * d_b[None, :, 1] - d_a[:, None, 1] * d_b[None, :, 0]
-    denom_scale = np.linalg.norm(d_a, axis=1)[:, None] * np.linalg.norm(d_b, axis=1)[None, :]
-    parallel = np.abs(denom) < guard * denom_scale
+    ia, ib = _candidate_pairs(a2, a2_next, len_a, b2, b2_next, len_b, guard)
+    da, db = d_a[ia], d_b[ib]
+    r = b2[ib] - a2[ia]
+    denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+    parallel = np.abs(denom) < guard * (len_a[ia] * len_b[ib])
     safe = np.where(parallel, 1.0, denom)
-    t = (r[:, :, 0] * d_b[None, :, 1] - r[:, :, 1] * d_b[None, :, 0]) / safe
-    s = (r[:, :, 0] * d_a[:, None, 1] - r[:, :, 1] * d_a[:, None, 0]) / safe
+    t = (r[:, 0] * db[:, 1] - r[:, 1] * db[:, 0]) / safe
+    s = (r[:, 0] * da[:, 1] - r[:, 1] * da[:, 0]) / safe
 
     inside = (~parallel) & (t > 0.0) & (t < 1.0) & (s > 0.0) & (s < 1.0)
-    near_end = (~parallel) & (
+    on_both = (t >= -guard) & (t <= 1.0 + guard) & (s >= -guard) & (s <= 1.0 + guard)
+    near_end = (~parallel) & on_both & (
         (np.abs(t) < guard) | (np.abs(t - 1.0) < guard) | (np.abs(s) < guard) | (np.abs(s - 1.0) < guard)
     )
     if np.any(near_end):
@@ -130,15 +196,13 @@ def _try_projection(a: PolyLoop, b: PolyLoop, w: np.ndarray, guard: float) -> in
     if not np.any(inside):
         return 0
 
-    za_next = np.roll(za, -1)
-    zb_next = np.roll(zb, -1)
-    depth_a = za[:, None] + t * (za_next - za)[:, None]
-    depth_b = zb[None, :] + s * (zb_next - zb)[None, :]
+    ia, ib, t, s = ia[inside], ib[inside], t[inside], s[inside]
+    depth_a = za[ia] + t * (za[(ia + 1) % len(za)] - za[ia])
+    depth_b = zb[ib] + s * (zb[(ib + 1) % len(zb)] - zb[ib])
     gap = depth_a - depth_b
-    if np.any(inside & (np.abs(gap) < guard)):
+    if np.any(np.abs(gap) < guard):
         return None  # loops essentially touch along w
-    over = inside & (gap > 0.0)
-    return int(np.sign(denom[over]).sum())
+    return int(np.sign(denom[inside][gap > 0.0]).sum())
 
 
 def polygonal_linking(
@@ -193,7 +257,7 @@ class LinkMatrix:
         }
 
 
-class LinkBackendError(RuntimeError):
+class LinkBackendError(AntoineError):
     """A linking backend failed on a specific pair of children."""
 
     def __init__(self, pair: tuple[int, int], cause: Exception):

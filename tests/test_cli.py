@@ -5,6 +5,7 @@ import pytest
 
 from antoine import linking
 from antoine.cli import main
+from antoine.errors import MinSeparationTooSmall
 from antoine.necklace import build_necklace
 
 
@@ -131,6 +132,19 @@ class TestVerify:
         assert code == (0 if m == 40 else 1)
         direct = originals["link_matrix"](build_necklace(m), poly_n=128, quad_n=64)
         assert json.loads(out)["link_matrix"] == direct.to_json_dict()
+
+    def test_linking_failure_exits_1_without_traceback(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise MinSeparationTooSmall("sampled curve separation 1.000e-10 < 1e-9")
+
+        monkeypatch.setattr(linking, "gauss_linking", failing)
+        code = main(["verify", "--m", "40", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: linking failed on child pair (1, 2): sampled curve separation 1.000e-10 < 1e-9\n"
+        )
 
     def test_invalid_construction_exits_1(self, capsys):
         code, out = run(capsys, "verify", "--m", "16", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32")

@@ -156,6 +156,13 @@ class TestVolume:
         assert np.allclose(centers[4] - centers[0], [0, 1, 0])
         assert np.allclose(centers[12] - centers[0], [0, 0, 1])
 
+    def test_voxel_centers_equal_meshgrid_stack(self):
+        dims, lo, hi = (5, 3, 7), np.array([-1.3, 0.2, -0.7]), np.array([0.9, 2.6, 1.1])
+        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(dims[i]) + 0.5) / dims[i] for i in range(3)]
+        zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+        expected = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+        assert np.array_equal(voxel_centers(dims, lo, hi), expected)
+
     def test_write_load_roundtrip(self, necklace40, tmp_path):
         path = tmp_path / "e.vol"
         grid = export_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5, path)

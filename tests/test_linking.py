@@ -5,7 +5,7 @@ import pytest
 
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
 from antoine.geom3 import Circle3, Rotation3, Similarity3
-from antoine.linking import PolyLoop, gauss_linking, polygonal_linking
+from antoine.linking import PolyLoop, _projection_frame, _try_projection, gauss_linking, polygonal_linking
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -15,6 +15,15 @@ HOPF_B = Circle3(np.array([1.0, 0.0, 0.0]), 1.0, np.array([0.0, 1.0, 0.0]))
 
 def hopf_loops(n=512):
     return PolyLoop.from_circle(HOPF_A, n), PolyLoop.from_circle(HOPF_B, n)
+
+
+def far_triangles():
+    """Two unlinked triangles 2 units apart. The line through b's first edge
+    meets a's vertices in every projection, but off that edge."""
+    return (
+        PolyLoop(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])),
+        PolyLoop(np.array([[3.0, 0, 0], [4, 0, 0], [3.5, 0.5, 1]])),
+    )
 
 
 class TestGaussLinking:
@@ -95,6 +104,9 @@ class TestPolygonalLinking:
         with pytest.raises(NoGenericProjection):
             polygonal_linking(tri_a, tri_b, max_tries=16)
 
+    def test_line_through_far_vertex_not_degenerate(self):
+        assert polygonal_linking(*far_triangles()) == 0
+
     def test_gap_to_gauss_small(self, necklace40):
         for i, j in ((0, 1), (0, 39), (4, 5), (0, 6)):
             a = PolyLoop.from_circle(necklace40.child_circles[i], 512)
@@ -128,3 +140,133 @@ class TestPolyLoopValidation:
     def test_wrap_edge_checked(self):
         with pytest.raises(ValueError):
             PolyLoop(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.0, 0, 0]]))
+
+
+GUARD = 1e-9
+
+
+def all_pairs_projection(a, b, w, guard=GUARD):
+    """Reference for _try_projection: every segment pair, no pruning."""
+    u, v, w = _projection_frame(w)
+    basis2 = np.stack([u, v], axis=1)
+    a2, b2 = a.vertices @ basis2, b.vertices @ basis2
+    za, zb = a.vertices @ w, b.vertices @ w
+    d_a = np.roll(a2, -1, axis=0) - a2
+    d_b = np.roll(b2, -1, axis=0) - b2
+    len_a, len_b = np.linalg.norm(d_a, axis=1), np.linalg.norm(d_b, axis=1)
+    scale_a = np.linalg.norm(np.roll(a.vertices, -1, 0) - a.vertices, axis=1)
+    scale_b = np.linalg.norm(np.roll(b.vertices, -1, 0) - b.vertices, axis=1)
+    if np.any(len_a < guard * scale_a) or np.any(len_b < guard * scale_b):
+        return None
+    r = b2[None, :, :] - a2[:, None, :]
+    denom = d_a[:, None, 0] * d_b[None, :, 1] - d_a[:, None, 1] * d_b[None, :, 0]
+    parallel = np.abs(denom) < guard * (len_a[:, None] * len_b[None, :])
+    safe = np.where(parallel, 1.0, denom)
+    t = (r[:, :, 0] * d_b[None, :, 1] - r[:, :, 1] * d_b[None, :, 0]) / safe
+    s = (r[:, :, 0] * d_a[:, None, 1] - r[:, :, 1] * d_a[:, None, 0]) / safe
+    inside = ~parallel & (t > 0) & (t < 1) & (s > 0) & (s < 1)
+    on_both = (t >= -guard) & (t <= 1 + guard) & (s >= -guard) & (s <= 1 + guard)
+    at_end = (np.abs(t) < guard) | (np.abs(t - 1) < guard) | (np.abs(s) < guard) | (np.abs(s - 1) < guard)
+    if np.any(~parallel & on_both & at_end):
+        return None
+    gap = (za[:, None] + t * (np.roll(za, -1) - za)[:, None]) - (zb[None, :] + s * (np.roll(zb, -1) - zb)[None, :])
+    if np.any(inside & (np.abs(gap) < guard)):
+        return None
+    return int(np.sign(denom[inside & (gap > 0)]).sum())
+
+
+def random_loop(rng, n, center):
+    """A closed polygon: sorted samples of a unit circle plus Gaussian wobble, moved to center."""
+    t = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    wobble = rng.normal(scale=0.3, size=(n, 3))
+    return PolyLoop(np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1) + wobble + center)
+
+
+def random_pair(seed):
+    rng = np.random.default_rng(seed)
+    return random_loop(rng, 48, np.zeros(3)), random_loop(rng, 48, rng.normal(scale=0.8, size=3))
+
+
+def near_touching_pair(seed):
+    """b's first edge passes 1e-11 above the middle of a's first edge."""
+    a, b = random_pair(seed)
+    mid = 0.5 * (a.vertices[0] + a.vertices[1])
+    edge = a.vertices[1] - a.vertices[0]
+    across = np.cross(edge, [0.3, -0.2, 1.0])
+    across /= np.linalg.norm(across)
+    lift = np.cross(edge, across)
+    lift *= 1e-11 / np.linalg.norm(lift)
+    bv = b.vertices.copy()
+    bv[0], bv[1] = mid + lift - 0.2 * across, mid + lift + 0.2 * across
+    return a, PolyLoop(bv)
+
+
+def shared_vertex_pair(seed):
+    a, b = random_pair(seed)
+    bv = b.vertices.copy()
+    bv[5] = a.vertices[7]
+    return a, PolyLoop(bv)
+
+
+def special_directions(a, b, rng, k):
+    """Directions that put an a-vertex on a b-segment or run along an edge."""
+    out = []
+    for _ in range(k):
+        i, j = rng.integers(len(a.vertices)), rng.integers(len(b.vertices))
+        on_b = b.vertices[j] + rng.uniform() * (b.vertices[(j + 1) % len(b.vertices)] - b.vertices[j])
+        out.append(on_b - a.vertices[i])
+        out.append(a.vertices[(i + 1) % len(a.vertices)] - a.vertices[i])
+    return out
+
+
+class TestPrunedCrossingSearch:
+    """_try_projection equals the all-pairs reference on every direction."""
+
+    def check(self, a, b, seed, n_dirs=200, extra=()):
+        rng = np.random.default_rng(seed)
+        results = []
+        for w in [*rng.normal(size=(n_dirs, 3)), *extra]:
+            got = _try_projection(a, b, np.asarray(w), GUARD)
+            assert got == all_pairs_projection(a, b, np.asarray(w)), w
+            results.append(got)
+        return results
+
+    def test_hopf(self):
+        results = self.check(*hopf_loops(256), seed=1)
+        assert {abs(r) for r in results if r is not None} == {1}
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (1, 40), (1, 3), (1, 21)])
+    def test_necklace40_pairs(self, necklace40, i, j):
+        a = PolyLoop.from_circle(necklace40.child_circles[i - 1], 256)
+        b = PolyLoop.from_circle(necklace40.child_circles[j - 1], 256)
+        results = self.check(a, b, seed=i * 100 + j)
+        assert len({abs(r) for r in results if r is not None}) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_polygons(self, seed):
+        a, b = random_pair(seed)
+        extra = special_directions(a, b, np.random.default_rng(seed), 20)
+        results = self.check(a, b, seed=seed, extra=extra)
+        assert None in results and any(r is not None for r in results)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_near_touching_polygons(self, seed):
+        a, b = near_touching_pair(seed)
+        results = self.check(a, b, seed=seed)
+        assert None in results and any(r is not None for r in results)
+
+    def test_shared_vertex_always_degenerate(self):
+        assert set(self.check(*shared_vertex_pair(7), seed=7)) == {None}
+
+    def test_far_extension_through_vertex(self):
+        assert set(self.check(*far_triangles(), seed=3)) == {0}
+
+    def test_crossing_in_guard_zone_past_a_vertex(self):
+        # viewed along z, b's first edge (x = -0.9 guard) meets the lines of a's
+        # edges into and out of the vertex at the origin 0.9 guard past their
+        # ends; the unpadded boxes of those edges miss it, the padded ones hold it
+        a = PolyLoop(np.array([[1.0, -1, 0], [0, 0, 0], [1, 1, 0]]))
+        b = PolyLoop(np.array([[-0.9 * GUARD, -0.5, 1], [-0.9 * GUARD, 0.5, 1], [-2.0, 0, 1]]))
+        w = np.array([0.0, 0.0, 1.0])
+        assert _try_projection(a, b, w, GUARD) is None
+        assert all_pairs_projection(a, b, w) is None
