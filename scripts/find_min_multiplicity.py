@@ -1,24 +1,29 @@
 """Scan even multiplicities and report which ones validate.
 
-For each candidate the certified clearance and containment margins are
-printed; the first m whose full validation (including the linking pattern)
-passes is the package's recommended default.
+Each candidate is fully validated, and its certified children_disjoint and
+children_contained margins are printed; the first m whose validation
+(including the linking pattern) passes is the package's recommended default.
+Exits 0 when some m in the range passes, 1 otherwise.
 
-Usage: python scripts/find_min_multiplicity.py [--start 10] [--stop 60] [--json out.json]
+Usage: python scripts/find_min_multiplicity.py [--start 10] [--stop 60] [--grid-n 512] [--json out.json]
 """
 import argparse
 import json
 import time
 
-from antoine.necklace import binding_margins, build_necklace, validate_necklace
+from antoine.necklace import build_necklace, validate_necklace
 
 
 def probe(m: int, clearance_grid: int) -> dict:
-    margins = binding_margins(build_necklace(m), clearance_grid)
+    t0 = time.perf_counter()
+    report = validate_necklace(build_necklace(m), clearance_grid=clearance_grid)
+    margins = {c.name: c.margin for c in report.checks}
     return {
         "m": m,
-        **{f"{name}_clearance": value for name, value in margins.items()},
-        "geometry_ok": min(margins.values()) > 0.0,
+        "disjoint_margin": margins["children_disjoint"],
+        "contained_margin": margins["children_contained"],
+        "full_validation": report.passed,
+        "validation_seconds": round(time.perf_counter() - t0, 2),
     }
 
 
@@ -34,19 +39,12 @@ def main() -> int:
     winner = None
     for m in range(args.start, args.stop + 1, 2):
         row = probe(m, args.grid_n)
-        if row["geometry_ok"] and winner is None:
-            t0 = time.perf_counter()
-            report = validate_necklace(build_necklace(m), clearance_grid=args.grid_n)
-            row["full_validation"] = report.passed
-            row["validation_seconds"] = round(time.perf_counter() - t0, 1)
-            if report.passed:
-                winner = m
+        if row["full_validation"] and winner is None:
+            winner = m
         rows.append(row)
         print(
-            f"m={m:3d}  adj={row['adjacent_clearance']:+.5f}  wrap={row['wrap_clearance']:+.5f}  "
-            f"skip={row['skip_clearance']:+.5f}  contained={row['contained_clearance']:+.5f}  "
-            f"geometry={'ok' if row['geometry_ok'] else 'fail'}"
-            + (f"  full={'PASS' if row.get('full_validation') else 'fail'}" if "full_validation" in row else "")
+            f"m={m:3d}  disjoint={row['disjoint_margin']:+.5f}  contained={row['contained_margin']:+.5f}  "
+            f"full={'PASS' if row['full_validation'] else 'fail'}  ({row['validation_seconds']:.2f} s)"
         )
 
     print(f"\nfirst fully validating even multiplicity: {winner}")

@@ -47,7 +47,6 @@ from .necklace import (
     Necklace,
     StageSummary,
     ValidationReport,
-    binding_margins,
     build_necklace,
     find_min_valid_multiplicity,
     stage_summary,

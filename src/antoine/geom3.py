@@ -125,10 +125,6 @@ class Rotation3:
     def inverse(self) -> "Rotation3":
         return Rotation3(self.matrix.T)
 
-    def orthonormality_defect(self) -> float:
-        """max |R^T R - I|, for invariant checks."""
-        return float(np.abs(self.matrix.T @ self.matrix - _EYE3).max())
-
 
 @dataclass(frozen=True, eq=False)
 class Similarity3:
@@ -146,10 +142,6 @@ class Similarity3:
     @staticmethod
     def identity() -> "Similarity3":
         return Similarity3(1.0, Rotation3.identity(), np.zeros(3))
-
-    @staticmethod
-    def translation(t: Vec3) -> "Similarity3":
-        return Similarity3(1.0, Rotation3.identity(), t)
 
     def apply(self, p: Vec3) -> Vec3:
         return self.scale * self.rot.apply(p) + self.shift

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3, Similarity3
-from .necklace import Necklace
+from .geom3 import Circle3
+from .necklace import Necklace, _rho_classes
 
 logger = logging.getLogger(__name__)
 
@@ -52,12 +52,6 @@ class PolyLoop:
     @staticmethod
     def from_circle(c: Circle3, n: int) -> "PolyLoop":
         return PolyLoop(c.sample(n))
-
-    def reversed(self) -> "PolyLoop":
-        return PolyLoop(self.vertices[::-1])
-
-    def transform(self, s: Similarity3) -> "PolyLoop":
-        return PolyLoop(s.apply(self.vertices))
 
 
 def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
@@ -267,27 +261,32 @@ class LinkBackendError(AntoineError):
 
 
 def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix:
-    """Linking numbers for all unordered child pairs, cross-validated.
+    """Linking numbers for all unordered child pairs, certified once per rho class.
 
-    Entries come from the exact polygonal backend on poly_n-gons (projections
-    drawn from the fixed package seed). The largest gap to the Gauss
-    quadrature is recorded in max_gauss_gap, which validate_necklace judges.
-    A backend exception is re-raised as LinkBackendError naming the pair.
+    The exact polygonal backend (on poly_n-gons, projections drawn from the
+    fixed package seed) and the Gauss quadrature run on each class
+    representative, pair (1, 2) first, and every other pair copies its
+    representative's signed entry; validate_necklace's link_pattern check
+    certifies the copies. The largest gap to the quadrature is recorded in
+    max_gauss_gap. A backend exception is re-raised as LinkBackendError
+    naming the pair.
     """
     if poly_n < 64:
         raise ValueError(f"poly_n must be >= 64, got {poly_n}")
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
-    loops = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles]
-    entries = np.zeros((m, m), dtype=int)
+    (i, j), reps, classes = _rho_classes(m)
+    lks = np.zeros(len(reps), dtype=int)
     max_gap = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            try:
-                lk = polygonal_linking(loops[i], loops[j], rng=rng)
-                gauss = gauss_linking(n.child_circles[i], n.child_circles[j], quad_n)
-            except Exception as exc:  # attach the offending pair
-                raise LinkBackendError((i + 1, j + 1), exc) from exc
-            max_gap = max(max_gap, abs(gauss - lk))
-            entries[i, j] = entries[j, i] = lk
+    for k, (a, b) in enumerate(zip(i[reps], j[reps])):
+        ca, cb = n.child_circles[a], n.child_circles[b]
+        try:
+            lk = polygonal_linking(PolyLoop.from_circle(ca, poly_n), PolyLoop.from_circle(cb, poly_n), rng=rng)
+            gauss = gauss_linking(ca, cb, quad_n)
+        except Exception as exc:  # attach the offending pair
+            raise LinkBackendError((int(a) + 1, int(b) + 1), exc) from exc
+        max_gap = max(max_gap, abs(gauss - lk))
+        lks[k] = lk
+    entries = np.zeros((m, m), dtype=int)
+    entries[i, j] = entries[j, i] = lks[classes]
     return LinkMatrix(m, entries, max_gap)

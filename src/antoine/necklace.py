@@ -259,13 +259,42 @@ def _circle_deviation(a: Circle3, b: Circle3) -> float:
     return max(center_dev, radius_dev, normal_dev)
 
 
-def _containment_margin(n: Necklace, circles) -> float:
-    """Certified slack of the given child tori inside the open parent torus."""
-    half_step = math.pi * n.contraction / CONTAINMENT_SAMPLES
-    d_max = max(
-        float(np.max(point_circle_distance(n.base_torus.core, c.sample(CONTAINMENT_SAMPLES)))) for c in circles
-    )
-    return n.base_torus.tube - (d_max + half_step + n.child_tube)
+def _rho_classes(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Classes of the unordered child pairs under the slot shift j -> j+2 (mod m).
+
+    Returns the pairs np.triu_indices(m, 1), the position among them of each
+    class representative (the class's lexicographically least pair, so i is
+    0 or 1 and (0, 1) comes first), and each pair's class. There are m
+    classes when 4 divides m, else m - 1.
+    """
+    pairs = np.triu_indices(m, 1)
+    shifted = (np.stack(pairs)[..., None] + 2 * np.arange(m // 2)) % m
+    keys = (shifted.min(axis=0) * m + shifted.max(axis=0)).min(axis=1)
+    _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
+    return pairs, reps, classes
+
+
+def _transfer_slack(n: Necklace, i: np.ndarray, j: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """How far each child pair (i, j) lies from a rotated copy of the pair at position rep.
+
+    Child k is measured once against the rho^(k//2) image of its seed circle
+    (child k % 2) by centre + radius + r * normal deviation, a bound on how far
+    each point moves under a similarity carrying one oriented circle onto the
+    other, plus 8 ulps of its coordinate scale for the rounding by which the
+    clearance evaluations of two congruent pairs differ. A pair sums its two
+    children's measures and its representative's; a representative gets 0.
+    """
+    dev = np.empty(n.multiplicity)
+    for k, child in enumerate(n.child_circles):
+        rho = Similarity3(1.0, Rotation3.about_axis(_E3, 4.0 * math.pi * (k // 2) / n.multiplicity), np.zeros(3))
+        ideal = n.child_circles[k % 2].transform(rho)
+        dev[k] = (
+            float(np.linalg.norm(child.center - ideal.center))
+            + abs(child.radius - ideal.radius)
+            + ideal.radius * float(np.linalg.norm(child.normal - ideal.normal))
+            + 8.0 * np.finfo(float).eps * (float(np.linalg.norm(child.center)) + child.radius)
+        )
+    return np.where(rep == np.arange(len(i)), 0.0, dev[i] + dev[j] + dev[i[rep]] + dev[j[rep]])
 
 
 def validate_necklace(
@@ -291,47 +320,49 @@ def validate_necklace(
 
     The clearance and containment margins are Lipschitz-certified (sampling
     error subtracted), so a positive margin is a proof at stated grid sizes,
-    not a heuristic. The link matrix is computed once and kept on the report.
+    not a heuristic. Pair checks run once per rho class: the representative's
+    clearance bound, less the pair's transfer slack, bounds every pair of the
+    class, and link_matrix copies the representative's linking number, which
+    link_pattern accepts only while the slack is below half that clearance.
+    The link matrix is computed once and kept on the report.
     """
     m = n.multiplicity
     checks: list[CheckRecord] = []
 
-    # (a) pairwise disjointness of the child solid tori
+    # (a) pairwise disjointness of the child solid tori: one clearance bound
+    # per rho class, less each pair's transfer slack
     need = 2.0 * n.child_tube
-    min_clearance = math.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            bound = circle_circle_distance(n.child_circles[i], n.child_circles[j], clearance_grid)
-            min_clearance = min(min_clearance, bound - need)
+    (i, j), reps, classes = _rho_classes(m)
+    slack = _transfer_slack(n, i, j, reps[classes])
+    circles = n.child_circles
+    rep_bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i[reps], j[reps])]
+    bounds = np.array(rep_bounds)[classes]
+    min_clearance = float(np.min(bounds - slack - need))
     checks.append(CheckRecord("children_disjoint", min_clearance > 0.0, min_clearance, 0.0))
 
     # (b) containment in the open parent torus
-    contain_clearance = _containment_margin(n, n.child_circles)
+    half_step = math.pi * n.contraction / CONTAINMENT_SAMPLES
+    d_max = max(float(np.max(point_circle_distance(n.base_torus.core, c.sample(CONTAINMENT_SAMPLES)))) for c in circles)
+    contain_clearance = n.base_torus.tube - (d_max + half_step + n.child_tube)
     checks.append(CheckRecord("children_contained", contain_clearance > 0.0, contain_clearance, 0.0))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2
-    rho = two_slot_rotation(m)
-    rho_sim = Similarity3(1.0, rho, np.zeros(3))
-    rho_dev = 0.0
-    for j in range(m):
-        target = n.child_circles[(j + 2) % m]
-        rho_dev = max(rho_dev, _circle_deviation(n.child_circles[j].transform(rho_sim), target))
+    rho_sim = Similarity3(1.0, two_slot_rotation(m), np.zeros(3))
+    rho_dev = max(_circle_deviation(c.transform(rho_sim), circles[(k + 2) % m]) for k, c in enumerate(circles))
     checks.append(CheckRecord("rho_equivariance", rho_dev < SYMMETRY_TOL, SYMMETRY_TOL - rho_dev, SYMMETRY_TOL))
 
     # (d) involution symmetry: the pi-rotation about x1 swaps children 1 and m
     iota_sim = Similarity3(1.0, Rotation3.about_axis(np.array([1.0, 0.0, 0.0]), math.pi), np.zeros(3))
     iota_dev = max(
-        _circle_deviation(n.child_circles[0].transform(iota_sim), n.child_circles[m - 1]),
-        _circle_deviation(n.child_circles[m - 1].transform(iota_sim), n.child_circles[0]),
+        _circle_deviation(circles[0].transform(iota_sim), circles[m - 1]),
+        _circle_deviation(circles[m - 1].transform(iota_sim), circles[0]),
     )
     checks.append(CheckRecord("iota_symmetry", iota_dev < SYMMETRY_TOL, SYMMETRY_TOL - iota_dev, SYMMETRY_TOL))
 
     # each child map must carry the base circle onto its child circle
     map_tol = 1e-10
-    map_dev = 0.0
     base_samples = n.base_torus.core.sample(64)
-    for c, s in zip(n.child_circles, n.child_maps):
-        map_dev = max(map_dev, float(np.max(point_circle_distance(c, s.apply(base_samples)))))
+    map_dev = max(float(np.max(point_circle_distance(c, s.apply(base_samples)))) for c, s in zip(circles, n.child_maps))
     checks.append(CheckRecord("maps_onto_circles", map_dev < map_tol, map_tol - map_dev, map_tol))
 
     # (e) linking pattern, delegated to the linking module
@@ -340,12 +371,15 @@ def validate_necklace(
         from .linking import link_matrix
 
         lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n)
-        expected = np.zeros((m, m), dtype=int)
-        for j in range(m):
-            expected[j, (j + 1) % m] = 1
-            expected[(j + 1) % m, j] = 1
-        entry_err = int(np.max(np.abs(np.abs(lm.entries) - expected)))
-        checks.append(CheckRecord("link_pattern", entry_err == 0, 0.5 - entry_err, 0.0))
+        ring = np.roll(np.eye(m, dtype=int), 1, axis=1)  # adjacent slots, cyclically
+        entry_err = int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T))))
+        # a copied entry holds while the pair's slack is below half its
+        # representative's certified core clearance (a representative has
+        # slack 0 and needs none)
+        copied = slack > 0.0
+        transfer = float(np.min(0.5 * bounds[copied] - slack[copied], initial=math.inf))
+        margin = 0.5 - entry_err if transfer > 0.0 else transfer
+        checks.append(CheckRecord("link_pattern", margin > 0.0, margin, 0.0))
         checks.append(
             CheckRecord("link_gauss_agreement", lm.max_gauss_gap < GAUSS_TOL, GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL)
         )
@@ -361,38 +395,13 @@ def validate_necklace(
     )
 
 
-def binding_margins(n: Necklace, clearance_grid: int = 512) -> dict[str, float]:
-    """Certified margins of the child pairs and children that bind the stage-1 geometry.
-
-    adjacent, wrap, skip: clearance of pairs (1, 2), (1, m), (1, 3) minus twice
-    the child tube; contained: containment margin of children 1 and 2. These
-    are validate_necklace's bounds on a subset of its pairs and children, so a
-    margin <= 0 fails children_disjoint or children_contained there; the rest
-    are rotation-congruent to these, so positive margins are a cheap precheck.
-    """
-    need = 2.0 * n.child_tube
-    c = n.child_circles
-    return {
-        "adjacent": circle_circle_distance(c[0], c[1], clearance_grid) - need,
-        "wrap": circle_circle_distance(c[0], c[-1], clearance_grid) - need,
-        "skip": circle_circle_distance(c[0], c[2], clearance_grid) - need,
-        "contained": _containment_margin(n, c[:2]),
-    }
-
-
 def find_min_valid_multiplicity(limit: int = 1000, **validate_kwargs) -> tuple[int, ValidationReport]:
-    """Scan even m upward and return the first that passes every check.
+    """Scan even m upward, validating each in turn, and return the first that passes every check.
 
-    Multiplicities whose binding margins are not all positive are skipped
-    without a full validation. Raises InvalidMultiplicity if nothing
-    validates up to `limit`.
+    Raises InvalidMultiplicity if nothing validates up to `limit`.
     """
-    grid = validate_kwargs.get("clearance_grid", 512)
     for m in range(10, limit + 1, 2):
-        n = build_necklace(m)
-        if min(binding_margins(n, grid).values()) <= 0.0:
-            continue
-        report = validate_necklace(n, **validate_kwargs)
+        report = validate_necklace(build_necklace(m), **validate_kwargs)
         if report.passed:
             return m, report
     raise InvalidMultiplicity(f"no even multiplicity <= {limit} passes validation")

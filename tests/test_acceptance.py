@@ -35,11 +35,11 @@ from antoine.exports import export_mesh, export_points, export_volume, mesh_eule
 from antoine.geom3 import Membership
 from antoine.linking import link_matrix
 from antoine.necklace import (
-    binding_margins,
     build_necklace,
     find_min_valid_multiplicity,
     stage_summary,
     torus_at,
+    validate_necklace,
     word_map,
 )
 
@@ -60,13 +60,17 @@ def criterion(number: int, description: str):
 def scan_result():
     """Minimal validating multiplicity from the package scan, timed with its validation.
 
-    The prechecks reject every smaller m by showing that a certified lower
-    bound fails: a binding-pair clearance or containment margin <= 0 means
-    the children_disjoint or children_contained check fails at the default
-    grid, so full validation at those m cannot pass. They are not
-    overlap witnesses: a failed lower bound does not prove that two tori meet.
+    Every smaller m is rejected by a certified lower bound that fails: a
+    children_disjoint or children_contained margin <= 0 at the default grid,
+    so full validation at those m cannot pass. They are not overlap
+    witnesses: a failed lower bound does not prove that two tori meet.
     """
-    rejected = [m for m in range(10, M_STAR, 2) if min(binding_margins(build_necklace(m)).values()) <= 0.0]
+    geometry = ("children_disjoint", "children_contained")
+    rejected = []
+    for m in range(10, M_STAR, 2):
+        checks = validate_necklace(build_necklace(m), check_linking=False).checks
+        if not all(c.passed for c in checks if c.name in geometry):
+            rejected.append(m)
     t0 = time.perf_counter()
     candidate, report = find_min_valid_multiplicity()
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,8 @@ from antoine.cli import main
 from antoine.errors import MinSeparationTooSmall
 from antoine.necklace import build_necklace
 
+from conftest import shift_orbits
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -128,7 +130,8 @@ class TestVerify:
         for name in originals:
             monkeypatch.setattr(linking, name, counting(name))
         code, out = run(capsys, "verify", "--m", str(m), "--grid-n", "256", "--poly-n", "128", "--quad-n", "64")
-        assert calls == {"link_matrix": 1, "polygonal_linking": m * (m - 1) // 2}
+        # one polygonal linking per class of child pairs under the slot shift j -> j+2
+        assert calls == {"link_matrix": 1, "polygonal_linking": len(shift_orbits(m))}
         assert code == (0 if m == 40 else 1)
         direct = originals["link_matrix"](build_necklace(m), poly_n=128, quad_n=64)
         assert json.loads(out)["link_matrix"] == direct.to_json_dict()

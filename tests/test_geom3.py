@@ -75,8 +75,8 @@ class TestSimilarityCompose:
         assert np.allclose(c.apply(p), s.apply(p))
 
     def test_translations_add(self):
-        t1 = Similarity3.translation(vec3(1, 2, 3))
-        t2 = Similarity3.translation(vec3(-4, 0, 1))
+        t1 = Similarity3(1.0, Rotation3.identity(), vec3(1, 2, 3))
+        t2 = Similarity3(1.0, Rotation3.identity(), vec3(-4, 0, 1))
         assert np.allclose(t1.compose(t2).shift, [-3, 2, 4])
         assert t1.compose(t2).scale == 1.0
 
@@ -160,7 +160,7 @@ class TestRotationNormalForm:
         r = Rotation3.identity()
         for _ in range(1000):
             r = r.compose(Rotation3.about_axis(rng.normal(size=3), rng.uniform(-3, 3)))
-        assert r.orthonormality_defect() < 1e-12
+        assert np.abs(r.matrix.T @ r.matrix - np.eye(3)).max() < 1e-12
         assert np.linalg.det(r.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_garbage(self):

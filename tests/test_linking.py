@@ -91,12 +91,13 @@ class TestPolygonalLinking:
 
     def test_reversal_invariance(self):
         a, b = hopf_loops(256)
-        assert polygonal_linking(a.reversed(), b.reversed()) == polygonal_linking(a, b)
+        assert polygonal_linking(PolyLoop(a.vertices[::-1]), PolyLoop(b.vertices[::-1])) == polygonal_linking(a, b)
 
     def test_similarity_invariance(self):
         a, b = hopf_loops(256)
         s = Similarity3(1.7, Rotation3.about_axis(np.array([1.0, 2.0, 0.5]), 1.2), np.array([3.0, -1.0, 0.4]))
-        assert polygonal_linking(a.transform(s), b.transform(s)) == polygonal_linking(a, b)
+        moved = [PolyLoop(s.apply(loop.vertices)) for loop in (a, b)]
+        assert polygonal_linking(*moved) == polygonal_linking(a, b)
 
     def test_touching_loops_degenerate(self):
         tri_a = PolyLoop(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))

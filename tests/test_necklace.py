@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from antoine.errors import InvalidMultiplicity
-from antoine.geom3 import Membership, Similarity3, point_circle_distance
+from antoine.geom3 import Circle3, Membership, Similarity3, circle_circle_distance, point_circle_distance
+from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
 from antoine.necklace import (
-    binding_margins,
+    GAUSS_TOL,
     build_necklace,
     find_min_valid_multiplicity,
     stage_summary,
@@ -18,9 +19,10 @@ from antoine.necklace import (
     validate_necklace,
     word_map,
     word_maps,
+    _rho_classes,
 )
 
-from conftest import M_STAR
+from conftest import M_STAR, shift_orbits
 
 
 class TestBuild:
@@ -92,16 +94,119 @@ class TestValidate:
         assert geometry_report40.link_matrix is None
 
 
-class TestMultiplicityScan:
-    @pytest.mark.parametrize("m", [16, 40])
-    def test_binding_margins_bound_the_full_checks(self, m):
-        # the binding pairs and children are a subset of what validation
-        # certifies, with the same bounds, so their margins can only be larger
-        margins = binding_margins(build_necklace(m))
-        by_name = {c.name: c for c in validate_necklace(build_necklace(m), check_linking=False).checks}
-        assert min(margins["adjacent"], margins["wrap"], margins["skip"]) >= by_name["children_disjoint"].margin
-        assert margins["contained"] >= by_name["children_contained"].margin
+def exhaustive_pair_checks(n, poly_n, quad_n):
+    """The pair-by-pair oracle: every child pair certified on its own, with no symmetry used.
 
+    Returns the children_disjoint margin, the link entries, each pair's gap
+    between the Gauss quadrature and its entry, and the pass flag of each
+    pair check.
+    """
+    m = n.multiplicity
+    rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
+    margin, entries, gaps = math.inf, np.zeros((m, m), dtype=int), {}
+    for i, j in itertools.combinations(range(m), 2):
+        a, b = n.child_circles[i], n.child_circles[j]
+        margin = min(margin, circle_circle_distance(a, b) - 2.0 * n.child_tube)
+        lk = polygonal_linking(PolyLoop.from_circle(a, poly_n), PolyLoop.from_circle(b, poly_n), rng=rng)
+        entries[i, j] = entries[j, i] = lk
+        gaps[i, j] = abs(gauss_linking(a, b, quad_n) - lk)
+    expected = np.zeros((m, m), dtype=int)
+    for j in range(m):
+        expected[j, (j + 1) % m] = expected[(j + 1) % m, j] = 1
+    passed = {
+        "children_disjoint": margin > 0.0,
+        "link_pattern": np.array_equal(np.abs(entries), expected),
+        "link_gauss_agreement": max(gaps.values()) < GAUSS_TOL,
+    }
+    return margin, entries, gaps, passed
+
+
+def moved_child(n, k, offset):
+    """The necklace with child circle k (0-based) translated by offset, everything else kept."""
+    circles = list(n.child_circles)
+    circles[k] = Circle3(circles[k].center + offset, circles[k].radius, circles[k].normal)
+    return dataclasses.replace(n, child_circles=tuple(circles))
+
+
+class TestRhoClassPass:
+    """validate_necklace certifies one pair per rho class; the exhaustive oracle certifies every pair."""
+
+    @pytest.fixture(scope="class", params=["m16", "m40", "m16-doubled-tube"])
+    def symmetric(self, request):
+        n = build_necklace(40 if request.param == "m40" else 16)
+        if request.param == "m16-doubled-tube":
+            n = dataclasses.replace(n, child_tube=2.0 * n.child_tube)
+        return validate_necklace(n, poly_n=128, quad_n=64), exhaustive_pair_checks(n, poly_n=128, quad_n=64)
+
+    def test_same_entries_and_pass_flags(self, symmetric):
+        report, (_, entries, _, passed) = symmetric
+        assert np.array_equal(report.link_matrix.entries, entries)
+        assert {c.name: c.passed for c in report.checks if c.name in passed} == passed
+
+    def test_margin_and_gap_bounded_by_the_oracle(self, symmetric):
+        report, (margin, _, gaps, _) = symmetric
+        disjoint = next(c for c in report.checks if c.name == "children_disjoint")
+        assert disjoint.margin == report.min_pair_clearance
+        assert margin - 1e-9 < disjoint.margin <= margin
+        assert report.link_matrix.max_gauss_gap <= max(gaps.values())
+        # the same quadrature on the same representative pairs
+        assert report.link_matrix.max_gauss_gap == max(gaps[min(o)] for o in shift_orbits(report.multiplicity))
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_moved_child_keeps_the_margin_sound(self, necklace40, k):
+        # child k+1 off its rotated seed by 1e-3: a seed (k = 0) or not
+        n = moved_child(necklace40, k, 1e-3 * np.array([2.0, -1.0, 2.0]) / 3.0)
+        report = validate_necklace(n, poly_n=128, quad_n=64)
+        margin, entries, _, _ = exhaustive_pair_checks(n, poly_n=128, quad_n=64)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["children_disjoint"].margin <= margin
+        assert not by_name["rho_equivariance"].passed
+        assert np.array_equal(report.link_matrix.entries, entries)
+        assert by_name["link_pattern"].passed
+
+    def test_untransferable_copy_fails_link_pattern(self, necklace40):
+        # child 10 off its rotated seed by 0.03, more than half the adjacent
+        # core clearance (about 0.042): its copied entries are not certified
+        n = moved_child(necklace40, 9, 0.03 * np.array([2.0, -1.0, 2.0]) / 3.0)
+        by_name = {c.name: c for c in validate_necklace(n, poly_n=128, quad_n=64).checks}
+        assert not by_name["link_pattern"].passed
+        assert by_name["link_pattern"].margin <= 0.0
+
+    def test_flipped_child_is_not_a_copy(self, necklace40):
+        # child 10 as the same point set with the opposite orientation: the
+        # copied entry of pair (9, 10) has the wrong sign, which only the
+        # oriented measure (normal - normal, not the +- minimum) sees
+        circles = list(necklace40.child_circles)
+        circles[9] = Circle3(circles[9].center, circles[9].radius, -circles[9].normal)
+        n = dataclasses.replace(necklace40, child_circles=tuple(circles))
+        report = validate_necklace(n, poly_n=128, quad_n=64)
+        direct = polygonal_linking(PolyLoop.from_circle(circles[8], 128), PolyLoop.from_circle(circles[9], 128))
+        assert report.link_matrix.entries[8, 9] == -direct
+        assert not next(c for c in report.checks if c.name == "link_pattern").passed
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_move_toward_a_neighbour_fails_on_both_paths(self, necklace40, k):
+        toward = necklace40.child_circles[k + 1].center - necklace40.child_circles[k].center
+        n = moved_child(necklace40, k, 5e-3 * toward / np.linalg.norm(toward))
+        report = validate_necklace(n, check_linking=False)
+        margin = min(
+            circle_circle_distance(a, b) - 2.0 * n.child_tube for a, b in itertools.combinations(n.child_circles, 2)
+        )
+        assert margin <= 0.0
+        assert not next(c for c in report.checks if c.name == "children_disjoint").passed
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40])
+    def test_classes_are_the_slot_shift_orbits(self, m):
+        (i, j), reps, classes = _rho_classes(m)
+        pairs = list(zip(i.tolist(), j.tolist()))
+        found = {frozenset(p for p, c in zip(pairs, classes) if c == k) for k in range(len(reps))}
+        assert found == shift_orbits(m)
+        assert [pairs[r] for r in reps] == sorted(min(orbit) for orbit in found)
+        assert pairs[reps[0]] == (0, 1)
+        assert {(0, 1), (0, m - 1), (0, 2)} <= {pairs[r] for r in reps}  # the binding pairs
+
+
+class TestMultiplicityScan:
     def test_find_min_valid_multiplicity(self):
         m, report = find_min_valid_multiplicity(poly_n=128, quad_n=64)
         assert m == M_STAR
