@@ -29,11 +29,11 @@ def _even_int(text: str) -> int:
     return value
 
 
-def _at_least(lo: int):
+def _at_least(lo: int, hi: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}{f' and <= {hi}' if hi else ''}, got {value}")
         return value
 
     return parse
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--grid", type=_grid, default=(64, 64, 64), help="voxels per axis (n or nx,ny,nz)")
     p.add_argument("--bbox", type=_bbox, default=exports.DEFAULT_BBOX, help="x0,y0,z0,x1,y1,z1")
-    p.add_argument("--budget", type=_at_least(1), default=dynamics.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(1, dynamics.MAX_BUDGET), default=dynamics.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_classify, out="escape.vol")
 
     p = sub.add_parser("periodic", help="periodic orbit representatives and density distances")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="orbit record of one point under the dynamics")
     common(p, seed=False)
     p.add_argument("--point", type=lambda s: _floats(s, 3), required=True, help="x,y,z")
-    p.add_argument("--max-iter", type=_at_least(1), default=dynamics.DEFAULT_BUDGET)
+    p.add_argument("--max-iter", type=_at_least(1, dynamics.MAX_BUDGET), default=dynamics.DEFAULT_BUDGET)
     p.add_argument("--degree-root", type=_at_least(2), default=None, help="exterior model degree root")
     p.set_defaults(func=_cmd_map)
 

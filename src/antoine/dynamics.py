@@ -39,6 +39,8 @@ from .necklace import Address, Necklace, child_distances, word_map, word_maps
 BOUNDARY_TOL = 1e-12
 NOISE_FLOOR = 8e-16
 DEFAULT_BUDGET = 40
+MAX_BUDGET = 0xFFFD  # escape depths stay below the .vol exterior and survivor codes
+WINDOW_MARGIN = 1e-9  # radians, for the rounding of arctan2, arcsin and the distances
 DEFAULT_SEED = 20210917
 
 # bulk classifier status codes
@@ -116,8 +118,8 @@ def classify_points(
     Deterministic: pure array arithmetic, no RNG, independent of chunking.
     Raises ValueError on a non-finite point, which has no dynamical label.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = pts.shape[0]
     status = np.full(n_pts, SURVIVED, dtype=np.uint8)
@@ -153,7 +155,8 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
             break
         noise = noise_floor * n.expansion**k
         tol_k = boundary_tol + noise
-        claims = child_distances(n, cur) <= n.child_tube + tol_k
+        slots = _bracketing_children(n, cur, tol_k)
+        claims = child_distances(n, cur, slots) <= n.child_tube + tol_k
         n_claims = claims.sum(axis=1)
 
         exited = n_claims == 0
@@ -176,23 +179,45 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
         last[active[~stay]] = cur[~stay]
         active = active[stay]
         cur = cur[stay]
-        digits = np.argmax(claims[stay], axis=1)
+        digits = (claims * slots).sum(axis=1)[stay]  # the one claiming child of each row that stays
         if itinerary is not None and k < itinerary.shape[1]:
             itinerary[active, k] = digits + 1
-        nxt = np.empty_like(cur)
-        for j in np.unique(digits):
-            sel = digits == j
-            nxt[sel] = n.inverse_maps[j].apply(cur[sel])
-        cur = nxt
+        cur = _apply_grouped(n.inverse_maps, digits, cur)
     # anything still active has survived the budget (the defaults already say so)
     last[active] = cur
     return last
 
 
+def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray:
+    """(N, 2) indices of the two children whose centre azimuths bracket each point's; all m, as (1, m),
+    when a claim at tolerance tol may lie outside. A claimed point is within r + child_tube + tol of
+    its child's centre, so its azimuth is within asin(that / rho) of the centre's (rho: distance from
+    the x3-axis); the bracket holds while this, plus WINDOW_MARGIN, is below each neighbouring gap."""
+    phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
+    order = np.argsort(phi)
+    gaps = np.diff(phi[order], append=phi[order[0]] + 2.0 * math.pi)
+    reach = (n.contraction + n.child_tube + tol) / np.hypot(*n.child_centers[order, :2].T)
+    if np.any(reach >= 1.0) or np.any(np.arcsin(reach) + WINDOW_MARGIN >= np.minimum(gaps, np.roll(gaps, 1))):
+        return np.arange(n.multiplicity)[None]
+    below = np.searchsorted(phi[order], np.arctan2(pts[:, 1], pts[:, 0]), side="right") - 1
+    return order[(below[:, None] + np.arange(2)) % len(order)]
+
+
+def _apply_grouped(maps, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x mapped by maps[keys[i]]; each map gets its rows in input order, so the bits equal a mask loop's."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(len(maps) + 1))
+    out = np.empty_like(x)
+    for f, lo, hi in zip(maps, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            out[order[lo:hi]] = f.apply(x[order[lo:hi]])
+    return out
+
+
 def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_floor: float):
     """One point through the classifier's step loop: (status, depth, digits, last position)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
     status = np.full(1, SURVIVED, dtype=np.uint8)
     depth = np.full(1, budget, dtype=np.int32)
     itinerary = np.zeros((1, budget), dtype=np.int16)
@@ -608,8 +633,5 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
     base = n.base_torus.core.point_at(0.0)
     x = np.tile(base, (count, 1))
     for level in range(depth - 1, -1, -1):
-        col = digits[:, level]
-        for j in np.unique(col):
-            sel = col == j
-            x[sel] = n.child_maps[j - 1].apply(x[sel])
+        x = _apply_grouped(n.child_maps, digits[:, level] - 1, x)
     return x

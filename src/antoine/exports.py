@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
+from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
 from .errors import TooManyTori
 from .geom3 import SolidTorus, circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
@@ -230,32 +230,48 @@ class VolumeGrid:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
 
+def _voxel_axes(dims, bbox_min, bbox_max) -> list[np.ndarray]:
+    lo, hi = np.asarray(bbox_min, dtype=float), np.asarray(bbox_max, dtype=float)
+    return [lo[i] + (hi[i] - lo[i]) * (np.arange(dims[i]) + 0.5) / dims[i] for i in range(3)]
+
+
+def _grid_points(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    centers = np.empty((z.size, y.size, x.size, 3))  # filled in place: no meshgrid copies
+    centers[..., 0], centers[..., 1], centers[..., 2] = x, y[:, None], z[:, None, None]
+    return centers.reshape(-1, 3)
+
+
 def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
     """(N, 3) voxel centers in x-fastest order."""
-    lo = np.asarray(bbox_min, dtype=float)
-    hi = np.asarray(bbox_max, dtype=float)
-    x, y, z = (lo[i] + (hi[i] - lo[i]) * (np.arange(dims[i]) + 0.5) / dims[i] for i in range(3))
-    centers = np.empty((dims[2], dims[1], dims[0], 3))
-    centers[..., 0] = x
-    centers[..., 1] = y[:, None]
-    centers[..., 2] = z[:, None, None]
-    return centers.reshape(-1, 3)
+    return _grid_points(*_voxel_axes(dims, bbox_min, bbox_max))
 
 
 def classify_volume(
     n: Necklace, dims, bbox=DEFAULT_BBOX, budget: int = DEFAULT_BUDGET
 ) -> VolumeGrid:
-    """Classify every voxel center; deterministic for identical arguments."""
+    """Escape depth of every voxel center; deterministic for identical arguments.
+
+    Only voxels in the parent torus's box (center +- R * sqrt(1 - normal_i^2) on axis i, plus tube,
+    BOUNDARY_TOL and a 1e-9 relative rounding margin) are classified: outside it, the exterior test
+    hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The box is cut from the full grid's axes (same bits).
+    """
     dims = tuple(int(d) for d in dims)
     if any(d > 1024 for d in dims):
         raise ValueError("dims are capped at 1024 per axis")
     lo, hi = np.asarray(bbox[0], dtype=float), np.asarray(bbox[1], dtype=float)
-    status, depth, _ = classify_points(n, voxel_centers(dims, lo, hi), budget)
-    values = np.full(status.shape, VOL_SURVIVED, dtype=np.uint16)
-    values[status == EXTERIOR] = VOL_EXTERIOR
-    escaped = status == ESCAPED
-    values[escaped] = depth[escaped].astype(np.uint16)
-    return VolumeGrid(dims, lo, hi, values)
+    core, tube = n.base_torus.core, n.base_torus.tube
+    pad = tube + BOUNDARY_TOL + 1e-9 * (float(np.abs(core.center).max()) + core.radius + tube)
+    reach = core.radius * np.sqrt(np.maximum(1.0 - core.normal**2, 0.0)) + pad
+    axes = _voxel_axes(dims, lo, hi)
+    box = tuple(
+        slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
+        for a, c, r in zip(axes, core.center, reach)
+    )
+    status, depth, _ = classify_points(n, _grid_points(*(a[s] for a, s in zip(axes, box))), budget)
+    values = np.full(dims[::-1], VOL_EXTERIOR, dtype=np.uint16)
+    codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
+    values[box[::-1]] = codes.reshape(values[box[::-1]].shape)
+    return VolumeGrid(dims, lo, hi, values.reshape(-1))
 
 
 def write_volume(grid: VolumeGrid, path: str | Path, m: int, budget: int) -> None:
@@ -298,10 +314,8 @@ def export_volume(
 def export_points(samples: np.ndarray, fmt: str, path: str | Path) -> None:
     """One point per line at 17 significant digits; order follows the input."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    if fmt == "xyz":
-        lines = [f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts]
-    elif fmt == "csv":
-        lines = ["x,y,z"] + [f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}" for p in pts]
-    else:
+    row = {"xyz": "%.17g %.17g %.17g", "csv": "%.17g,%.17g,%.17g"}.get(fmt)
+    if row is None:
         raise ValueError(f"unknown point format {fmt!r}")
+    lines = (["x,y,z"] if fmt == "csv" else []) + [row % tuple(p) for p in pts.tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -174,12 +174,13 @@ def torus_at(n: Necklace, word: Address) -> SolidTorus:
     return n.base_torus.transform(word_map(n, word))
 
 
-def child_distances(n: Necklace, points: np.ndarray) -> np.ndarray:
-    """(N, m) matrix of distances from each point to each child core circle."""
+def child_distances(n: Necklace, points: np.ndarray, slots: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """(N, m) distances from each point to each child core circle, or (N, k) to the children in slots (N, k)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = pts[:, None, :] - n.child_centers[None, :, :]
-    h = np.einsum("nmc,mc->nm", w, n.child_normals)
-    w_perp = w - h[:, :, None] * n.child_normals[None, :, :]
+    centers, normals = n.child_centers[slots], n.child_normals[slots]
+    w = pts[:, None, :] - centers
+    h = np.einsum("...c,...c->...", w, normals)
+    w_perp = w - h[:, :, None] * normals
     rho = np.linalg.norm(w_perp, axis=2)
     return np.hypot(rho - n.contraction, h)
 
@@ -398,10 +399,13 @@ def validate_necklace(
 def find_min_valid_multiplicity(limit: int = 1000, **validate_kwargs) -> tuple[int, ValidationReport]:
     """Scan even m upward, validating each in turn, and return the first that passes every check.
 
+    Each m is linked only once its geometric checks pass, since the link checks cannot rescue it.
     Raises InvalidMultiplicity if nothing validates up to `limit`.
     """
     for m in range(10, limit + 1, 2):
-        report = validate_necklace(build_necklace(m), **validate_kwargs)
+        n = build_necklace(m)
+        geometry = validate_necklace(n, **{**validate_kwargs, "check_linking": False})
+        report = validate_necklace(n, **validate_kwargs) if geometry.passed else geometry
         if report.passed:
             return m, report
     raise InvalidMultiplicity(f"no even multiplicity <= {limit} passes validation")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antoine import linking
-from antoine.cli import main
+from antoine.cli import build_parser, main
 from antoine.errors import MinSeparationTooSmall
 from antoine.necklace import build_necklace
 
@@ -59,6 +59,8 @@ class TestUsageErrors:
             ["export", "--m", "16", "--what", "mesh", "--nu", "4"],
             ["export", "--m", "16", "--what", "mesh", "--nv", "4"],
             ["map", "--m", "40", "--point", "0,0,0", "--max-iter", "0"],
+            ["classify", "--m", "40", "--grid", "2", "--budget", "3000000000"],
+            ["map", "--m", "40", "--point", "1,0.01,0", "--max-iter", "3000000000"],
             ["map", "--m", "40", "--point", "0,0,0", "--degree-root", "1"],
             ["map", "--m", "40", "--point", "nan,0,0"],
             ["map", "--m", "40", "--point", "0,inf,0"],
@@ -72,6 +74,18 @@ class TestUsageErrors:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr
         assert "error:" in stderr.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "flag,argv", [("budget", ["classify", "--m", "40"]), ("max_iter", ["map", "--m", "40", "--point", "1,0,0"])]
+    )
+    def test_budget_stays_below_the_volume_codes(self, capsys, flag, argv):
+        # the parser on its own: a budget this large is refused before any work starts
+        option = "--" + flag.replace("_", "-")
+        assert getattr(build_parser().parse_args(argv + [option, "65533"]), flag) == 65533
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv + [option, "65534"])
+        assert err.value.code == 2
+        assert "<= 65533, got 65534" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from antoine.errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
 from antoine.dynamics import (
+    BOUNDARY_TOL,
     DEFAULT_BUDGET,
     ESCAPED,
     EXTERIOR,
+    MAX_BUDGET,
+    NOISE_FLOOR,
     SURVIVED,
     EscapeKind,
     ExteriorModel,
     StepKind,
+    WINDOW_MARGIN,
+    _bracketing_children,
     _one_sided_hausdorff,
     box_dimension_estimate,
     chaos_game_sample,
@@ -34,8 +39,8 @@ from antoine.dynamics import (
     similarity_dimension,
     winding_map,
 )
-from antoine.geom3 import Membership, point_circle_distance
-from antoine.necklace import stage_summary, torus_at, two_slot_rotation, word_map
+from antoine.geom3 import Membership, circle_frames, point_circle_distance
+from antoine.necklace import build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -551,3 +556,105 @@ class TestBoundaryWitness:
                         found = True
                         break
                 assert found
+
+
+def full_child_distances(n, points):
+    """The (N, m) distance matrix as computed before the azimuth window: the reference."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    w = pts[:, None, :] - n.child_centers[None, :, :]
+    h = np.einsum("nmc,mc->nm", w, n.child_normals)
+    w_perp = w - h[:, :, None] * n.child_normals[None, :, :]
+    rho = np.linalg.norm(w_perp, axis=2)
+    return np.hypot(rho - n.contraction, h)
+
+
+def window_points(n, count, claim_radii, seed):
+    """count points in four equal parts: uniform over the parent torus's box, attractor samples,
+    points within 1e-12 of a claim boundary (a tube of one of claim_radii about a child core),
+    and points at a child centre's azimuth or midway between two neighbouring centres."""
+    rng = np.random.default_rng(seed)
+    q = count // 4
+    t = n.base_torus.tube
+    uniform = rng.uniform([-1 - t, -1 - t, -t], [1 + t, 1 + t, t], size=(q, 3))
+    attractor = chaos_game_sample(n, q, 12, seed=seed)
+    j = rng.integers(0, n.multiplicity, q)
+    u, v = circle_frames(n.child_normals)
+    a, b = rng.uniform(0.0, 2 * math.pi, (2, q, 1))
+    radial = np.cos(a) * u[j] + np.sin(a) * v[j]
+    radius = rng.choice(claim_radii, (q, 1)) + rng.uniform(-1e-12, 1e-12, (q, 1))
+    near = n.child_centers[j] + n.contraction * radial + radius * (np.cos(b) * radial + np.sin(b) * n.child_normals[j])
+    phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
+    theta = rng.choice(np.concatenate([phi, phi + math.pi / n.multiplicity]), q)
+    r, z = rng.uniform(1 - t, 1 + t, q), rng.uniform(-t, t, q)
+    boundary = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    return np.concatenate([uniform, attractor, near, boundary])
+
+
+class TestChildWindow:
+    """The step loop evaluates only the two children whose centre azimuths bracket a point's."""
+
+    @pytest.mark.parametrize("m", [16, 40])
+    def test_windowed_claims_equal_full_claims(self, m):
+        n = build_necklace(m)
+        # the window holds while asin(r + child_tube + tol) + WINDOW_MARGIN < 2 pi / m (centres at radius 1)
+        threshold = math.sin(2 * math.pi / m - WINDOW_MARGIN) - n.contraction - n.child_tube
+        steps = [BOUNDARY_TOL + NOISE_FLOOR * n.expansion**k for k in range(60)]
+        windowed = [BOUNDARY_TOL, max(t for t in steps if t < threshold), threshold * (1 - 1e-6)]
+        fallback = [min(t for t in steps if t > threshold), threshold * (1 + 1e-6)]
+        for tol in fallback:  # every child is evaluated
+            assert np.array_equal(_bracketing_children(n, np.zeros((5, 3)), tol), np.arange(m)[None])
+
+        pts = window_points(n, 10**6, [n.child_tube + t for t in windowed], seed=m)
+        claimed = 0
+        for lo in range(0, pts.shape[0], 50_000):
+            chunk = pts[lo : lo + 50_000]
+            full = full_child_distances(n, chunk)
+            if lo == 0:
+                assert np.array_equal(child_distances(n, chunk), full)
+            rows = np.arange(chunk.shape[0])[:, None]
+            for tol in windowed:
+                slots = _bracketing_children(n, chunk, tol)
+                dist = child_distances(n, chunk, slots)
+                assert slots.shape == dist.shape == (chunk.shape[0], 2)
+                assert np.array_equal(dist, full[rows, slots])
+                claims = np.zeros(full.shape, dtype=bool)
+                claims[rows, slots] = dist <= n.child_tube + tol
+                assert np.array_equal(claims, full <= n.child_tube + tol)
+                claimed += int(claims.sum())
+        assert claimed > 10**5
+
+
+def mask_loop_chaos_game(n, count, depth, seed):
+    """chaos_game_sample with one boolean mask per digit and level: the reference."""
+    digits = np.random.default_rng(seed).integers(1, n.multiplicity + 1, size=(count, depth))
+    x = np.tile(n.base_torus.core.point_at(0.0), (count, 1))
+    for level in range(depth - 1, -1, -1):
+        col = digits[:, level]
+        for j in np.unique(col):
+            sel = col == j
+            x[sel] = n.child_maps[j - 1].apply(x[sel])
+    return x
+
+
+class TestGroupedApply:
+    @pytest.mark.parametrize("m,seed", [(16, 1), (40, 2), (40, 3)])
+    def test_chaos_game_equals_mask_loop(self, m, seed):
+        n = build_necklace(m)
+        assert np.array_equal(chaos_game_sample(n, 20_000, 20, seed), mask_loop_chaos_game(n, 20_000, 20, seed))
+
+
+class TestBudgetBound:
+    def test_largest_budget_accepted(self, necklace40):
+        assert MAX_BUDGET < 0xFFFE  # escape depths stay below the .vol exterior and survivor codes
+        status, depth, _ = classify_points(necklace40, [[3.0, 0.0, 0.0]], MAX_BUDGET)
+        assert status[0] == EXTERIOR and depth[0] == 0
+
+    @pytest.mark.parametrize("budget", [MAX_BUDGET + 1, 3_000_000_000])
+    def test_larger_budget_rejected(self, necklace40, budget):
+        p = np.array([3.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="budget"):
+            classify_points(necklace40, p[None], budget)
+        with pytest.raises(ValueError, match="budget"):
+            escape_depth(necklace40, p, budget)
+        with pytest.raises(ValueError, match="budget"):
+            orbit(necklace40, ExteriorModel(2), p, budget)

@@ -6,12 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from antoine.dynamics import coding_point
+from antoine import exports
+from antoine.dynamics import ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point
 from antoine.errors import TooManyTori
 from antoine.exports import (
+    DEFAULT_BBOX,
     VOL_EXTERIOR,
     VOL_SURVIVED,
     VolumeGrid,
+    _fmt,
     classify_volume,
     export_mesh,
     export_points,
@@ -196,7 +199,71 @@ class TestVolume:
             VolumeGrid((2, 2, 2), np.zeros(3), np.ones(3), np.zeros(9, dtype=np.uint16))
 
 
+def full_volume(n, dims, bbox, budget):
+    """classify_volume's values with every voxel center classified, as before the parent-box cull."""
+    status, depth, _ = classify_points(n, voxel_centers(dims, *bbox), budget)
+    values = np.full(status.shape, VOL_SURVIVED, dtype=np.uint16)
+    values[status == EXTERIOR] = VOL_EXTERIOR
+    escaped = status == ESCAPED
+    values[escaped] = depth[escaped].astype(np.uint16)
+    return values
+
+
+class TestParentBoxCull:
+    """classify_volume classifies only the voxels in the parent torus's box."""
+
+    @pytest.mark.parametrize(
+        "dims,bbox",
+        [
+            ((37, 23, 11), DEFAULT_BBOX),  # non-cubic dims
+            ((24, 20, 16), ((-1.3, -0.2, -0.5), (1.1, 1.7, 0.25))),  # asymmetric bbox
+            ((20, 20, 12), ((0.5, -1.6, -0.1), (2.0, 1.6, 1.0))),  # cuts the torus
+            ((6, 5, 4), ((1.3, 1.3, 0.3), (3.0, 2.0, 1.0))),  # wholly outside it
+            ((2, 3, 3), ((0.5, -1.0, -0.3), (2.5, 1.0, 0.3))),  # voxel planes at z = -tube, 0, +tube
+        ],
+    )
+    def test_equals_classifying_every_voxel(self, necklace40, dims, bbox):
+        grid = classify_volume(necklace40, dims, bbox, budget=6)
+        assert np.array_equal(grid.values, full_volume(necklace40, dims, bbox, 6))
+
+    def test_voxels_on_the_parent_surface_are_classified(self, necklace40):
+        # (1, 0, +-tube) lie on the parent torus: not exterior, so the box must hold them
+        dims, bbox = (2, 3, 3), ((0.5, -1.0, -0.3), (2.5, 1.0, 0.3))
+        offset = np.abs(voxel_centers(dims, *bbox) - [1.0, 0.0, 0.0])
+        on_surface = np.all(offset == [0.0, 0.0, necklace40.base_torus.tube], axis=1)
+        assert on_surface.sum() == 2
+        assert np.all(classify_volume(necklace40, dims, bbox, budget=6).values[on_surface] != VOL_EXTERIOR)
+
+    def test_classifies_only_the_parent_box(self, necklace40, monkeypatch):
+        counts = []
+
+        def counting(n, points, budget):
+            counts.append(len(points))
+            return classify_points(n, points, budget)
+
+        monkeypatch.setattr(exports, "classify_points", counting)
+        classify_volume(necklace40, (64, 64, 64))
+        # |x|, |y| <= 1 + tube and |z| <= tube with tube = 0.2: 48 * 48 * 8 of the 64^3 voxels
+        assert counts == [48 * 48 * 8]
+
+
+def fstring_points_text(pts, fmt):
+    """export_points' text as written with one f-string of three _fmt calls per row: the reference."""
+    if fmt == "xyz":
+        lines = [f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts]
+    else:
+        lines = ["x,y,z"] + [f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}" for p in pts]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 class TestPoints:
+    @pytest.mark.parametrize("fmt", ["xyz", "csv"])
+    def test_bytes_equal_fstring_version(self, necklace40, tmp_path, fmt):
+        special = [[-0.0, 5e-324, 1e300], [math.inf, -math.inf, math.nan], [1 / 3, -1e-17, 2.0**60]]
+        pts = np.concatenate([chaos_game_sample(necklace40, 2000, 20, seed=5), special])
+        export_points(pts, fmt, tmp_path / "p.txt")
+        assert (tmp_path / "p.txt").read_bytes() == fstring_points_text(pts, fmt).encode()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.xyz"
         export_points(np.zeros((0, 3)), "xyz", path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from antoine import linking
 from antoine.errors import InvalidMultiplicity
 from antoine.geom3 import Circle3, Membership, Similarity3, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
@@ -207,11 +208,17 @@ class TestRhoClassPass:
 
 
 class TestMultiplicityScan:
-    def test_find_min_valid_multiplicity(self):
+    def test_find_min_valid_multiplicity(self, monkeypatch):
+        linked = []
+        link_matrix = linking.link_matrix
+        monkeypatch.setattr(linking, "link_matrix", lambda n, **kw: linked.append(n.multiplicity) or link_matrix(n, **kw))
         m, report = find_min_valid_multiplicity(poly_n=128, quad_n=64)
         assert m == M_STAR
         assert report.passed
-        assert report.link_matrix.multiplicity == M_STAR
+        assert linked == [M_STAR]  # every smaller m fails a geometric check, so it is never linked
+        direct = validate_necklace(build_necklace(M_STAR), poly_n=128, quad_n=64)
+        assert report.to_json_dict() == direct.to_json_dict()
+        assert np.array_equal(report.link_matrix.entries, direct.link_matrix.entries)
 
 
 class TestTorusAt:
