@@ -150,6 +150,7 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
 
     active = np.flatnonzero(~exterior)
     cur = last[active]
+    inverse = _stack_maps(n.inverse_maps)
     for k in range(budget):
         if active.size == 0:
             break
@@ -166,10 +167,7 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
         fuzzy = n_claims > 1
         if np.any(fuzzy):
             if noise <= boundary_tol:
-                bad = first + active[fuzzy][0]
-                raise MultipleChildren(
-                    f"point index {bad} claimed by several children at crisp tolerance; invalid necklace"
-                )
+                raise MultipleChildren(int(first + active[fuzzy][0]))
             # tolerance ball covers several children: depth resolution is
             # exhausted, report Julia-positive at the budget
             status[active[fuzzy]] = SURVIVED
@@ -182,36 +180,48 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
         digits = (claims * slots).sum(axis=1)[stay]  # the one claiming child of each row that stays
         if itinerary is not None and k < itinerary.shape[1]:
             itinerary[active, k] = digits + 1
-        cur = _apply_grouped(n.inverse_maps, digits, cur)
+        cur = _apply_gathered(inverse, digits, cur)
     # anything still active has survived the budget (the defaults already say so)
     last[active] = cur
     return last
 
 
 def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray:
-    """(N, 2) indices of the two children whose centre azimuths bracket each point's; all m, as (1, m),
-    when a claim at tolerance tol may lie outside. A claimed point is within r + child_tube + tol of
-    its child's centre, so its azimuth is within asin(that / rho) of the centre's (rho: distance from
-    the x3-axis); the bracket holds while this, plus WINDOW_MARGIN, is below each neighbouring gap."""
+    """(N, 2k) indices of the children whose centre azimuths lie nearest each point's, k on each side
+    of it, for the least k that holds every claim at tolerance tol; all m, as (1, m), when no 2k < m
+    does. A claimed point is within r + child_tube + tol of its child's centre, so its azimuth is within
+    asin(that / rho) of the centre's (rho: distance from the x3-axis). A child outside the window is at
+    least k neighbouring gaps from the point, so the window holds while this, plus WINDOW_MARGIN, is
+    below the sum of the k gaps next to each child on either side."""
+    m = n.multiplicity
     phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
     order = np.argsort(phi)
-    gaps = np.diff(phi[order], append=phi[order[0]] + 2.0 * math.pi)
+    phi = phi[order]
     reach = (n.contraction + n.child_tube + tol) / np.hypot(*n.child_centers[order, :2].T)
-    if np.any(reach >= 1.0) or np.any(np.arcsin(reach) + WINDOW_MARGIN >= np.minimum(gaps, np.roll(gaps, 1))):
-        return np.arange(n.multiplicity)[None]
-    below = np.searchsorted(phi[order], np.arctan2(pts[:, 1], pts[:, 0]), side="right") - 1
-    return order[(below[:, None] + np.arange(2)) % len(order)]
+    if np.all(reach < 1.0):
+        need = np.arcsin(reach) + WINDOW_MARGIN
+        for k in range(1, (m + 1) // 2):
+            span = (np.roll(phi, -k) - phi) % (2.0 * math.pi)  # k gaps up from each child
+            if np.all((span > need) & (np.roll(span, k) > need)):
+                first = np.searchsorted(phi, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - k
+                return order[(first[:, None] + np.arange(2 * k)) % m]
+    return np.arange(m)[None]
 
 
-def _apply_grouped(maps, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x mapped by maps[keys[i]]; each map gets its rows in input order, so the bits equal a mask loop's."""
-    order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(len(maps) + 1))
-    out = np.empty_like(x)
-    for f, lo, hi in zip(maps, bounds[:-1], bounds[1:]):
-        if hi > lo:
-            out[order[lo:hi]] = f.apply(x[order[lo:hi]])
-    return out
+def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales (k,), transposed rotations (k, 3, 3) and shifts (k, 3) of k similarities, for _apply_gathered."""
+    return (
+        np.array([f.scale for f in maps]),
+        np.array([f.rot.matrix.T for f in maps]),
+        np.array([f.shift for f in maps]),
+    )
+
+
+def _apply_gathered(stacked, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x mapped by map keys[i] of _stack_maps' arrays: scale * (x @ R.T) + shift, the arithmetic
+    of Similarity3.apply in the matmul form of word_maps, so the bits equal a per-map loop's."""
+    scales, rts, shifts = stacked
+    return scales[keys][:, None] * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
 
 
 def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_floor: float):
@@ -632,6 +642,7 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
     digits = rng.integers(1, n.multiplicity + 1, size=(count, depth))
     base = n.base_torus.core.point_at(0.0)
     x = np.tile(base, (count, 1))
+    maps = _stack_maps(n.child_maps)
     for level in range(depth - 1, -1, -1):
-        x = _apply_grouped(n.child_maps, digits[:, level] - 1, x)
+        x = _apply_gathered(maps, digits[:, level] - 1, x)
     return x

@@ -14,7 +14,11 @@ class InvalidMultiplicity(AntoineError):
 
 
 class MultipleChildren(AntoineError):
-    """A point was claimed by two child tori; the necklace is invalid."""
+    """A point was claimed by two child tori; the necklace is invalid. `index` is its input index."""
+
+    def __init__(self, index: int):
+        super().__init__(f"point index {index} claimed by several children at crisp tolerance; invalid necklace")
+        self.index = index
 
 
 class MinSeparationTooSmall(AntoineError):

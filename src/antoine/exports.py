@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
-from .errors import TooManyTori
+from .errors import MultipleChildren, TooManyTori
 from .geom3 import SolidTorus, circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
 
@@ -254,6 +254,7 @@ def classify_volume(
     Only voxels in the parent torus's box (center +- R * sqrt(1 - normal_i^2) on axis i, plus tube,
     BOUNDARY_TOL and a 1e-9 relative rounding margin) are classified: outside it, the exterior test
     hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The box is cut from the full grid's axes (same bits).
+    MultipleChildren names the voxel's x-fastest index in the full grid.
     """
     dims = tuple(int(d) for d in dims)
     if any(d > 1024 for d in dims):
@@ -267,10 +268,15 @@ def classify_volume(
         slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
         for a, c, r in zip(axes, core.center, reach)
     )
-    status, depth, _ = classify_points(n, _grid_points(*(a[s] for a, s in zip(axes, box))), budget)
+    box_shape = tuple(s.stop - s.start for s in box[::-1])
+    try:
+        status, depth, _ = classify_points(n, _grid_points(*(a[s] for a, s in zip(axes, box))), budget)
+    except MultipleChildren as exc:  # exc.index counts the box's points
+        at = [s.start + k for s, k in zip(box[::-1], np.unravel_index(exc.index, box_shape))]
+        raise MultipleChildren(int(np.ravel_multi_index(at, dims[::-1]))) from None
     values = np.full(dims[::-1], VOL_EXTERIOR, dtype=np.uint16)
     codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
-    values[box[::-1]] = codes.reshape(values[box[::-1]].shape)
+    values[box[::-1]] = codes.reshape(box_shape)
     return VolumeGrid(dims, lo, hi, values.reshape(-1))
 
 

@@ -2,7 +2,12 @@
 
 gauss_linking integrates the classical double integral over two round
 circles with the periodic trapezoid rule (spectrally accurate for disjoint
-smooth curves). polygonal_linking counts signed crossings of polygonal
+smooth curves). Its quad_n x quad_n grid comes from three small matrix
+products, on samples shifted by the midpoint of the two centres: the
+numerator by the triple-product identity, the squared distance by
+expanding |pa - pb|^2. Grid entries the expansion cannot resolve are
+re-measured from the exact sample differences, and those decide the
+1e-9 separation guard. polygonal_linking counts signed crossings of polygonal
 approximations in a generic projection and returns an exact integer. The
 two back ends share a sign convention, so they agree as reals, not just in
 absolute value; only the absolute values are meaningful for the necklace,
@@ -58,27 +63,50 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
     """Gauss double-integral linking number of two disjoint circles.
 
     Trapezoid rule on a quad_n x quad_n parameter grid; converges to the
-    integer linking number as quad_n grows. Raises MinSeparationTooSmall if
-    the sampled curves come within 1e-9 (the integrand is then too singular
-    for fixed-order quadrature to mean anything).
+    integer linking number as quad_n grows. Both sampled circles are shifted
+    by the midpoint c of the two centres (the integrand depends only on
+    differences), and the grid comes from three (quad_n, 3) @ (3, quad_n)
+    products: the numerator (da_i x db_j) . (pa_i - pb_j) as
+    (pa_i x da_i) . db_j - da_i . (db_j x pb_j), and the squared distance as
+    |pa_i|^2 + |pb_j|^2 - 2 pa_i . pb_j, which the shift keeps from cancelling.
+
+    Raises MinSeparationTooSmall if the sampled curves come within 1e-9 (the
+    integrand is then too singular for fixed-order quadrature to mean
+    anything). The expanded squared distance is off by at most
+    8 eps (max|pa|^2 + max|pb|^2), so every grid entry below (2e-9)^2 plus
+    that allowance (the factor 2 covers the rounding of the shift) is
+    re-measured from the exact differences a.point_at(t_i) - b.point_at(t_j).
+    The guard reads those, so it raises on exactly the inputs whose sampled
+    separation is below 1e-9, and the integrand uses them.
     """
     if quad_n < 16:
         raise ValueError(f"quad_n must be >= 16, got {quad_n}")
     ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
     ua, va = a.basis()
     ub, vb = b.basis()
-    pa = a.point_at(ta)
-    pb = b.point_at(ta)
+    exact_a, exact_b = a.point_at(ta), b.point_at(ta)
+    c = 0.5 * (a.center + b.center)
+    pa, pb = exact_a - c, exact_b - c
     # derivatives with respect to the angle parameter
     da = a.radius * (-np.sin(ta)[:, None] * ua + np.cos(ta)[:, None] * va)
     db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
 
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if float(dist.min()) < 1e-9:
-        raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
-    cross = np.cross(da[:, None, :], db[None, :, :])
-    integrand = np.einsum("ijc,ijc->ij", cross, diff) / dist**3
+    sq_a, sq_b = np.einsum("ic,ic->i", pa, pa), np.einsum("jc,jc->j", pb, pb)
+    # in-place updates: each fresh (quad_n, quad_n) temporary costs more in page faults than in arithmetic
+    d2 = np.add.outer(sq_a, sq_b)
+    d2 -= pa @ (2.0 * pb).T  # doubling is exact, so these are the bits of sq_a + sq_b - 2 pa . pb
+    limit = 4e-18 + 8.0 * np.finfo(float).eps * (sq_a.max() + sq_b.max())
+    if d2.min() < limit:
+        near = np.nonzero(d2 < limit)
+        dist = np.linalg.norm(exact_a[near[0]] - exact_b[near[1]], axis=1)
+        if float(dist.min()) < 1e-9:
+            raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
+        d2[near] = dist * dist
+    integrand = np.cross(pa, da) @ db.T
+    integrand -= da @ np.cross(db, pb).T
+    den = np.sqrt(d2)
+    den *= d2
+    integrand /= den
     weight = (2.0 * math.pi / quad_n) ** 2
     return float(integrand.sum() * weight / (4.0 * math.pi))
 

@@ -590,21 +590,42 @@ def window_points(n, count, claim_radii, seed):
     return np.concatenate([uniform, attractor, near, boundary])
 
 
-class TestChildWindow:
-    """The step loop evaluates only the two children whose centre azimuths bracket a point's."""
+def window_threshold(n, k):
+    """Largest tolerance at which a window of k children on each side holds: asin(r + child_tube + tol)
+    plus WINDOW_MARGIN below k slot spacings 2 pi k / m (centres at radius 1)."""
+    angle = min(2 * math.pi * k / n.multiplicity - WINDOW_MARGIN, math.pi / 2)
+    return math.sin(angle) - n.contraction - n.child_tube
 
-    @pytest.mark.parametrize("m", [16, 40])
+
+class TestChildWindow:
+    """The step loop evaluates only the 2k children whose centre azimuths lie nearest a point's."""
+
+    @pytest.mark.parametrize("m", [10, 16, 40])
+    def test_least_window_that_holds(self, m):
+        n = build_necklace(m)
+        pts = np.zeros((5, 3))
+        for k in range(1, (m + 3) // 4):  # 4k < m: k spacings stay below a right angle
+            threshold = window_threshold(n, k)
+            if threshold <= BOUNDARY_TOL:
+                continue  # too narrow even at the crisp tolerance (k = 1 at m = 10)
+            assert _bracketing_children(n, pts, threshold * (1 - 1e-6)).shape == (5, 2 * k)
+            assert _bracketing_children(n, pts, threshold * (1 + 1e-6)).shape[1] > 2 * k
+        assert np.array_equal(_bracketing_children(n, pts, 1.0), np.arange(m)[None])  # reach past the axis
+
+    def test_step_14_at_m40_takes_four_slots(self, necklace40):
+        step = [BOUNDARY_TOL + NOISE_FLOOR * necklace40.expansion**k for k in (13, 14)]
+        assert [_bracketing_children(necklace40, np.zeros((1, 3)), t).shape[1] for t in step] == [2, 4]
+
+    @pytest.mark.parametrize("m", [10, 16, 40])
     def test_windowed_claims_equal_full_claims(self, m):
         n = build_necklace(m)
-        # the window holds while asin(r + child_tube + tol) + WINDOW_MARGIN < 2 pi / m (centres at radius 1)
-        threshold = math.sin(2 * math.pi / m - WINDOW_MARGIN) - n.contraction - n.child_tube
+        # the crisp tolerance, the largest step tolerance of each window narrower than all m, and
+        # the tolerances just inside the two- and four-slot windows
         steps = [BOUNDARY_TOL + NOISE_FLOOR * n.expansion**k for k in range(60)]
-        windowed = [BOUNDARY_TOL, max(t for t in steps if t < threshold), threshold * (1 - 1e-6)]
-        fallback = [min(t for t in steps if t > threshold), threshold * (1 + 1e-6)]
-        for tol in fallback:  # every child is evaluated
-            assert np.array_equal(_bracketing_children(n, np.zeros((5, 3)), tol), np.arange(m)[None])
-
-        pts = window_points(n, 10**6, [n.child_tube + t for t in windowed], seed=m)
+        widths = {t: _bracketing_children(n, np.zeros((1, 3)), t).shape[1] for t in steps}
+        tols = {BOUNDARY_TOL} | {max(t for t in steps if widths[t] == w) for w in set(widths.values()) - {m}}
+        tols |= {window_threshold(n, k) * (1 - 1e-6) for k in (1, 2) if window_threshold(n, k) > BOUNDARY_TOL}
+        pts = window_points(n, 10**6, [n.child_tube + t for t in tols], seed=m)
         claimed = 0
         for lo in range(0, pts.shape[0], 50_000):
             chunk = pts[lo : lo + 50_000]
@@ -612,10 +633,10 @@ class TestChildWindow:
             if lo == 0:
                 assert np.array_equal(child_distances(n, chunk), full)
             rows = np.arange(chunk.shape[0])[:, None]
-            for tol in windowed:
+            for tol in tols:
                 slots = _bracketing_children(n, chunk, tol)
                 dist = child_distances(n, chunk, slots)
-                assert slots.shape == dist.shape == (chunk.shape[0], 2)
+                assert slots.shape == dist.shape and slots.shape[0] == chunk.shape[0] and slots.shape[1] < m
                 assert np.array_equal(dist, full[rows, slots])
                 claims = np.zeros(full.shape, dtype=bool)
                 claims[rows, slots] = dist <= n.child_tube + tol

@@ -187,8 +187,12 @@ class TestVolume:
         # m = 16 children overlap; bulk classification must say so, not guess
         from antoine.errors import MultipleChildren
 
-        with pytest.raises(MultipleChildren):
+        # the index of the voxel in the full x-fastest grid, not of the point in the classified box
+        with pytest.raises(MultipleChildren, match="point index 202 "):
             classify_volume(necklace16, (8, 8, 8), ((-1.6,) * 3, (1.6,) * 3), budget=6)
+        centers = voxel_centers((8, 8, 8), (-1.6,) * 3, (1.6,) * 3)
+        with pytest.raises(MultipleChildren, match="point index 202 "):
+            classify_points(necklace16, centers, 6)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
-from antoine.geom3 import Circle3, Rotation3, Similarity3
+from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames
 from antoine.linking import PolyLoop, _projection_frame, _try_projection, gauss_linking, polygonal_linking
+from antoine.necklace import _rho_classes
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -62,6 +66,87 @@ class TestGaussLinking:
         errs = [abs(abs(gauss_linking(HOPF_A, HOPF_B, q)) - 1.0) for q in ns]
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope <= -1.7
+
+
+def broadcast_gauss_linking(a, b, quad_n):
+    """gauss_linking as computed before the matrix form, on (quad_n, quad_n, 3) difference,
+    np.cross and einsum arrays, with its guard: the oracle."""
+    ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
+    ua, va = a.basis()
+    ub, vb = b.basis()
+    pa, pb = a.point_at(ta), b.point_at(ta)
+    da = a.radius * (-np.sin(ta)[:, None] * ua + np.cos(ta)[:, None] * va)
+    db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
+    diff = pa[:, None, :] - pb[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    if float(dist.min()) < 1e-9:
+        raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
+    integrand = np.einsum("ijc,ijc->ij", np.cross(da[:, None, :], db[None, :, :]), diff) / dist**3
+    return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
+
+
+def sampled_separation(a, b, quad_n):
+    ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
+    return float(np.linalg.norm(a.point_at(ta)[:, None, :] - b.point_at(ta)[None, :, :], axis=2).min())
+
+
+FAR = np.array([1e3, 0.0, 0.0])
+coords = st.floats(-1.0, 1.0)
+vectors = st.tuples(coords, coords, coords).map(np.array)
+normals = vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
+centres = st.sampled_from([np.zeros(3), FAR]).flatmap(lambda c: vectors.map(lambda v: c + v))
+radii = st.floats(0.2, 2.0)
+
+
+class TestMatrixFormGauss:
+    """gauss_linking equals the broadcast oracle and raises MinSeparationTooSmall on exactly its inputs."""
+
+    @pytest.mark.parametrize("quad_n", [64, 256])
+    def test_necklace40_representatives(self, necklace40, quad_n):
+        (i, j), reps, _ = _rho_classes(40)
+        for a, b in zip(i[reps], j[reps]):
+            ca, cb = necklace40.child_circles[a], necklace40.child_circles[b]
+            assert abs(gauss_linking(ca, cb, quad_n) - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
+
+    @given(centres, radii, normals, vectors, radii, normals, st.sampled_from([64, 256]))
+    def test_random_pairs(self, ca, ra, na, offset, rb, nb, quad_n):
+        # centred near the origin or near (1e3, 0, 0), where |pa|^2 + |pb|^2 - 2 pa . pb would cancel
+        # without the shift to the centres' midpoint; about one pair in ten is linked
+        a = Circle3(ca, ra, na)
+        b = Circle3(ca + 2.0 * offset, rb, nb)
+        if sampled_separation(a, b, quad_n) < 0.2:
+            return  # closer pairs: both roundings of the large near-diagonal terms exceed 1e-14
+        assert abs(gauss_linking(a, b, quad_n) - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
+
+    @given(centres, radii, normals, radii, normals, normals, st.integers(0, 63), st.integers(0, 63),
+           st.floats(-11.0, -8.0))
+    def test_guard_raises_exactly_where_the_oracle_does(self, ca, ra, na, rb, nb, w, i, j, log_s):
+        # b's j-th sample is placed 10^log_s from a's i-th along w: the exact sampled separation
+        # decides, wherever the pair lies relative to the centres' midpoint
+        a = Circle3(ca, ra, na)
+        t = 2.0 * math.pi / 64 * np.arange(64)
+        (ub,), (vb,) = circle_frames(nb[None] / np.linalg.norm(nb))
+        target = a.point_at(t[i]) + 10.0**log_s * w / np.linalg.norm(w)
+        b = Circle3(target - rb * (math.cos(t[j]) * ub + math.sin(t[j]) * vb), rb, nb)
+        sep = sampled_separation(a, b, 64)
+        if sep < 1e-9:
+            with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < 1e-9")):
+                gauss_linking(a, b, 64)
+        else:
+            assert math.isfinite(gauss_linking(a, b, 64))
+
+    @pytest.mark.parametrize("normal", [E3, np.array([0.0, 1.0, 0.0])])
+    @pytest.mark.parametrize("offset,gap", [(np.zeros(3), 2e-9), (FAR, 2e-9), (FAR, 1e-10)])
+    def test_guard_at_the_threshold(self, offset, gap, normal):
+        # sample 16 of the unit circle about offset and sample 0 or 48 of close lie gap apart;
+        # 1e-10 about the origin is test_near_touching_rejected
+        a = Circle3(offset, 1.0, E3)
+        close = Circle3(np.array([2.0 + gap, 0.0, 0.0]) + offset, 1.0, normal)
+        if gap < 1e-9:
+            with pytest.raises(MinSeparationTooSmall):
+                gauss_linking(a, close, 64)
+        else:
+            assert gauss_linking(a, close, 64) == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
 
 
 class TestPolygonalLinking:
