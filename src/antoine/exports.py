@@ -23,6 +23,9 @@ from .necklace import Address, Necklace, word_maps
 VOL_EXTERIOR = 0xFFFE
 VOL_SURVIVED = 0xFFFF
 MAX_EXPORT_TORI = 10**6
+_BLOCK_FACES = 1 << 16  # PLY faces written at a time
+_SLAB_POINTS = 1 << 16  # box voxels classified at a time, in whole z-layers
+_BLOCK_ROWS = 4096  # point rows formatted at a time
 DEFAULT_BBOX = ((-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))  # contains the parent torus with margin
 
 
@@ -156,9 +159,8 @@ def parse_obj(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:
-    """Binary little-endian PLY: float64 vertices, int32 index lists, tori merged."""
+    """Binary little-endian PLY: float64 vertices, int32 index lists, tori merged (faces written in blocks of tori)."""
     count, per_torus, _ = stage.verts.shape
-    tris = (stage.tris + per_torus * np.arange(count)[:, None, None]).reshape(-1, 3)
     comments = "".join(f"comment {k}={v}\n" for k, v in (header or {}).items())
     head = (
         "ply\n"
@@ -166,18 +168,20 @@ def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) ->
         f"{comments}"
         f"element vertex {count * per_torus}\n"
         "property double x\nproperty double y\nproperty double z\n"
-        f"element face {tris.shape[0]}\n"
+        f"element face {count * stage.tris.shape[0]}\n"
         "property list uchar int32 vertex_indices\n"
         "end_header\n"
     )
+    per_block = max(1, _BLOCK_FACES // stage.tris.shape[0])
+    faces = np.empty((min(per_block, count), stage.tris.shape[0]), dtype=[("n", "u1"), ("idx", "<i4", (3,))])
+    faces["n"] = 3
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
-        fh.write(stage.verts.astype("<f8").tobytes())
-        face_dtype = np.dtype([("n", "u1"), ("idx", "<i4", (3,))])
-        faces = np.empty(tris.shape[0], dtype=face_dtype)
-        faces["n"] = 3
-        faces["idx"] = tris.astype("<i4")
-        fh.write(faces.tobytes())
+        fh.write(np.ascontiguousarray(stage.verts, dtype="<f8"))
+        for first in range(0, count, per_block):
+            block = faces[: min(per_block, count - first)]
+            block["idx"] = stage.tris + per_torus * np.arange(first, first + block.shape[0])[:, None, None]
+            fh.write(block)
 
 
 def export_mesh(
@@ -214,20 +218,25 @@ class VolumeGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(d < 2 for d in self.dims):
-            raise ValueError("dims must be three values >= 2")
-        lo = np.asarray(self.bbox_min, dtype=float)
-        hi = np.asarray(self.bbox_max, dtype=float)
-        if not np.all(hi > lo):
-            raise ValueError("bounding box is degenerate")
+        dims, lo, hi = _grid_frame(self.dims, self.bbox_min, self.bbox_max)
         vals = np.asarray(self.values, dtype=np.uint16)
-        if vals.size != self.dims[0] * self.dims[1] * self.dims[2]:
+        if vals.size != dims[0] * dims[1] * dims[2]:
             raise ValueError("value count does not match dims")
         for name, arr in (("bbox_min", lo), ("bbox_max", hi), ("values", vals)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
+
+
+def _grid_frame(dims, bbox_min, bbox_max) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+    """Checked integer dims and float corners of a voxel grid."""
+    if len(dims) != 3 or any(d < 2 for d in dims):
+        raise ValueError("dims must be three values >= 2")
+    lo, hi = np.asarray(bbox_min, dtype=float), np.asarray(bbox_max, dtype=float)
+    if not np.all(hi > lo):
+        raise ValueError("bounding box is degenerate")
+    return tuple(int(d) for d in dims), lo, hi
 
 
 def _voxel_axes(dims, bbox_min, bbox_max) -> list[np.ndarray]:
@@ -246,6 +255,39 @@ def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
     return _grid_points(*_voxel_axes(dims, bbox_min, bbox_max))
 
 
+def _volume_layers(n: Necklace, dims, bbox, budget: int):
+    """The volume's z-layers in file order as (k, ny, nx) little-endian uint16 blocks: one reused exterior
+    layer outside the parent torus's box (see classify_volume), slabs of about _SLAB_POINTS voxels inside."""
+    dims, lo, hi = _grid_frame(dims, *bbox)
+    nx, ny, nz = dims
+    if max(dims) > 1024:
+        raise ValueError("dims are capped at 1024 per axis")
+    core, tube = n.base_torus.core, n.base_torus.tube
+    pad = tube + BOUNDARY_TOL + 1e-9 * (float(np.abs(core.center).max()) + core.radius + tube)
+    reach = core.radius * np.sqrt(np.maximum(1.0 - core.normal**2, 0.0)) + pad
+    axes = _voxel_axes(dims, lo, hi)
+    xs, ys, zs = (
+        slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
+        for a, c, r in zip(axes, core.center, reach)
+    )
+    exterior = np.full((1, ny, nx), VOL_EXTERIOR, dtype="<u2")
+    yield from itertools.repeat(exterior, zs.start)
+    step = max(1, _SLAB_POINTS // max(1, (xs.stop - xs.start) * (ys.stop - ys.start)))
+    for z0 in range(zs.start, zs.stop, step):
+        slab = (slice(z0, min(z0 + step, zs.stop)), ys, xs)
+        shape = tuple(s.stop - s.start for s in slab)
+        try:
+            status, depth, _ = classify_points(n, _grid_points(axes[0][xs], axes[1][ys], axes[2][slab[0]]), budget)
+        except MultipleChildren as exc:  # exc.index counts the slab's points
+            at = [s.start + k for s, k in zip(slab, np.unravel_index(exc.index, shape))]
+            raise MultipleChildren(int(np.ravel_multi_index(at, dims[::-1]))) from None
+        layers = np.full((shape[0], ny, nx), VOL_EXTERIOR, dtype="<u2")
+        codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
+        layers[:, ys, xs] = codes.reshape(shape)
+        yield layers
+    yield from itertools.repeat(exterior, nz - zs.stop)
+
+
 def classify_volume(
     n: Necklace, dims, bbox=DEFAULT_BBOX, budget: int = DEFAULT_BUDGET
 ) -> VolumeGrid:
@@ -256,43 +298,26 @@ def classify_volume(
     hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The box is cut from the full grid's axes (same bits).
     MultipleChildren names the voxel's x-fastest index in the full grid.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d > 1024 for d in dims):
-        raise ValueError("dims are capped at 1024 per axis")
-    lo, hi = np.asarray(bbox[0], dtype=float), np.asarray(bbox[1], dtype=float)
-    core, tube = n.base_torus.core, n.base_torus.tube
-    pad = tube + BOUNDARY_TOL + 1e-9 * (float(np.abs(core.center).max()) + core.radius + tube)
-    reach = core.radius * np.sqrt(np.maximum(1.0 - core.normal**2, 0.0)) + pad
-    axes = _voxel_axes(dims, lo, hi)
-    box = tuple(
-        slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
-        for a, c, r in zip(axes, core.center, reach)
-    )
-    box_shape = tuple(s.stop - s.start for s in box[::-1])
-    try:
-        status, depth, _ = classify_points(n, _grid_points(*(a[s] for a, s in zip(axes, box))), budget)
-    except MultipleChildren as exc:  # exc.index counts the box's points
-        at = [s.start + k for s, k in zip(box[::-1], np.unravel_index(exc.index, box_shape))]
-        raise MultipleChildren(int(np.ravel_multi_index(at, dims[::-1]))) from None
-    values = np.full(dims[::-1], VOL_EXTERIOR, dtype=np.uint16)
-    codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
-    values[box[::-1]] = codes.reshape(box_shape)
-    return VolumeGrid(dims, lo, hi, values.reshape(-1))
+    values = np.concatenate(list(_volume_layers(n, dims, bbox, budget)))
+    return VolumeGrid(dims, bbox[0], bbox[1], values.reshape(-1))
 
 
-def write_volume(grid: VolumeGrid, path: str | Path, m: int, budget: int) -> None:
-    """Raw little-endian uint16 voxels plus a JSON sidecar at path + '.json'."""
-    path = Path(path)
-    path.write_bytes(grid.values.astype("<u2").tobytes())
+def _write_sidecar(path: str | Path, dims, bbox_min, bbox_max, m: int, budget: int) -> None:
     sidecar = {
-        "dims": list(grid.dims),
-        "bbox": [[float(x) for x in grid.bbox_min], [float(x) for x in grid.bbox_max]],
+        "dims": [int(d) for d in dims],
+        "bbox": [[float(x) for x in bbox_min], [float(x) for x in bbox_max]],
         "budget": budget,
         "m": m,
         "encoding": {"exterior": VOL_EXTERIOR, "survived": VOL_SURVIVED},
         "order": "x-fastest, little-endian uint16",
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+def write_volume(grid: VolumeGrid, path: str | Path, m: int, budget: int) -> None:
+    """Raw little-endian uint16 voxels plus a JSON sidecar at path + '.json'."""
+    Path(path).write_bytes(grid.values.astype("<u2", copy=False))
+    _write_sidecar(path, grid.dims, grid.bbox_min, grid.bbox_max, m, budget)
 
 
 def load_volume(path: str | Path) -> VolumeGrid:
@@ -307,10 +332,17 @@ def export_volume(
     bbox=DEFAULT_BBOX,
     budget: int = DEFAULT_BUDGET,
     path: str | Path = "escape.vol",
-) -> VolumeGrid:
-    grid = classify_volume(n, dims, bbox, budget)
-    write_volume(grid, path, n.multiplicity, budget)
-    return grid
+) -> None:
+    """write_volume(classify_volume(...)), streamed: each slab of z-layers is written as it is classified.
+    On an error the files at path are left as they were."""
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.writelines(_volume_layers(n, dims, bbox, budget))
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
+    _write_sidecar(path, dims, *bbox, n.multiplicity, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +350,13 @@ def export_volume(
 
 
 def export_points(samples: np.ndarray, fmt: str, path: str | Path) -> None:
-    """One point per line at 17 significant digits; order follows the input."""
+    """One point per line at 17 significant digits; order follows the input. Written in blocks of rows."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    row = {"xyz": "%.17g %.17g %.17g", "csv": "%.17g,%.17g,%.17g"}.get(fmt)
+    row = {"xyz": "%.17g %.17g %.17g\n", "csv": "%.17g,%.17g,%.17g\n"}.get(fmt)
     if row is None:
         raise ValueError(f"unknown point format {fmt!r}")
-    lines = (["x,y,z"] if fmt == "csv" else []) + [row % tuple(p) for p in pts.tolist()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    with open(path, "w") as fh:
+        fh.write("x,y,z\n" if fmt == "csv" else "")
+        for first in range(0, pts.shape[0], _BLOCK_ROWS):
+            block = pts[first:first + _BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -194,10 +195,14 @@ class Circle3:
         object.__setattr__(self, "center", _as_readonly(np.asarray(self.center, dtype=float)))
         object.__setattr__(self, "normal", _as_readonly(_unit(np.asarray(self.normal, dtype=float))))
 
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic orthonormal in-plane frame (u, v) with u x v = normal (see circle_frames)."""
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
         (u,), (v,) = circle_frames(self.normal[None])
-        return u, v
+        return _as_readonly(u), _as_readonly(v)
+
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic orthonormal in-plane frame (u, v) with u x v = normal (see circle_frames); cached, read-only."""
+        return self._frame
 
     def point_at(self, angle) -> Vec3:
         """Point(s) on the circle at the given angle(s) in the (u, v) frame."""

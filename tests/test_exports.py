@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from antoine import exports
-from antoine.dynamics import ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point
-from antoine.errors import TooManyTori
+from antoine.dynamics import DEFAULT_BUDGET, ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point
+from antoine.errors import MultipleChildren, TooManyTori
 from antoine.exports import (
     DEFAULT_BBOX,
     VOL_EXTERIOR,
@@ -27,6 +28,7 @@ from antoine.exports import (
     parse_obj,
     torus_mesh,
     voxel_centers,
+    write_volume,
 )
 from antoine.necklace import build_necklace, torus_at
 
@@ -168,10 +170,10 @@ class TestVolume:
 
     def test_write_load_roundtrip(self, necklace40, tmp_path):
         path = tmp_path / "e.vol"
-        grid = export_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5, path)
+        export_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5, path)
         loaded = load_volume(path)
         assert loaded.dims == (6, 5, 4)
-        assert np.array_equal(loaded.values, grid.values)
+        assert np.array_equal(loaded.values, classify_volume(necklace40, (6, 5, 4), ((-1.6,) * 3, (1.6,) * 3), 5).values)
         sidecar = json.loads((tmp_path / "e.vol.json").read_text())
         assert sidecar["m"] == 40 and sidecar["budget"] == 5 and "seed" not in sidecar
         assert sidecar["encoding"] == {"exterior": VOL_EXTERIOR, "survived": VOL_SURVIVED}
@@ -251,6 +253,100 @@ class TestParentBoxCull:
         assert counts == [48 * 48 * 8]
 
 
+class TestStreamedVolume:
+    """export_volume writes the volume slab by slab; its bytes are those of the whole grid."""
+
+    @pytest.mark.parametrize("slab_points", [exports._SLAB_POINTS, 700])
+    @pytest.mark.parametrize(
+        "dims,bbox",
+        [
+            ((20, 18, 10), ((-1.3, -1.3, -0.15), (1.3, 1.3, 0.9))),  # box from layer 0; 3 layers: 2 + 1 at 700
+            ((20, 18, 10), ((-1.3, -1.3, -0.9), (1.3, 1.3, 0.15))),  # box up to nz
+            ((20, 18, 6), ((-1.3, -1.3, -0.1), (1.3, 1.3, 0.1))),  # box spans every layer
+            ((6, 5, 4), ((1.3, 1.3, 0.3), (3.0, 2.0, 1.0))),  # bbox wholly outside: empty box
+            ((6, 5, 8), ((1.3, 1.3, -0.5), (3.0, 2.0, 0.5))),  # box layers with no voxel in x and y
+            ((37, 23, 11), DEFAULT_BBOX),  # non-cubic dims
+        ],
+    )
+    def test_equals_in_memory_volume(self, necklace40, tmp_path, monkeypatch, dims, bbox, slab_points):
+        monkeypatch.setattr(exports, "_SLAB_POINTS", slab_points)
+        streamed, whole = tmp_path / "s.vol", tmp_path / "w.vol"
+        assert export_volume(necklace40, dims, bbox, 6, streamed) is None
+        write_volume(classify_volume(necklace40, dims, bbox, 6), whole, 40, 6)
+        assert streamed.read_bytes() == whole.read_bytes()
+        assert streamed.read_bytes() == full_volume(necklace40, dims, bbox, 6).astype("<u2").tobytes()
+        assert (tmp_path / "s.vol.json").read_text() == (tmp_path / "w.vol.json").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.vol", "s.vol.json", "w.vol", "w.vol.json"]
+
+    def test_slab_height_need_not_divide_the_box(self, necklace40, tmp_path, monkeypatch):
+        counts = []
+
+        def counting(n, points, budget):
+            counts.append(len(points))
+            return classify_points(n, points, budget)
+
+        monkeypatch.setattr(exports, "classify_points", counting)
+        monkeypatch.setattr(exports, "_SLAB_POINTS", 4 * 18 * 18)
+        dims = (24, 24, 50)
+        export_volume(necklace40, dims, DEFAULT_BBOX, 6, tmp_path / "e.vol")
+        # the box is 18 * 18 voxels in x and y and 6 layers in z: slabs of 4 and 2 layers
+        assert counts == [4 * 18 * 18, 2 * 18 * 18]
+        assert (tmp_path / "e.vol").read_bytes() == full_volume(necklace40, dims, DEFAULT_BBOX, 6).tobytes()
+
+    @pytest.mark.parametrize("slab_points", [exports._SLAB_POINTS, 1])
+    @pytest.mark.parametrize("dims,index", [((8, 8, 8), 202), ((8, 8, 12), 402)])  # 402: in the box's second layer
+    def test_invalid_necklace_names_the_voxel_and_writes_nothing(
+        self, necklace16, tmp_path, monkeypatch, slab_points, dims, index
+    ):
+        monkeypatch.setattr(exports, "_SLAB_POINTS", slab_points)
+        with pytest.raises(MultipleChildren, match=f"point index {index} "):
+            export_volume(necklace16, dims, DEFAULT_BBOX, 6, tmp_path / "e.vol")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(MultipleChildren, match=f"point index {index} "):
+            classify_points(necklace16, voxel_centers(dims, *DEFAULT_BBOX), 6)
+
+    def test_failed_export_keeps_the_previous_file(self, necklace16, necklace40, tmp_path):
+        path = tmp_path / "e.vol"
+        export_volume(necklace40, (8, 8, 8), DEFAULT_BBOX, 6, path)
+        before = path.read_bytes(), (tmp_path / "e.vol.json").read_text()
+        with pytest.raises(MultipleChildren):
+            export_volume(necklace16, (8, 8, 8), DEFAULT_BBOX, 6, path)
+        with pytest.raises(ValueError, match="capped"):
+            export_volume(necklace40, (2, 2, 1025), DEFAULT_BBOX, 6, path)
+        assert (path.read_bytes(), (tmp_path / "e.vol.json").read_text()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.vol", "e.vol.json"]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc (Python objects and numpy buffers) sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_volume_peak_is_a_fraction_of_the_grid(self, necklace40, tmp_path):
+        dims = (256, 256, 256)
+        peak = traced_peak(export_volume, necklace40, dims, DEFAULT_BBOX, DEFAULT_BUDGET, tmp_path / "e.vol")
+        assert (tmp_path / "e.vol").stat().st_size == 2 * 256**3  # the uint16 grid: 33.5 MB
+        assert peak < 16e6
+
+    def test_ply_peak_is_a_fraction_of_the_file(self, necklace40, tmp_path):
+        stage = mesh_stage(necklace40, 2, 16, 8)
+        path = tmp_path / "s.ply"
+        peak = traced_peak(exports.write_ply, stage, path)
+        assert peak < path.stat().st_size / 3  # the faces alone are half the file: no whole-mesh face array
+
+    def test_points_peak_is_below_the_text(self, tmp_path):
+        pts = np.random.default_rng(3).normal(size=(100_000, 3))
+        path = tmp_path / "p.xyz"
+        peak = traced_peak(export_points, pts, "xyz", path)
+        assert peak < path.stat().st_size
+
+
 def fstring_points_text(pts, fmt):
     """export_points' text as written with one f-string of three _fmt calls per row: the reference."""
     if fmt == "xyz":
@@ -265,6 +361,12 @@ class TestPoints:
     def test_bytes_equal_fstring_version(self, necklace40, tmp_path, fmt):
         special = [[-0.0, 5e-324, 1e300], [math.inf, -math.inf, math.nan], [1 / 3, -1e-17, 2.0**60]]
         pts = np.concatenate([chaos_game_sample(necklace40, 2000, 20, seed=5), special])
+        export_points(pts, fmt, tmp_path / "p.txt")
+        assert (tmp_path / "p.txt").read_bytes() == fstring_points_text(pts, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["xyz", "csv"])
+    def test_rows_past_one_block(self, tmp_path, fmt):
+        pts = np.random.default_rng(4).normal(size=(2 * exports._BLOCK_ROWS + 5, 3))
         export_points(pts, fmt, tmp_path / "p.txt")
         assert (tmp_path / "p.txt").read_bytes() == fstring_points_text(pts, fmt).encode()
 
