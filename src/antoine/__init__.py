@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .geom3 import (
     Circle3,
-    Membership,
     Rotation3,
     Similarity3,
     SolidTorus,

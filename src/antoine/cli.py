@@ -187,7 +187,10 @@ def _cmd_map(args) -> int:
     n = build_necklace(args.m)
     d = args.degree_root
     model = dynamics.ExteriorModel(d) if d else dynamics.ExteriorModel.for_multiplicity(args.m)
-    record = dynamics.orbit(n, model, np.array(args.point), max_iter=args.max_iter)
+    try:
+        record = dynamics.orbit(n, model, np.array(args.point), max_iter=args.max_iter)
+    except ValueError as exc:  # a point too far out for the model's norms
+        raise argparse.ArgumentTypeError(f"--point: {exc}") from None
     _emit(record.to_json_dict(), args.out)
     return 0
 
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=_even_int, required=True, help="even multiplicity >= 10")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout for JSON)")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in artifacts")
+            p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed recorded in artifacts")
 
     p = sub.add_parser("build", help="construct the necklace and print its constants")
     common(p, seed=False)
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--point", type=lambda s: _floats(s, 3), required=True, help="x,y,z")
     p.add_argument("--max-iter", type=_at_least(1, dynamics.MAX_BUDGET), default=dynamics.DEFAULT_BUDGET)
-    p.add_argument("--degree-root", type=_at_least(2), default=None, help="exterior model degree root")
+    p.add_argument("--degree-root", type=_at_least(2, dynamics.MAX_DEGREE_ROOT), help="exterior model degree root")
     p.set_defaults(func=_cmd_map)
 
     return parser

@@ -34,14 +34,16 @@ import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
 from .geom3 import Vec3, fixed_points, point_circle_distance
-from .necklace import Address, Necklace, child_distances, word_map, word_maps
+from .necklace import Address, Necklace, child_distances, is_even_square, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
 NOISE_FLOOR = 8e-16
 DEFAULT_BUDGET = 40
 MAX_BUDGET = 0xFFFD  # escape depths stay below the .vol exterior and survivor codes
+MAX_DEGREE_ROOT = 1023  # the exterior model's escape radius 2^d stays a finite double
 WINDOW_MARGIN = 1e-9  # radians, for the rounding of arctan2, arcsin and the distances
 DEFAULT_SEED = 20210917
+_CHUNK = 16384  # points per pass of the classifier's step loop
 
 # bulk classifier status codes
 EXTERIOR, ESCAPED, SURVIVED = 0, 1, 2
@@ -92,7 +94,7 @@ def inner_step(n: Necklace, p: Vec3) -> StepResult:
     MultipleChildren when two children claim the point within BOUNDARY_TOL,
     which only happens on a necklace whose disjointness certificate fails.
     """
-    status, _, digits, x = _pull_back(n, p, 1, BOUNDARY_TOL, 0.0)
+    status, _, digits, x = _pull_back(n, p, 1, 0.0)
     if status == SURVIVED:
         return StepResult(StepKind.MAPPED, x, digits[0])
     return StepResult(StepKind.NOT_IN_T0 if status == EXTERIOR else StepKind.EXITS)
@@ -102,9 +104,7 @@ def classify_points(
     n: Necklace,
     points: np.ndarray,
     budget: int = DEFAULT_BUDGET,
-    noise_floor: float = NOISE_FLOOR,
     itinerary_digits: int = 0,
-    chunk: int = 16384,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Vectorized escape classification of many points.
 
@@ -126,17 +126,16 @@ def classify_points(
     depth = np.full(n_pts, budget, dtype=np.int32)
     itinerary = np.zeros((n_pts, itinerary_digits), dtype=np.int16) if itinerary_digits else None
 
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
+    for lo in range(0, n_pts, _CHUNK):
+        hi = min(lo + _CHUNK, n_pts)
         _classify_chunk(
-            n, pts[lo:hi], lo, budget, BOUNDARY_TOL, noise_floor,
-            status[lo:hi], depth[lo:hi],
+            n, pts[lo:hi], lo, budget, NOISE_FLOOR, status[lo:hi], depth[lo:hi],
             itinerary[lo:hi] if itinerary is not None else None,
         )
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, depth, itinerary):
+def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary):
     """The pullback step loop over one chunk from input index `first`: writes status, depth and
     itinerary in place and returns each point's last position (where it left the parent or the
     children, where its tolerance ball covered several children, or after `budget` pullbacks)."""
@@ -144,7 +143,7 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
         raise ValueError("points must be finite")
     last = np.array(pts, dtype=float)
     d0 = point_circle_distance(n.base_torus.core, pts)
-    exterior = d0 > n.base_torus.tube + boundary_tol
+    exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0
 
@@ -155,7 +154,7 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
         if active.size == 0:
             break
         noise = noise_floor * n.expansion**k
-        tol_k = boundary_tol + noise
+        tol_k = BOUNDARY_TOL + noise
         slots = _bracketing_children(n, cur, tol_k)
         claims = child_distances(n, cur, slots) <= n.child_tube + tol_k
         n_claims = claims.sum(axis=1)
@@ -166,7 +165,7 @@ def _classify_chunk(n, pts, first, budget, boundary_tol, noise_floor, status, de
 
         fuzzy = n_claims > 1
         if np.any(fuzzy):
-            if noise <= boundary_tol:
+            if noise <= BOUNDARY_TOL:
                 raise MultipleChildren(int(first + active[fuzzy][0]))
             # tolerance ball covers several children: depth resolution is
             # exhausted, report Julia-positive at the budget
@@ -224,7 +223,7 @@ def _apply_gathered(stacked, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scales[keys][:, None] * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
 
 
-def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_floor: float):
+def _pull_back(n: Necklace, p: Vec3, budget: int, noise_floor: float):
     """One point through the classifier's step loop: (status, depth, digits, last position)."""
     if not 1 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
@@ -232,7 +231,7 @@ def _pull_back(n: Necklace, p: Vec3, budget: int, boundary_tol: float, noise_flo
     depth = np.full(1, budget, dtype=np.int32)
     itinerary = np.zeros((1, budget), dtype=np.int16)
     pts = np.asarray(p, dtype=float).reshape(1, 3)
-    last = _classify_chunk(n, pts, 0, budget, boundary_tol, noise_floor, status, depth, itinerary)
+    last = _classify_chunk(n, pts, 0, budget, noise_floor, status, depth, itinerary)
     return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 
 
@@ -243,7 +242,7 @@ def escape_depth(n: Necklace, p: Vec3, budget: int = DEFAULT_BUDGET) -> EscapeOu
     the itinerary digits as the address, for as long as a double can resolve
     the stage.
     """
-    status, depth, _, _ = _pull_back(n, p, budget, BOUNDARY_TOL, NOISE_FLOOR)
+    status, depth, _, _ = _pull_back(n, p, budget, NOISE_FLOOR)
     return EscapeOutcome(_ESCAPE_KINDS[status], depth)
 
 
@@ -342,26 +341,20 @@ def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray, chunk: int =
     return worst
 
 
-def periodic_point_cloud(n: Necklace, p_max: int, cap: int = 200000, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Fixed points of all words of length <= p_max (every orbit point, not
-    one representative per orbit), as an (N, 3) array."""
+def periodic_point_cloud(n: Necklace, p_max: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Fixed points of all words of length <= p_max (every orbit point, not one representative per
+    orbit), as an (N, 3) array; a seeded sample of 200,000 words stands in for a period with more."""
     # seed derived per period so the clouds are nested across p_max
     return np.concatenate([
-        fixed_points(*word_maps(n, _period_words(n.multiplicity, p, cap, np.random.default_rng(seed + p))))
+        fixed_points(*word_maps(n, _period_words(n.multiplicity, p, 200000, np.random.default_rng(seed + p))))
         for p in range(1, p_max + 1)
     ])
 
 
-def density_report(
-    n: Necklace,
-    p_max: int,
-    sample_k: int,
-    ref_count: int = 512,
-    seed: int = DEFAULT_SEED,
-) -> float:
+def density_report(n: Necklace, p_max: int, sample_k: int, seed: int = DEFAULT_SEED) -> float:
     """How far the stage-sample_k reference set strays from the periodic points.
 
-    Reference: centers of the stage-sample_k tori at `ref_count` seeded random
+    Reference: centers of the stage-sample_k tori at 512 seeded random
     addresses. Returns the one-sided Hausdorff distance from the reference to
     the set of fixed points of all words of length <= p_max. With the seed
     held fixed, the value is non-increasing in p_max (the point clouds are
@@ -371,7 +364,7 @@ def density_report(
     if p_max < 1 or sample_k < p_max:
         raise ValueError("need p_max >= 1 and sample_k >= p_max")
     rng = np.random.default_rng(seed)
-    addresses = rng.integers(1, n.multiplicity + 1, size=(ref_count, sample_k))
+    addresses = rng.integers(1, n.multiplicity + 1, size=(512, sample_k))
     # the base circle is centered at the origin, so each torus center is its word map's shift
     _, _, reference = word_maps(n, addresses)
     return _one_sided_hausdorff(reference, periodic_point_cloud(n, p_max, seed=seed))
@@ -397,17 +390,17 @@ def involution(p: Vec3) -> Vec3:
 class ExteriorModel:
     """Radial model of the escaping regime: spheres of radius r map to r^d.
 
-    degree_root d >= 2; when the multiplicity is the square of an even
-    integer, d = sqrt(m) matches the exterior degree of the full map. The
-    model reproduces the radial behavior only (that is all escape
+    degree_root d in 2..MAX_DEGREE_ROOT; when the multiplicity is the square
+    of an even integer, d = sqrt(m) matches the exterior degree of the full
+    map. The model reproduces the radial behavior only (that is all escape
     certification needs), not the angular structure.
     """
 
     degree_root: int
 
     def __post_init__(self):
-        if not isinstance(self.degree_root, (int, np.integer)) or self.degree_root < 2:
-            raise ValueError(f"degree_root must be an integer >= 2, got {self.degree_root}")
+        if not isinstance(self.degree_root, (int, np.integer)) or not 2 <= self.degree_root <= MAX_DEGREE_ROOT:
+            raise ValueError(f"degree_root must be an integer in 2..{MAX_DEGREE_ROOT}, got {self.degree_root}")
 
     @property
     def inner_radius(self) -> float:
@@ -420,10 +413,7 @@ class ExteriorModel:
     @staticmethod
     def for_multiplicity(m: int) -> "ExteriorModel":
         """d = sqrt(m) when m is an even square, else the smallest valid degree."""
-        d = math.isqrt(m)
-        if d * d == m and d % 2 == 0:
-            return ExteriorModel(d)
-        return ExteriorModel(2)
+        return ExteriorModel(math.isqrt(m) if is_even_square(m) else 2)
 
 
 def exterior_model_map(p: Vec3, model: ExteriorModel) -> Vec3:
@@ -472,17 +462,22 @@ class OrbitRecord:
 _NORM_RECORD_CAP = 1e12
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is tested for, not warned about
 def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
     Inner steps are the classifier's step loop on one point. On exit (or
     for a point already outside the parent torus) the position is handed to
     the radial model, clamped out to norm 2 if needed, and norms are
-    recorded until they pass the recording cap; escape is certified once a
-    norm reaches 2^d, after which the model map is strictly norm-increasing.
+    recorded until they pass the recording cap or the next one would overflow
+    a double; escape is certified once a norm reaches 2^d, after which the
+    model map is strictly norm-increasing. Raises ValueError on a point whose
+    norm is not a finite double.
     """
     p = np.asarray(p, dtype=float)
-    status, depth, itinerary, x = _pull_back(n, p, max_iter, BOUNDARY_TOL, NOISE_FLOOR)
+    if not np.isfinite(np.linalg.norm(p)):
+        raise ValueError(f"point norm must be a finite double, got {p}")
+    status, depth, itinerary, x = _pull_back(n, p, max_iter, NOISE_FLOOR)
     exit_kind = _ESCAPE_KINDS[status]
     if exit_kind is EscapeKind.SURVIVED:
         return OrbitRecord(
@@ -505,7 +500,10 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
         if norms[-1] >= _NORM_RECORD_CAP:
             break
         x = exterior_model_map(x, model)
-        norms.append(float(np.linalg.norm(x)))
+        norm = float(np.linalg.norm(x))
+        if not math.isfinite(norm):
+            break
+        norms.append(norm)
     return OrbitRecord(
         start=p, itinerary=itinerary, exit=exit_kind, exit_depth=depth if status == ESCAPED else None,
         handoff=handoff, handoff_clamped=clamped, exterior_norms=tuple(norms),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
 from .errors import MultipleChildren, TooManyTori
-from .geom3 import SolidTorus, circle_frames, unit_rows
+from .geom3 import circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
 
 VOL_EXTERIOR = 0xFFFE
@@ -27,10 +27,6 @@ _BLOCK_FACES = 1 << 16  # PLY faces written at a time
 _SLAB_POINTS = 1 << 16  # box voxels classified at a time, in whole z-layers
 _BLOCK_ROWS = 4096  # point rows formatted at a time
 DEFAULT_BBOX = ((-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))  # contains the parent torus with margin
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +60,6 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
     tri_a = np.stack([i00, i10, i11], axis=2).reshape(-1, 3)
     tri_b = np.stack([i00, i11, i01], axis=2).reshape(-1, 3)
     return verts, np.concatenate([tri_a, tri_b], axis=0)
-
-
-def torus_mesh(t: SolidTorus, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """One torus tessellated: (nu*nv, 3) vertices, (2*nu*nv, 3) triangles (see torus_meshes)."""
-    c = t.core
-    verts, tris = torus_meshes(c.center[None], np.array([c.radius]), c.normal[None], np.array([t.tube]), nu, nv)
-    return verts[0], tris
 
 
 def mesh_signed_volume(verts: np.ndarray, tris: np.ndarray) -> float:
@@ -127,18 +116,15 @@ def _object_name(address: Address) -> str:
 
 
 def write_obj(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:
-    """ASCII OBJ: one `o` object per torus, global 1-based indices, 17-digit floats."""
-    lines = []
-    if header:
-        for key, value in header.items():
-            lines.append(f"# {key}={value}")
-    for i, (address, verts) in enumerate(zip(stage.addresses, stage.verts)):
-        lines.append(f"o {_object_name(address)}")
-        for v in verts:
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-        for t in stage.tris + 1 + i * verts.shape[0]:
-            lines.append(f"f {t[0]} {t[1]} {t[2]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """ASCII OBJ: one `o` object per torus, global 1-based indices, 17-digit floats. Written a torus at a time."""
+    per_torus = stage.verts.shape[1]
+    v_rows, f_rows = "v %.17g %.17g %.17g\n" * per_torus, "f %d %d %d\n" * stage.tris.shape[0]
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in (header or {}).items())
+        for i, (address, verts) in enumerate(zip(stage.addresses, stage.verts)):
+            fh.write(f"o {_object_name(address)}\n")
+            fh.write(v_rows % tuple(verts.ravel().tolist()))
+            fh.write(f_rows % tuple((stage.tris + 1 + i * per_torus).ravel().tolist()))
 
 
 def parse_obj(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -218,12 +217,6 @@ class Circle3:
         return Circle3(s.apply(self.center), s.scale * self.radius, s.rot.apply(self.normal))
 
 
-class Membership(Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 @dataclass(frozen=True, eq=False)
 class SolidTorus:
     """Solid torus: all points within `tube` of the core circle. Requires tube < core radius."""
@@ -237,15 +230,6 @@ class SolidTorus:
 
     def transform(self, s: Similarity3) -> "SolidTorus":
         return SolidTorus(self.core.transform(s), s.scale * self.tube)
-
-    def contains(self, p: Vec3, tol: float = 1e-12) -> Membership:
-        """Classify one point against the torus with a boundary band of width 2*tol."""
-        d = point_circle_distance(self.core, p)
-        if d < self.tube - tol:
-            return Membership.INSIDE
-        if d > self.tube + tol:
-            return Membership.OUTSIDE
-        return Membership.BOUNDARY
 
 
 def point_circle_distance(c: Circle3, p: Vec3):

@@ -227,32 +227,26 @@ def _try_projection(a: PolyLoop, b: PolyLoop, w: np.ndarray, guard: float) -> in
     return int(np.sign(denom[inside][gap > 0.0]).sum())
 
 
-def polygonal_linking(
-    a: PolyLoop,
-    b: PolyLoop,
-    rng: np.random.Generator | None = None,
-    max_tries: int = 64,
-    guard: float = 1e-9,
-) -> int:
+def polygonal_linking(a: PolyLoop, b: PolyLoop, rng: np.random.Generator | None = None) -> int:
     """Exact linking number by signed crossings in a generic projection.
 
     Draws random directions from `rng` (a fixed package seed by default, so
     results are reproducible) until one is in general position: no edge
     parallel to the direction, no crossing at a segment endpoint, no
-    depth tie. Retries are logged; after max_tries the input is considered
-    degenerate and NoGenericProjection is raised.
+    depth tie, up to a 1e-9 guard. Retries are logged; after 64 tries
+    the input is considered degenerate and NoGenericProjection is raised.
     """
     if rng is None:
         rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
-    for attempt in range(max_tries):
+    for attempt in range(64):
         w = rng.normal(size=3)
         if np.linalg.norm(w) < 1e-6:
             continue
-        result = _try_projection(a, b, w, guard)
+        result = _try_projection(a, b, w, 1e-9)
         if result is not None:
             return result
         logger.debug("projection retry %d: direction %s was degenerate", attempt + 1, w)
-    raise NoGenericProjection(f"no generic projection after {max_tries} tries")
+    raise NoGenericProjection("no generic projection after 64 tries")
 
 
 @dataclass(frozen=True, eq=False)

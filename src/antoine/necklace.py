@@ -80,8 +80,13 @@ class Necklace:
     @property
     def is_even_square(self) -> bool:
         """Whether m is the square of an even integer (exterior degree match)."""
-        d = math.isqrt(self.multiplicity)
-        return d * d == self.multiplicity and d % 2 == 0
+        return is_even_square(self.multiplicity)
+
+
+def is_even_square(m: int) -> bool:
+    """Whether m is the square of an even integer: then sqrt(m) is the exterior degree of the full map."""
+    d = math.isqrt(m)
+    return d * d == m and d % 2 == 0
 
 
 def build_necklace(m: int) -> Necklace:
@@ -396,16 +401,16 @@ def validate_necklace(
     )
 
 
-def find_min_valid_multiplicity(limit: int = 1000, **validate_kwargs) -> tuple[int, ValidationReport]:
+def find_min_valid_multiplicity(**validate_kwargs) -> tuple[int, ValidationReport]:
     """Scan even m upward, validating each in turn, and return the first that passes every check.
 
     Each m is linked only once its geometric checks pass, since the link checks cannot rescue it.
-    Raises InvalidMultiplicity if nothing validates up to `limit`.
+    Raises InvalidMultiplicity if nothing validates up to 1000.
     """
-    for m in range(10, limit + 1, 2):
+    for m in range(10, 1001, 2):
         n = build_necklace(m)
         geometry = validate_necklace(n, **{**validate_kwargs, "check_linking": False})
         report = validate_necklace(n, **validate_kwargs) if geometry.passed else geometry
         if report.passed:
             return m, report
-    raise InvalidMultiplicity(f"no even multiplicity <= {limit} passes validation")
+    raise InvalidMultiplicity("no even multiplicity <= 1000 passes validation")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
+from antoine.geom3 import point_circle_distance
 from antoine.necklace import build_necklace, validate_necklace
 
 # smallest even multiplicity whose construction passes every validation
@@ -16,6 +17,13 @@ def shift_orbits(m):
         frozenset(tuple(sorted(((i + 2 * k) % m, (j + 2 * k) % m))) for k in range(m // 2))
         for i, j in itertools.combinations(range(m), 2)
     }
+
+
+def torus_membership(torus, p, tol=1e-12):
+    """Direct containment oracle for the classifier tests: "inside", "boundary" or "outside"
+    the solid torus, with a boundary band of width 2*tol."""
+    d = point_circle_distance(torus.core, p)
+    return "inside" if d < torus.tube - tol else "outside" if d > torus.tube + tol else "boundary"
 
 
 settings.register_profile(

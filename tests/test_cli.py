@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from antoine import linking
 from antoine.cli import build_parser, main
@@ -64,6 +68,12 @@ class TestUsageErrors:
             ["map", "--m", "40", "--point", "0,0,0", "--degree-root", "1"],
             ["map", "--m", "40", "--point", "nan,0,0"],
             ["map", "--m", "40", "--point", "0,inf,0"],
+            ["map", "--m", "40", "--point", "1e200,0,0"],
+            ["map", "--m", "40", "--point", "1e154,1e154,0"],
+            ["map", "--m", "40", "--point", "1e11,0,0", "--degree-root", "2000"],
+            ["periodic", "--m", "40", "--seed", "-1"],
+            ["dimension", "--m", "40", "--count", "1000", "--seed", "-1"],
+            ["export", "--m", "40", "--what", "points", "--format", "xyz", "--count", "10", "--seed", "-1"],
         ],
         ids=" ".join,
     )
@@ -243,3 +253,123 @@ class TestMap:
         code, out = run(capsys, "map", "--m", "16", "--point", "0,0,0", "--max-iter", "3")
         assert code == 0
         assert json.loads(out)["model_degree_root"] == 4
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_quietly(argv):
+    """main(argv) with its output captured: (exit code, stdout and stderr). Any exception but
+    SystemExit propagates, as it would end the command with a traceback."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, text.getvalue()
+
+
+# Hostile tokens. "2000" is left out where it is a valid but costly size (a pair scan cubic in m,
+# a 2000 x 2000 quadrature grid per pair, 2000-vertex tube rings, 2000-digit reference words), so
+# that every example stays cheap.
+HOSTILE = ("-1", "0", "nan", "inf", "1e200", "1e400", "", "x", "2000", "-0.5,0,0")
+CHEAP_HOSTILE = tuple(t for t in HOSTILE if t != "2000")
+FINITE = ("0", "1", "-0.5", "0.9", "3", "1e11", "1e200")
+
+
+def numbers(valid, count):
+    """One of the valid lists, or count finite numbers, which the parser accepts however large."""
+    return st.sampled_from(valid) | st.lists(st.sampled_from(FINITE), min_size=count, max_size=count).map(",".join)
+
+
+SEED = ("--seed", st.sampled_from(("0", "7")), HOSTILE, False)
+# per subcommand (with a fixed leading flag for export): (flag, valid values, hostile tokens, always
+# passed); the test adds --out
+FLAGS = {
+    "build": [],
+    "verify": [
+        ("--grid-n", st.sampled_from(("8", "64")), HOSTILE, False),
+        ("--poly-n", st.just("64"), CHEAP_HOSTILE, True),
+        ("--quad-n", st.just("16"), CHEAP_HOSTILE, True),
+    ],
+    "classify": [
+        ("--grid", st.sampled_from(("2", "8", "4,2,8")), HOSTILE, True),
+        ("--bbox", numbers(("-1.6,-1.6,-1.6,1.6,1.6,1.6", "0.8,-0.2,-0.1,1.1,0.2,0.1"), 6), HOSTILE, False),
+        ("--budget", st.sampled_from(("1", "12", "2000")), HOSTILE, False),
+    ],
+    "periodic": [
+        SEED,
+        ("--p-max", st.sampled_from(("1", "2")), HOSTILE, False),  # 2000 fails the --sample-k check
+        ("--cap", st.sampled_from(("1", "50", "2000")), HOSTILE, False),
+        ("--sample-k", st.sampled_from(("2", "4")), CHEAP_HOSTILE, False),
+    ],
+    "dimension": [
+        SEED,
+        ("--count", st.sampled_from(("1000", "2000")), HOSTILE, True),
+        ("--depth", st.sampled_from(("8", "12")), HOSTILE, False),
+        ("--scales", numbers(("0.5,0.1", "0.2,0.05,0.01"), 2), HOSTILE, False),
+    ],
+    "export --what mesh": [
+        SEED,
+        ("--format", st.sampled_from(("obj", "ply")), HOSTILE, False),
+        ("--stage", st.sampled_from(("0", "1")), HOSTILE, False),
+        ("--nu", st.sampled_from(("8", "12")), CHEAP_HOSTILE, True),
+        ("--nv", st.just("8"), CHEAP_HOSTILE, True),
+    ],
+    "export --what points": [
+        SEED,
+        ("--format", st.sampled_from(("xyz", "csv")), HOSTILE, True),
+        ("--count", st.sampled_from(("1", "500", "2000")), HOSTILE, True),
+        ("--depth", st.sampled_from(("8", "12")), HOSTILE, False),
+    ],
+    "map": [
+        ("--point", numbers(("0.9,0.1,0", "3,0,0", "-0.5,0,0", "0,0,0"), 3), HOSTILE, True),
+        ("--max-iter", st.sampled_from(("1", "40", "2000")), HOSTILE, False),
+        ("--degree-root", st.sampled_from(("2", "3", "100", "1000")), HOSTILE, False),
+    ],
+}
+
+
+@st.composite
+def argvs(draw, command):
+    """argv for one subcommand: valid values throughout, or a hostile token for one flag (--m included)."""
+    flags = [("--m", st.sampled_from(("10", "16", "40")), CHEAP_HOSTILE, True)] + FLAGS[command]
+    hostile = draw(st.sampled_from([None] + [flag for flag, *_ in flags]))
+    argv = command.split()
+    for flag, valid, bad, always in flags:
+        if flag == hostile:
+            argv += [flag, draw(st.sampled_from(bad))]
+        elif always or draw(st.booleans()):
+            argv += [flag, draw(valid)]
+    return argv
+
+
+class TestFuzz:
+    """argv drawn from each subcommand's flags, valid and hostile values mixed: every run ends with
+    exit 0, 1 or 2 and no traceback, and any JSON it writes is strict JSON."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @settings(
+        max_examples=100, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_exit_code_and_strict_json(self, tmp_path, command, data):
+        argv = data.draw(argvs(command))
+        out = tmp_path / ("e.vol" if command == "classify" else "out.bin" if argv[0] == "export" else "out.json")
+        written = [out, tmp_path / "e.vol.json"] if command == "classify" else [out]
+        for path in written:
+            path.unlink(missing_ok=True)
+        code, text = run_quietly(argv + ["--out", str(out)])
+        assert code in (0, 1, 2), text
+        assert "Traceback" not in text
+        for path in written:
+            if path.suffix == ".json" and path.exists():
+                strict_json(path.read_text())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from antoine import dynamics
 from antoine.errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
 from antoine.dynamics import (
     BOUNDARY_TOL,
@@ -14,6 +15,7 @@ from antoine.dynamics import (
     ESCAPED,
     EXTERIOR,
     MAX_BUDGET,
+    MAX_DEGREE_ROOT,
     NOISE_FLOOR,
     SURVIVED,
     EscapeKind,
@@ -39,8 +41,10 @@ from antoine.dynamics import (
     similarity_dimension,
     winding_map,
 )
-from antoine.geom3 import Membership, circle_frames, point_circle_distance
+from antoine.geom3 import circle_frames, point_circle_distance
 from antoine.necklace import build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map
+
+from conftest import torus_membership
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -73,7 +77,7 @@ class TestInnerStep:
         # the circle center is radius 4/m from the curve, above tube 32/m^2
         assert inner_step(necklace40, necklace40.child_centers[0]).kind is StepKind.EXITS
 
-    def test_multiple_children_on_invalid_necklace(self, necklace40):
+    def test_multiple_children_on_invalid_necklace(self, necklace40, monkeypatch):
         fat = dataclasses.replace(necklace40, child_tube=8.0 * necklace40.child_tube)
         a, b = fat.child_circles[0], fat.child_circles[1]
         pa = a.sample(512)
@@ -84,8 +88,9 @@ class TestInnerStep:
             inner_step(fat, mid)
         # in a later chunk the message names the point's index in the input
         pts = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], mid])
+        monkeypatch.setattr(dynamics, "_CHUNK", 2)
         with pytest.raises(MultipleChildren, match="point index 3 "):
-            classify_points(fat, pts, 4, chunk=2)
+            classify_points(fat, pts, 4)
 
     def test_conjugacy(self, necklace40):
         rng = np.random.default_rng(21)
@@ -133,9 +138,10 @@ class TestOneStepLoop:
             out = escape_depth(necklace40, p, budget)
             assert (out.kind, out.depth) == (kinds[int(s)], int(d))
 
-    def test_inner_step_matches_classifier(self, necklace40):
+    def test_inner_step_matches_classifier(self, necklace40, monkeypatch):
         pts = mixed_points(necklace40, 42)
-        status, _, itinerary = classify_points(necklace40, pts, 1, noise_floor=0.0, itinerary_digits=1)
+        monkeypatch.setattr(dynamics, "NOISE_FLOOR", 0.0)  # inner_step's crisp tolerance
+        status, _, itinerary = classify_points(necklace40, pts, 1, itinerary_digits=1)
         kinds = {EXTERIOR: StepKind.NOT_IN_T0, ESCAPED: StepKind.EXITS, SURVIVED: StepKind.MAPPED}
         assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
         for p, s, digits in zip(pts, status, itinerary):
@@ -179,7 +185,7 @@ class TestEscapeDepth:
             in_stage1 = [
                 j
                 for j in range(1, m + 1)
-                if torus_at(necklace40, (j,)).contains(p) is not Membership.OUTSIDE
+                if torus_membership(torus_at(necklace40, (j,)), p) != "outside"
             ]
             depth_oracle = 0
             if in_stage1:
@@ -189,7 +195,7 @@ class TestEscapeDepth:
                 in_stage2 = [
                     k
                     for k in range(1, m + 1)
-                    if torus_at(necklace40, (j, k)).contains(p) is not Membership.OUTSIDE
+                    if torus_membership(torus_at(necklace40, (j, k)), p) != "outside"
                 ]
                 if in_stage2:
                     assert len(in_stage2) == 1
@@ -229,12 +235,13 @@ class TestEscapeDepth:
 
 class TestNonFinitePoints:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejected_by_every_entry_point(self, necklace40, bad):
+    def test_rejected_by_every_entry_point(self, necklace40, monkeypatch, bad):
         p = np.array([0.9, bad, 0.0])
         # the bad point sits in the second chunk, after a finite first one
         pts = np.array([[0.9, 0.1, 0.0], [0.0, 0.0, 0.0], p])
+        monkeypatch.setattr(dynamics, "_CHUNK", 2)
         with pytest.raises(ValueError):
-            classify_points(necklace40, pts, 4, chunk=2)
+            classify_points(necklace40, pts, 4)
         with pytest.raises(ValueError):
             escape_depth(necklace40, p, 4)
         with pytest.raises(ValueError):
@@ -251,11 +258,11 @@ class TestCodingPoint:
 
     def test_prefix_pushes_into_child(self, necklace40):
         p = coding_point(necklace40, (2,), (1,))
-        assert torus_at(necklace40, (2,)).contains(p) is Membership.INSIDE
+        assert torus_membership(torus_at(necklace40, (2,)), p) == "inside"
 
     def test_lies_in_prefix_plus_tail_torus(self, necklace40):
         p = coding_point(necklace40, (2, 5), (1, 3))
-        assert torus_at(necklace40, (2, 5, 1, 3)).contains(p) is Membership.INSIDE
+        assert torus_membership(torus_at(necklace40, (2, 5, 1, 3)), p) == "inside"
 
     def test_survives_budget_and_stage_containment(self, necklace40):
         rng = np.random.default_rng(24)
@@ -270,7 +277,7 @@ class TestCodingPoint:
             expected = (prefix + tail * 12)[:12]
             assert word == expected
             for L in (4, 8, 12):
-                assert torus_at(necklace40, word[:L]).contains(p, 1e-9) is not Membership.OUTSIDE
+                assert torus_membership(torus_at(necklace40, word[:L]), p, 1e-9) != "outside"
 
     def test_empty_tail_rejected(self, necklace40):
         with pytest.raises(ValueError):
@@ -286,7 +293,7 @@ class TestPeriodicPoints:
 
     def test_two_cycle_roundtrip(self, necklace40):
         pp = periodic_point(necklace40, (1, 2))
-        assert torus_at(necklace40, (1, 2)).contains(pp.point) is Membership.INSIDE
+        assert torus_membership(torus_at(necklace40, (1, 2)), pp.point) == "inside"
         z = pp.point
         digits = []
         for _ in range(2):
@@ -323,7 +330,7 @@ class TestPeriodicPoints:
 
     def test_density_monotone_and_bounded(self, necklace40):
         k = 8
-        d = [density_report(necklace40, p, k, ref_count=128, seed=7) for p in (1, 2, 3)]
+        d = [density_report(necklace40, p, k, seed=7) for p in (1, 2, 3)]
         assert d[0] >= d[1] >= d[2]
         c3 = stage_summary(necklace40, 3).max_diameter
         ck = stage_summary(necklace40, k).max_diameter
@@ -384,9 +391,26 @@ class TestModelMaps:
         assert ExteriorModel.for_multiplicity(16).degree_root == 4
         assert ExteriorModel.for_multiplicity(40).degree_root == 2
         assert ExteriorModel(3).outer_radius == 8.0
+        # the escape radius 2^d stays a finite double
+        assert ExteriorModel(MAX_DEGREE_ROOT).outer_radius == 2.0**1023
+        with pytest.raises(ValueError):
+            ExteriorModel(MAX_DEGREE_ROOT + 1)
 
 
 class TestOrbit:
+    @pytest.mark.parametrize("p", [[1e200, 0.0, 0.0], [1e154, 1e154, 0.0]])
+    def test_point_with_overflowing_norm_rejected(self, necklace40, p):
+        with pytest.raises(ValueError, match="finite double"):
+            orbit(necklace40, ExteriorModel(2), np.array(p))
+
+    @pytest.mark.parametrize("d, norms", [(100, [1e11]), (15, [1e11]), (14, [1e11, 1e154])])
+    def test_norms_stop_before_overflow(self, necklace40, d, norms):
+        # a norm past the largest double, or past what np.linalg.norm can square, is never recorded
+        rec = orbit(necklace40, ExteriorModel(d), np.array([1e11, 0.0, 0.0]))
+        assert rec.exterior_norms == pytest.approx(tuple(norms), rel=1e-12)
+        assert all(math.isfinite(v) for v in rec.exterior_norms)
+        assert rec.escape_certified is (rec.exterior_norms[-1] >= 2.0**d)
+
     def test_exterior_norm_sequence(self, necklace40):
         rec = orbit(necklace40, ExteriorModel(2), np.array([3.0, 0, 0]), max_iter=4)
         assert rec.exit is EscapeKind.EXTERIOR
@@ -530,7 +554,7 @@ class TestChaosGame:
         digits = np.random.default_rng(seed).integers(1, 41, size=(count, depth))
         for p, addr in zip(pts, digits.tolist()):
             for L in (1, 3, 6):
-                assert torus_at(necklace40, tuple(addr[:L])).contains(p, 1e-9) is not Membership.OUTSIDE
+                assert torus_membership(torus_at(necklace40, tuple(addr[:L])), p, 1e-9) != "outside"
 
     def test_samples_survive_their_depth(self, necklace40):
         pts = chaos_game_sample(necklace40, 200, 12, seed=6)

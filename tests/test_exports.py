@@ -15,7 +15,6 @@ from antoine.exports import (
     VOL_EXTERIOR,
     VOL_SURVIVED,
     VolumeGrid,
-    _fmt,
     classify_volume,
     export_mesh,
     export_points,
@@ -26,11 +25,18 @@ from antoine.exports import (
     mesh_signed_volume,
     mesh_stage,
     parse_obj,
-    torus_mesh,
+    torus_meshes,
     voxel_centers,
     write_volume,
 )
 from antoine.necklace import build_necklace, torus_at
+
+
+def torus_mesh(t, nu, nv):
+    """One torus through torus_meshes: (nu*nv, 3) vertices, (2*nu*nv, 3) triangles."""
+    c = t.core
+    verts, tris = torus_meshes(c.center[None], np.array([c.radius]), c.normal[None], np.array([t.tube]), nu, nv)
+    return verts[0], tris
 
 
 class TestTorusMesh:
@@ -119,12 +125,18 @@ class TestObjPly:
 
 
 class TestDigests:
-    """Artifact bytes pinned across changes: sha256 of an m = 40 stage-2 PLY and a 64^3 volume."""
+    """Artifact bytes pinned across changes: sha256 of an m = 40 stage-2 PLY, a stage-1 OBJ and a 64^3 volume."""
 
     def test_stage2_ply(self, necklace40, tmp_path):
         export_mesh(necklace40, 2, 16, 8, "ply", tmp_path / "s.ply")
         digest = hashlib.sha256((tmp_path / "s.ply").read_bytes()).hexdigest()
         assert digest == "f196c961334302f0896a6a0de65f835d71ad61aee7da94d70404e23c5c841629"
+
+    def test_stage1_obj(self, necklace40, tmp_path):
+        # what `antoine export --m 40 --stage 1 --format obj` writes at its default 48 x 24
+        export_mesh(necklace40, 1, 48, 24, "obj", tmp_path / "s.obj")
+        digest = hashlib.sha256((tmp_path / "s.obj").read_bytes()).hexdigest()
+        assert digest == "998f1817306db230aa98fa5cd5c76b07ee6240d364990473f6d0bd38ce6d9175"
 
     def test_volume_64(self, necklace40, tmp_path):
         export_volume(necklace40, (64, 64, 64), path=tmp_path / "e.vol")
@@ -348,7 +360,11 @@ class TestBoundedMemory:
 
 
 def fstring_points_text(pts, fmt):
-    """export_points' text as written with one f-string of three _fmt calls per row: the reference."""
+    """export_points' text as written with one f-string of three 17-digit format calls per row: the reference."""
+
+    def _fmt(x):
+        return format(float(x), ".17g")
+
     if fmt == "xyz":
         lines = [f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts]
     else:

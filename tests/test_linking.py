@@ -188,7 +188,7 @@ class TestPolygonalLinking:
         tri_a = PolyLoop(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         tri_b = PolyLoop(np.array([[0.0, 0, 0], [0, 0, 1], [-1, 0, 0]]))
         with pytest.raises(NoGenericProjection):
-            polygonal_linking(tri_a, tri_b, max_tries=16)
+            polygonal_linking(tri_a, tri_b)
 
     def test_line_through_far_vertex_not_degenerate(self):
         assert polygonal_linking(*far_triangles()) == 0

@@ -8,12 +8,13 @@ import pytest
 
 from antoine import linking
 from antoine.errors import InvalidMultiplicity
-from antoine.geom3 import Circle3, Membership, Similarity3, circle_circle_distance, point_circle_distance
+from antoine.geom3 import Circle3, Similarity3, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
 from antoine.necklace import (
     GAUSS_TOL,
     build_necklace,
     find_min_valid_multiplicity,
+    is_even_square,
     stage_summary,
     torus_at,
     two_slot_rotation,
@@ -41,6 +42,10 @@ class TestBuild:
 
     def test_m_star_not_even_square(self, necklace40):
         assert not necklace40.is_even_square
+
+    def test_even_square_predicate(self):
+        # the one predicate behind Necklace.is_even_square and ExteriorModel.for_multiplicity
+        assert [m for m in range(200) if is_even_square(m)] == [0, 4, 16, 36, 64, 100, 144, 196]
 
     def test_centers_on_base_circle(self, necklace40):
         d = point_circle_distance(necklace40.base_torus.core, necklace40.child_centers)
