@@ -58,8 +58,10 @@ def _bbox(text: str):
 
 def _scales(text: str) -> list[float]:
     v = _floats(text)
-    if len(v) < 2 or min(v) <= 0.0:
-        raise argparse.ArgumentTypeError(f"need at least two positive box sizes, got {text}")
+    try:
+        dynamics._check_box_sizes(v, dynamics._CHAOS_GAME_SPAN)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return v
 
 

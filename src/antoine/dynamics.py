@@ -602,20 +602,37 @@ def similarity_dimension(m: int) -> float:
     return math.log(m) / math.log(m / 4.0)
 
 
+# every chaos-game point is within 1 + 4/m + (4/m)^2 + ... = m/(m - 4) <= 5/3 of the origin (a unit-circle
+# basepoint, unit shifts, ratio 4/m, m >= 10), so each coordinate of a sample spans less than this
+_CHAOS_GAME_SPAN = 4.0
+
+
+def _check_box_sizes(scales: list[float], span: float) -> None:
+    """ValueError unless there are two or more box sizes, each positive and finite with a finite reciprocal,
+    and coarse enough that the cell index of a coordinate spanning `span` fits an int64."""
+    if len(scales) < 2 or not all(
+        0.0 < eps < math.inf and math.isfinite(1.0 / eps) and span / eps < 2.0**63 for eps in scales
+    ):
+        raise ValueError(
+            f"need at least two positive box sizes, each finite with a finite reciprocal and above "
+            f"{span / 2.0**63:.3g} so that cell indices over a span of {span:.3g} fit an int64, got {scales}"
+        )
+
+
 def box_dimension_estimate(points: np.ndarray, scales) -> float:
     """Box-counting slope fit of log N(eps) against log(1/eps).
 
     Counts occupied cells of an axis-aligned grid at each scale and fits the
-    slope by least squares. Raises DegenerateFit when every scale sees the
-    same count (no scale information).
+    slope by least squares. Raises ValueError for box sizes that fail
+    _check_box_sizes over the points' span, and DegenerateFit when every scale
+    sees the same count (no scale information).
     """
     pts = np.asarray(points, dtype=float)
     scales = [float(s) for s in scales]
-    if len(scales) < 2:
-        raise ValueError("need at least 2 scales")
     if pts.shape[0] < 1000:
         raise ValueError("need at least 1000 points")
     mins = pts.min(axis=0)
+    _check_box_sizes(scales, float((pts.max(axis=0) - mins).max()))
     counts = []
     for eps in scales:
         cells = np.floor((pts - mins) / eps).astype(np.int64)
@@ -632,15 +649,20 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
     Each sample applies the composed child similarity of a uniform random
     length-`depth` address to the basepoint of the base circle, so it lies on
     the core of its stage-`depth` torus, within the stage diameter of the
-    invariant set. Deterministic for a given seed.
+    invariant set. Deterministic for a given seed. Rows are drawn and mapped
+    in blocks of _CHUNK; the generator's stream and each row's arithmetic do
+    not depend on the blocking, so neither does the output.
     """
     if depth < 8:
         raise ValueError("depth must be >= 8")
     rng = np.random.default_rng(seed)
-    digits = rng.integers(1, n.multiplicity + 1, size=(count, depth))
     base = n.base_torus.core.point_at(0.0)
-    x = np.tile(base, (count, 1))
     maps = _stack_maps(n.child_maps)
-    for level in range(depth - 1, -1, -1):
-        x = _apply_gathered(maps, digits[:, level] - 1, x)
-    return x
+    out = np.empty((count, 3))
+    for lo in range(0, count, _CHUNK):
+        digits = rng.integers(1, n.multiplicity + 1, size=(min(_CHUNK, count - lo), depth))
+        x = np.tile(base, (digits.shape[0], 1))
+        for level in range(depth - 1, -1, -1):
+            x = _apply_gathered(maps, digits[:, level] - 1, x)
+        out[lo:lo + x.shape[0]] = x
+    return out

@@ -47,10 +47,12 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
     b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)[None, None, :, None]
     radial = np.cos(a) * u_basis[:, None, :] + np.sin(a) * v_basis[:, None, :]  # (T, nu, 3)
     ring = centers[:, None, :] + radii[:, None, None] * radial
-    verts = (
-        ring[:, :, None, :]
-        + tubes[:, None, None, None] * (np.cos(b) * radial[:, :, None, :] + np.sin(b) * normals[:, None, None, :])
-    ).reshape(-1, nu * nv, 3)
+    # ring + tube * (cos(b) radial + sin(b) normal), built in place in that operation order (same bits)
+    verts = np.cos(b) * radial[:, :, None, :]  # (T, nu, nv, 3)
+    verts += np.sin(b) * normals[:, None, None, :]
+    verts *= tubes[:, None, None, None]
+    verts += ring[:, :, None, :]
+    verts = verts.reshape(-1, nu * nv, 3)
 
     idx = np.arange(nu * nv).reshape(nu, nv)
     i00 = idx

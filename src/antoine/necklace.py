@@ -272,10 +272,18 @@ def _rho_classes(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.
     class representative (the class's lexicographically least pair, so i is
     0 or 1 and (0, 1) comes first), and each pair's class. There are m
     classes when 4 divides m, else m - 1.
+
+    The least pair of a class holds 0 or 1, so it is one of two shifts of any
+    member: the one taking i down to its parity slot, or the one taking j.
     """
-    pairs = np.triu_indices(m, 1)
-    shifted = (np.stack(pairs)[..., None] + 2 * np.arange(m // 2)) % m
-    keys = (shifted.min(axis=0) * m + shifted.max(axis=0)).min(axis=1)
+
+    def key(a, b):  # (a, b) shifted by -2 (a // 2), encoded as min * m + max
+        b = (b - (a - a % 2)) % m
+        a = a % 2
+        return np.minimum(a, b) * m + np.maximum(a, b)
+
+    pairs = i, j = np.triu_indices(m, 1)
+    keys = np.minimum(key(i, j), key(j, i))
     _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
     return pairs, reps, classes
 

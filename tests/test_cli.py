@@ -54,6 +54,8 @@ class TestUsageErrors:
             ["dimension", "--m", "40", "--count", "10"],
             ["dimension", "--m", "40", "--depth", "4"],
             ["dimension", "--m", "40", "--scales", "0.1"],
+            ["dimension", "--m", "40", "--count", "1000", "--scales", "1e-320,0.1"],
+            ["dimension", "--m", "40", "--count", "1000", "--scales", "1e-19,0.1"],
             ["export", "--m", "40", "--what", "points", "--count", "-5", "--format", "xyz"],
             ["export", "--m", "40", "--what", "points", "--depth", "3", "--format", "xyz"],
             ["export", "--m", "40", "--what", "points"],

@@ -22,6 +22,7 @@ from antoine.dynamics import (
     ExteriorModel,
     StepKind,
     WINDOW_MARGIN,
+    _CHUNK,
     _bracketing_children,
     _one_sided_hausdorff,
     box_dimension_estimate,
@@ -530,6 +531,20 @@ class TestDimensions:
         with pytest.raises(ValueError):
             box_dimension_estimate(np.zeros((10, 3)), [0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [1e-320, 0.0, -0.1, math.inf, math.nan])
+    def test_bad_box_sizes_are_rejected(self, bad):
+        pts = np.random.default_rng(31).uniform(0, 1, (2000, 3))
+        with pytest.raises(ValueError, match="positive box sizes"):
+            box_dimension_estimate(pts, [bad, 0.1])
+
+    def test_box_sizes_whose_cell_index_overflows_are_rejected(self):
+        pts = np.random.default_rng(32).uniform(0, 2, (2000, 3))
+        span = float(np.ptp(pts, axis=0).max())
+        with pytest.raises(ValueError, match="int64"):
+            box_dimension_estimate(pts, [span / 2.0**63, 0.1])  # finite reciprocal, index 2^63
+        with pytest.raises(DegenerateFit):  # indices below 2^63: counted, one box per point at both sizes
+            box_dimension_estimate(pts, [span / 2.0**62, span / 2.0**61])
+
 
 class TestChaosGame:
     def test_deterministic(self, necklace40):
@@ -682,10 +697,17 @@ def mask_loop_chaos_game(n, count, depth, seed):
 
 
 class TestGroupedApply:
-    @pytest.mark.parametrize("m,seed", [(16, 1), (40, 2), (40, 3)])
-    def test_chaos_game_equals_mask_loop(self, m, seed):
+    # counts on either side of the _CHUNK-row blocks: the reference draws every digit at once
+    @pytest.mark.parametrize(
+        "m,seed,count,depth",
+        [pytest.param(m, seed, 20_000, 20, id=f"{m}-{seed}") for m, seed in ((16, 1), (40, 2), (40, 3))]
+        + [(40, 11, count, depth) for count in (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5) for depth in (9, 13)],
+    )
+    def test_chaos_game_equals_mask_loop(self, m, seed, count, depth):
         n = build_necklace(m)
-        assert np.array_equal(chaos_game_sample(n, 20_000, 20, seed), mask_loop_chaos_game(n, 20_000, 20, seed))
+        got = chaos_game_sample(n, count, depth, seed)
+        assert got.shape == (count, 3)
+        assert np.array_equal(got, mask_loop_chaos_game(n, count, depth, seed))
 
 
 class TestBudgetBound:

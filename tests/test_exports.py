@@ -29,7 +29,7 @@ from antoine.exports import (
     voxel_centers,
     write_volume,
 )
-from antoine.necklace import build_necklace, torus_at
+from antoine.necklace import _rho_classes, build_necklace, torus_at
 
 
 def torus_mesh(t, nu, nv):
@@ -357,6 +357,17 @@ class TestBoundedMemory:
         path = tmp_path / "p.xyz"
         peak = traced_peak(export_points, pts, "xyz", path)
         assert peak < path.stat().st_size
+
+    def test_chaos_game_peak_is_a_few_results(self, necklace40):
+        peak = traced_peak(chaos_game_sample, necklace40, 100_000, 20)
+        assert peak < 4 * 100_000 * 3 * 8  # no whole (count, depth) digit array or per-row rotations
+
+    def test_mesh_peak_is_near_the_vertices(self, necklace40):
+        peak = traced_peak(mesh_stage, necklace40, 2, 16, 8)
+        assert peak < 1.8 * 40**2 * (16 * 8) * 3 * 8  # verts is (T, nu*nv, 3) float64: no full-size temporaries
+
+    def test_rho_classes_peak_is_quadratic(self):
+        assert traced_peak(_rho_classes, 200) < 8e6  # a shift axis would hold 200^3 / 2 int64 pairs: 64 MB
 
 
 def fstring_points_text(pts, fmt):

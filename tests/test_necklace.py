@@ -134,6 +134,15 @@ def moved_child(n, k, offset):
     return dataclasses.replace(n, child_circles=tuple(circles))
 
 
+def shift_axis_rho_classes(m):
+    """_rho_classes from every one of the m/2 shifts of every pair, an (2, m(m-1)/2, m/2) array: the reference."""
+    pairs = np.triu_indices(m, 1)
+    shifted = (np.stack(pairs)[..., None] + 2 * np.arange(m // 2)) % m
+    keys = (shifted.min(axis=0) * m + shifted.max(axis=0)).min(axis=1)
+    _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
+    return pairs, reps, classes
+
+
 class TestRhoClassPass:
     """validate_necklace certifies one pair per rho class; the exhaustive oracle certifies every pair."""
 
@@ -210,6 +219,13 @@ class TestRhoClassPass:
         assert [pairs[r] for r in reps] == sorted(min(orbit) for orbit in found)
         assert pairs[reps[0]] == (0, 1)
         assert {(0, 1), (0, m - 1), (0, 2)} <= {pairs[r] for r in reps}  # the binding pairs
+
+    @pytest.mark.parametrize("m", range(4, 121, 2))
+    def test_classes_equal_the_shift_axis_oracle(self, m):
+        (i, j), reps, classes = _rho_classes(m)
+        (oi, oj), oreps, oclasses = shift_axis_rho_classes(m)
+        for got, want in ((i, oi), (j, oj), (reps, oreps), (classes, oclasses)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestMultiplicityScan:
