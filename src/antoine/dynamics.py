@@ -470,9 +470,9 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     for a point already outside the parent torus) the position is handed to
     the radial model, clamped out to norm 2 if needed, and norms are
     recorded until they pass the recording cap or the next one would overflow
-    a double; escape is certified once a norm reaches 2^d, after which the
-    model map is strictly norm-increasing. Raises ValueError on a point whose
-    norm is not a finite double.
+    a double. Escape is certified at the handoff: a norm >= 2 reaches 2^d in
+    one model step, and the model map is norm-increasing from there. Raises
+    ValueError on a point whose norm is not a finite double.
     """
     p = np.asarray(p, dtype=float)
     if not np.isfinite(np.linalg.norm(p)):
@@ -507,7 +507,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     return OrbitRecord(
         start=p, itinerary=itinerary, exit=exit_kind, exit_depth=depth if status == ESCAPED else None,
         handoff=handoff, handoff_clamped=clamped, exterior_norms=tuple(norms),
-        escape_certified=any(v >= model.outer_radius for v in norms),
+        escape_certified=norms[0] >= model.inner_radius,
         model_degree_root=model.degree_root,
     )
 

@@ -59,7 +59,7 @@ class PolyLoop:
         return PolyLoop(c.sample(n))
 
 
-def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
+def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | None = None) -> float:
     """Gauss double-integral linking number of two disjoint circles.
 
     Trapezoid rule on a quad_n x quad_n parameter grid; converges to the
@@ -78,9 +78,18 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
     re-measured from the exact differences a.point_at(t_i) - b.point_at(t_j).
     The guard reads those, so it raises on exactly the inputs whose sampled
     separation is below 1e-9, and the integrand uses them.
+
+    The three grids go into `work`, a C-contiguous (3, quad_n, quad_n) float64
+    scratch array whose contents are ignored (allocated when None): fresh
+    grids cost more in page faults than in arithmetic, so callers reuse one.
     """
     if quad_n < 16:
         raise ValueError(f"quad_n must be >= 16, got {quad_n}")
+    if work is None:
+        work = np.empty((3, quad_n, quad_n))
+    elif work.shape != (3, quad_n, quad_n) or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a C-contiguous (3, {quad_n}, {quad_n}) float64 array")
+    d2, integrand, den = work
     ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
     ua, va = a.basis()
     ub, vb = b.basis()
@@ -92,9 +101,8 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
     db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
 
     sq_a, sq_b = np.einsum("ic,ic->i", pa, pa), np.einsum("jc,jc->j", pb, pb)
-    # in-place updates: each fresh (quad_n, quad_n) temporary costs more in page faults than in arithmetic
-    d2 = np.add.outer(sq_a, sq_b)
-    d2 -= pa @ (2.0 * pb).T  # doubling is exact, so these are the bits of sq_a + sq_b - 2 pa . pb
+    np.add.outer(sq_a, sq_b, out=d2)
+    d2 -= np.matmul(pa, (2.0 * pb).T, out=den)  # doubling is exact: the bits of sq_a + sq_b - 2 pa . pb
     limit = 4e-18 + 8.0 * np.finfo(float).eps * (sq_a.max() + sq_b.max())
     if d2.min() < limit:
         near = np.nonzero(d2 < limit)
@@ -102,9 +110,9 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
         if float(dist.min()) < 1e-9:
             raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
         d2[near] = dist * dist
-    integrand = np.cross(pa, da) @ db.T
-    integrand -= da @ np.cross(db, pb).T
-    den = np.sqrt(d2)
+    np.matmul(np.cross(pa, da), db.T, out=integrand)
+    integrand -= np.matmul(da, np.cross(db, pb).T, out=den)
+    np.sqrt(d2, out=den)
     den *= d2
     integrand /= den
     weight = (2.0 * math.pi / quad_n) ** 2
@@ -292,19 +300,25 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix
     certifies the copies. The largest gap to the quadrature is recorded in
     max_gauss_gap. A backend exception is re-raised as LinkBackendError
     naming the pair.
+
+    One Gauss workspace serves every pair, and the polygons of the two seed
+    slots (children 1 and 2, the first child of every representative) are
+    built once; each pair builds only its second polygon.
     """
-    if poly_n < 64:
-        raise ValueError(f"poly_n must be >= 64, got {poly_n}")
+    if poly_n < 64 or quad_n < 16:  # checked here, as the Gauss workspace is allocated before any pair
+        raise ValueError(f"poly_n must be >= 64 and quad_n >= 16, got {poly_n} and {quad_n}")
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), reps, classes = _rho_classes(m)
     lks = np.zeros(len(reps), dtype=int)
     max_gap = 0.0
+    work = np.empty((3, quad_n, quad_n))
+    seeds = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles[:2]]
     for k, (a, b) in enumerate(zip(i[reps], j[reps])):
         ca, cb = n.child_circles[a], n.child_circles[b]
         try:
-            lk = polygonal_linking(PolyLoop.from_circle(ca, poly_n), PolyLoop.from_circle(cb, poly_n), rng=rng)
-            gauss = gauss_linking(ca, cb, quad_n)
+            lk = polygonal_linking(seeds[a], PolyLoop.from_circle(cb, poly_n), rng=rng)
+            gauss = gauss_linking(ca, cb, quad_n, work=work)
         except Exception as exc:  # attach the offending pair
             raise LinkBackendError((int(a) + 1, int(b) + 1), exc) from exc
         max_gap = max(max_gap, abs(gauss - lk))

@@ -246,6 +246,16 @@ class TestMap:
         assert doc["exterior_norms"][:3] == [3.0, 9.0, 81.0]
         assert doc["escape_certified"] is True
 
+    @pytest.mark.parametrize("point, degree_root", [("1e11,0,0", "100"), ("1,0,0", "1023")])
+    def test_escape_certified_without_recording_2_to_the_d(self, capsys, point, degree_root):
+        # 1e11^100 overflows and 2^1023 is past what np.linalg.norm can square, so the only
+        # recorded norm is the handoff's, and a handoff norm >= 2 reaches 2^d in one model step
+        code, out = run(capsys, "map", "--m", "40", "--point", point, "--degree-root", degree_root)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["exterior_norms"]) == 1
+        assert doc["escape_certified"] is True
+
     def test_negative_point(self, capsys):
         code, out = run(capsys, "map", "--m", "40", "--point", "-0.5,0,0", "--max-iter", "3")
         assert code == 0

@@ -406,11 +406,12 @@ class TestOrbit:
 
     @pytest.mark.parametrize("d, norms", [(100, [1e11]), (15, [1e11]), (14, [1e11, 1e154])])
     def test_norms_stop_before_overflow(self, necklace40, d, norms):
-        # a norm past the largest double, or past what np.linalg.norm can square, is never recorded
+        # a norm past the largest double, or past what np.linalg.norm can square, is never recorded;
+        # escape is certified all the same, since the handoff norm 1e11 >= 2 reaches 2^d in one step
         rec = orbit(necklace40, ExteriorModel(d), np.array([1e11, 0.0, 0.0]))
         assert rec.exterior_norms == pytest.approx(tuple(norms), rel=1e-12)
         assert all(math.isfinite(v) for v in rec.exterior_norms)
-        assert rec.escape_certified is (rec.exterior_norms[-1] >= 2.0**d)
+        assert rec.escape_certified
 
     def test_exterior_norm_sequence(self, necklace40):
         rec = orbit(necklace40, ExteriorModel(2), np.array([3.0, 0, 0]), max_iter=4)

@@ -1,15 +1,29 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import antoine
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
 from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames
-from antoine.linking import PolyLoop, _projection_frame, _try_projection, gauss_linking, polygonal_linking
-from antoine.necklace import _rho_classes
+from antoine.linking import (
+    DEFAULT_PROJECTION_SEED,
+    LinkMatrix,
+    PolyLoop,
+    _projection_frame,
+    _try_projection,
+    gauss_linking,
+    link_matrix,
+    polygonal_linking,
+)
+from antoine.necklace import _rho_classes, build_necklace
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -85,6 +99,14 @@ def broadcast_gauss_linking(a, b, quad_n):
     return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
 
 
+def dirty_workspaces(quad_n):
+    """Two (3, quad_n, quad_n) workspaces gauss_linking must ignore the contents of:
+    one filled with NaN, one last used on the Hopf pair."""
+    used = np.empty((3, quad_n, quad_n))
+    gauss_linking(HOPF_A, HOPF_B, quad_n, work=used)
+    return np.full((3, quad_n, quad_n), np.nan), used
+
+
 def sampled_separation(a, b, quad_n):
     ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
     return float(np.linalg.norm(a.point_at(ta)[:, None, :] - b.point_at(ta)[None, :, :], axis=2).min())
@@ -103,10 +125,16 @@ class TestMatrixFormGauss:
 
     @pytest.mark.parametrize("quad_n", [64, 256])
     def test_necklace40_representatives(self, necklace40, quad_n):
+        # one shared workspace, so each pair after the first finds the previous pair's grids in it
         (i, j), reps, _ = _rho_classes(40)
+        nan, shared = dirty_workspaces(quad_n)
         for a, b in zip(i[reps], j[reps]):
             ca, cb = necklace40.child_circles[a], necklace40.child_circles[b]
-            assert abs(gauss_linking(ca, cb, quad_n) - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
+            g = gauss_linking(ca, cb, quad_n)
+            assert abs(g - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
+            nan.fill(np.nan)
+            assert gauss_linking(ca, cb, quad_n, work=nan) == g
+            assert gauss_linking(ca, cb, quad_n, work=shared) == g
 
     @given(centres, radii, normals, vectors, radii, normals, st.sampled_from([64, 256]))
     def test_random_pairs(self, ca, ra, na, offset, rb, nb, quad_n):
@@ -116,7 +144,9 @@ class TestMatrixFormGauss:
         b = Circle3(ca + 2.0 * offset, rb, nb)
         if sampled_separation(a, b, quad_n) < 0.2:
             return  # closer pairs: both roundings of the large near-diagonal terms exceed 1e-14
-        assert abs(gauss_linking(a, b, quad_n) - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
+        g = gauss_linking(a, b, quad_n)
+        assert abs(g - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
+        assert all(gauss_linking(a, b, quad_n, work=w) == g for w in dirty_workspaces(quad_n))
 
     @given(centres, radii, normals, radii, normals, normals, st.integers(0, 63), st.integers(0, 63),
            st.floats(-11.0, -8.0))
@@ -129,11 +159,12 @@ class TestMatrixFormGauss:
         target = a.point_at(t[i]) + 10.0**log_s * w / np.linalg.norm(w)
         b = Circle3(target - rb * (math.cos(t[j]) * ub + math.sin(t[j]) * vb), rb, nb)
         sep = sampled_separation(a, b, 64)
-        if sep < 1e-9:
-            with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < 1e-9")):
-                gauss_linking(a, b, 64)
-        else:
-            assert math.isfinite(gauss_linking(a, b, 64))
+        for work in (None, *dirty_workspaces(64)):
+            if sep < 1e-9:
+                with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < 1e-9")):
+                    gauss_linking(a, b, 64, work=work)
+            else:
+                assert math.isfinite(gauss_linking(a, b, 64, work=work))
 
     @pytest.mark.parametrize("normal", [E3, np.array([0.0, 1.0, 0.0])])
     @pytest.mark.parametrize("offset,gap", [(np.zeros(3), 2e-9), (FAR, 2e-9), (FAR, 1e-10)])
@@ -142,11 +173,77 @@ class TestMatrixFormGauss:
         # 1e-10 about the origin is test_near_touching_rejected
         a = Circle3(offset, 1.0, E3)
         close = Circle3(np.array([2.0 + gap, 0.0, 0.0]) + offset, 1.0, normal)
-        if gap < 1e-9:
-            with pytest.raises(MinSeparationTooSmall):
-                gauss_linking(a, close, 64)
-        else:
-            assert gauss_linking(a, close, 64) == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
+        for work in (None, *dirty_workspaces(64)):
+            if gap < 1e-9:
+                with pytest.raises(MinSeparationTooSmall):
+                    gauss_linking(a, close, 64, work=work)
+            else:
+                g = gauss_linking(a, close, 64, work=work)
+                assert g == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "work",
+        [np.empty((3, 64, 32)), np.empty((2, 64, 64)), np.empty((3, 32, 32)), np.empty((3, 64, 64), np.float32),
+         np.empty((3, 64, 128))[:, :, ::2]],
+        ids=["shape", "grids", "quad_n", "dtype", "strided"],
+    )
+    def test_wrong_workspace_rejected(self, work):
+        with pytest.raises(ValueError, match="work must be"):
+            gauss_linking(HOPF_A, HOPF_B, 64, work=work)
+
+
+def fresh_link_matrix(n, poly_n=512, quad_n=256):
+    """link_matrix as computed before it shared one Gauss workspace and the seed-slot
+    polygons among its pairs: two fresh polygons and fresh grids per pair, the oracle."""
+    m = n.multiplicity
+    rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
+    (i, j), reps, classes = _rho_classes(m)
+    lks = np.zeros(len(reps), dtype=int)
+    max_gap = 0.0
+    for k, (a, b) in enumerate(zip(i[reps], j[reps])):
+        ca, cb = n.child_circles[a], n.child_circles[b]
+        lk = polygonal_linking(PolyLoop.from_circle(ca, poly_n), PolyLoop.from_circle(cb, poly_n), rng=rng)
+        max_gap = max(max_gap, abs(gauss_linking(ca, cb, quad_n) - lk))
+        lks[k] = lk
+    entries = np.zeros((m, m), dtype=int)
+    entries[i, j] = entries[j, i] = lks[classes]
+    return LinkMatrix(m, entries, max_gap)
+
+
+class TestLinkMatrix:
+    @pytest.mark.parametrize("m", [16, 40, 64])
+    def test_equals_fresh_loop(self, m):
+        n = build_necklace(m)
+        got, want = link_matrix(n), fresh_link_matrix(n)
+        assert np.array_equal(got.entries, want.entries)
+        assert got.max_gauss_gap == want.max_gauss_gap
+
+    @pytest.mark.parametrize("sizes", [{"poly_n": 32}, {"quad_n": 8}, {"quad_n": -1}])
+    def test_small_grids_rejected_before_any_pair(self, necklace16, sizes):
+        with pytest.raises(ValueError, match="poly_n must be >= 64 and quad_n >= 16"):
+            link_matrix(necklace16, **sizes)
+
+    def test_seed_polygons_built_once(self, necklace40, monkeypatch):
+        # every class representative's first child is 1 or 2: 2 seed polygons, then one per pair
+        builds = []
+        original = PolyLoop.from_circle
+        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(lambda c, n: builds.append(c) or original(c, n)))
+        link_matrix(necklace40)
+        assert len(builds) == 2 + len(_rho_classes(40)[1])
+
+    def test_warm_call_takes_few_page_faults(self):
+        # fresh quad_n x quad_n grids per pair took about 14,000 minor faults at m = 40. Counted in
+        # a new process: once a long-lived one has freed a large block, glibc raises its trim
+        # threshold and keeps freed pages, which would hide the faults
+        pytest.importorskip("resource")
+        code = (
+            "import resource; from antoine.linking import link_matrix; from antoine.necklace import build_necklace\n"
+            "n = build_necklace(40); link_matrix(n); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "link_matrix(n); print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(antoine.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 1000
 
 
 class TestPolygonalLinking:
