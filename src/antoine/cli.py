@@ -51,8 +51,10 @@ def _floats(text: str, count: int | None = None) -> list[float]:
 def _bbox(text: str):
     v = _floats(text, 6)
     lo, hi = (v[0], v[1], v[2]), (v[3], v[4], v[5])
-    if not all(b > a for a, b in zip(lo, hi)):
-        raise argparse.ArgumentTypeError(f"bounding box is degenerate: need x1 > x0, y1 > y0, z1 > z0, got {text}")
+    try:  # at the largest grid, whose voxel centres are the first to overflow
+        exports._grid_frame((exports.MAX_GRID,) * 3, lo, hi)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
     return lo, hi
 
 
@@ -69,9 +71,19 @@ def _grid(text: str) -> tuple[int, int, int]:
     parts = [int(x) for x in text.split(",")]
     if len(parts) == 1:
         parts = parts * 3
-    if len(parts) != 3 or not all(2 <= d <= 1024 for d in parts):
-        raise argparse.ArgumentTypeError("grid must be one or three comma-separated integers in 2..1024")
+    if len(parts) != 3 or not all(2 <= d <= exports.MAX_GRID for d in parts):
+        raise argparse.ArgumentTypeError(f"grid must be one or three comma-separated integers in 2..{exports.MAX_GRID}")
     return tuple(parts)
+
+
+def _out_path(text: str) -> str:
+    """An output file path whose directory exists, checked before any work starts."""
+    path = Path(text)
+    if path.is_dir() or text.endswith("/"):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(path.parent)!r} does not exist")
+    return text
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -203,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--m", type=_even_int, required=True, help="even multiplicity >= 10")
-        p.add_argument("--out", type=str, default=None, help="output path (default: stdout for JSON)")
+        p.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout for JSON)")
         if seed:
             p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed recorded in artifacts")
 

@@ -146,8 +146,13 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0
+    # child shell: dist(p, C_j) >= |p - c_j| - r >= d0 - dist(c_j, core) - r, so no child claims a point
+    # past it at step 0's tolerance, and the point exits there, as the step loop would find
+    beyond = ~exterior & (d0 > n.child_reach + BOUNDARY_TOL + noise_floor + _rounding_margin(n))
+    status[beyond] = ESCAPED
+    depth[beyond] = 0
 
-    active = np.flatnonzero(~exterior)
+    active = np.flatnonzero(~exterior & ~beyond)
     cur = last[active]
     inverse = _stack_maps(n.inverse_maps)
     for k in range(budget):
@@ -183,6 +188,13 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     # anything still active has survived the budget (the defaults already say so)
     last[active] = cur
     return last
+
+
+def _rounding_margin(n: Necklace) -> float:
+    """1e-9 relative to the parent torus's extent: far above the rounding of any distance computed in it,
+    so a test widened by it keeps every point the unwidened test could keep."""
+    core = n.base_torus.core
+    return 1e-9 * (float(np.abs(core.center).max()) + core.radius + n.base_torus.tube)
 
 
 def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, classify_points
+from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _rounding_margin, classify_points
 from .errors import MultipleChildren, TooManyTori
 from .geom3 import circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
@@ -23,8 +23,9 @@ from .necklace import Address, Necklace, word_maps
 VOL_EXTERIOR = 0xFFFE
 VOL_SURVIVED = 0xFFFF
 MAX_EXPORT_TORI = 10**6
+MAX_GRID = 1024  # voxels per axis of a volume grid
 _BLOCK_FACES = 1 << 16  # PLY faces written at a time
-_SLAB_POINTS = 1 << 16  # box voxels classified at a time, in whole z-layers
+_SLAB_POINTS = 1 << 16  # parent-box voxels per slab, in whole z-layers; only their annulus is classified
 _BLOCK_ROWS = 4096  # point rows formatted at a time
 DEFAULT_BBOX = ((-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))  # contains the parent torus with margin
 
@@ -218,12 +219,18 @@ class VolumeGrid:
 
 
 def _grid_frame(dims, bbox_min, bbox_max) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
-    """Checked integer dims and float corners of a voxel grid."""
+    """Checked integer dims and float corners of a voxel grid whose extent and voxel centres are finite."""
     if len(dims) != 3 or any(d < 2 for d in dims):
         raise ValueError("dims must be three values >= 2")
     lo, hi = np.asarray(bbox_min, dtype=float), np.asarray(bbox_max, dtype=float)
     if not np.all(hi > lo):
-        raise ValueError("bounding box is degenerate")
+        raise ValueError("bounding box is degenerate: need bbox_max > bbox_min on every axis")
+    # (hi - lo) * (d - 0.5) is the largest product _voxel_axes forms: finite, it keeps every centre finite
+    d = np.asarray(dims, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = lo + (hi - lo) * (d - 0.5) / d
+    if not np.isfinite(last).all():
+        raise ValueError("bounding box is too large: its extent and voxel centres must be finite doubles")
     return tuple(int(d) for d in dims), lo, hi
 
 
@@ -245,33 +252,39 @@ def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
 
 def _volume_layers(n: Necklace, dims, bbox, budget: int):
     """The volume's z-layers in file order as (k, ny, nx) little-endian uint16 blocks: one reused exterior
-    layer outside the parent torus's box (see classify_volume), slabs of about _SLAB_POINTS voxels inside."""
+    layer outside the parent torus's box, slabs of about _SLAB_POINTS box voxels inside, of which only the
+    annulus about the core is classified (see classify_volume)."""
     dims, lo, hi = _grid_frame(dims, *bbox)
     nx, ny, nz = dims
-    if max(dims) > 1024:
-        raise ValueError("dims are capped at 1024 per axis")
-    core, tube = n.base_torus.core, n.base_torus.tube
-    pad = tube + BOUNDARY_TOL + 1e-9 * (float(np.abs(core.center).max()) + core.radius + tube)
-    reach = core.radius * np.sqrt(np.maximum(1.0 - core.normal**2, 0.0)) + pad
+    if max(dims) > MAX_GRID:
+        raise ValueError(f"dims are capped at {MAX_GRID} per axis")
+    core = n.base_torus.core
+    pad = n.base_torus.tube + BOUNDARY_TOL + _rounding_margin(n)
+    # the base circle is the unit circle about e3 at the origin: the box is R + pad across, pad high
+    reach = (core.radius + pad, core.radius + pad, pad)
     axes = _voxel_axes(dims, lo, hi)
     xs, ys, zs = (
         slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
         for a, c, r in zip(axes, core.center, reach)
     )
+    x, y, z = axes[0][xs], axes[1][ys], axes[2][zs]
+    cx, cy, cz = core.center
+    ring = np.abs(np.hypot(x - cx, (y - cy)[:, None]) - core.radius)  # (box ny, box nx)
+    half = np.sqrt(np.maximum(pad * pad - (z - cz) ** 2, 0.0)) + 1e-9  # per box z-layer
     exterior = np.full((1, ny, nx), VOL_EXTERIOR, dtype="<u2")
     yield from itertools.repeat(exterior, zs.start)
-    step = max(1, _SLAB_POINTS // max(1, (xs.stop - xs.start) * (ys.stop - ys.start)))
-    for z0 in range(zs.start, zs.stop, step):
-        slab = (slice(z0, min(z0 + step, zs.stop)), ys, xs)
-        shape = tuple(s.stop - s.start for s in slab)
+    step = max(1, _SLAB_POINTS // max(1, x.size * y.size))
+    for z0 in range(0, z.size, step):
+        inside = ring <= half[z0:z0 + step, None, None]  # (k, box ny, box nx)
+        iz, iy, ix = np.nonzero(inside)
         try:
-            status, depth, _ = classify_points(n, _grid_points(axes[0][xs], axes[1][ys], axes[2][slab[0]]), budget)
-        except MultipleChildren as exc:  # exc.index counts the slab's points
-            at = [s.start + k for s, k in zip(slab, np.unravel_index(exc.index, shape))]
+            status, depth, _ = classify_points(n, np.stack([x[ix], y[iy], z[z0 + iz]], axis=1), budget)
+        except MultipleChildren as exc:  # exc.index counts the slab's annulus voxels
+            at = (zs.start + z0 + iz[exc.index], ys.start + iy[exc.index], xs.start + ix[exc.index])
             raise MultipleChildren(int(np.ravel_multi_index(at, dims[::-1]))) from None
-        layers = np.full((shape[0], ny, nx), VOL_EXTERIOR, dtype="<u2")
+        layers = np.full((inside.shape[0], ny, nx), VOL_EXTERIOR, dtype="<u2")
         codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
-        layers[:, ys, xs] = codes.reshape(shape)
+        layers[:, ys, xs][inside] = codes
         yield layers
     yield from itertools.repeat(exterior, nz - zs.stop)
 
@@ -281,9 +294,10 @@ def classify_volume(
 ) -> VolumeGrid:
     """Escape depth of every voxel center; deterministic for identical arguments.
 
-    Only voxels in the parent torus's box (center +- R * sqrt(1 - normal_i^2) on axis i, plus tube,
-    BOUNDARY_TOL and a 1e-9 relative rounding margin) are classified: outside it, the exterior test
-    hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The box is cut from the full grid's axes (same bits).
+    Only voxels in the annulus |hypot(x - cx, y - cy) - R| <= sqrt(pad^2 - (z - cz)^2) + 1e-9 about the
+    parent core are classified, with pad = tube + BOUNDARY_TOL + a 1e-9 relative rounding margin: outside
+    it the exterior test hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The annulus is found within the
+    parent torus's axis-aligned box, and its centres are gathered from the full grid's axes (same bits).
     MultipleChildren names the voxel's x-fastest index in the full grid.
     """
     values = np.concatenate(list(_volume_layers(n, dims, bbox, budget)))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,6 +82,12 @@ class Necklace:
     def is_even_square(self) -> bool:
         """Whether m is the square of an even integer (exterior degree match)."""
         return is_even_square(self.multiplicity)
+
+    @cached_property
+    def child_reach(self) -> float:
+        """max_j dist(c_j, parent core) + r + child_tube: no point of a child torus lies farther from the core."""
+        d = point_circle_distance(self.base_torus.core, self.child_centers)
+        return float(d.max()) + self.contraction + self.child_tube
 
 
 def is_even_square(m: int) -> bool:

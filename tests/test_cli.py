@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,9 @@ class TestUsageErrors:
         "argv,message",
         [
             (["classify", "--m", "40", "--grid", "16", "--bbox", "-1,-1,-1,-1,1,1"], "degenerate"),
+            # hi - lo overflows, or (hi - lo) * 1023.5 does at the largest grid: the voxel centres are not finite
+            (["classify", "--m", "40", "--grid", "16", "--bbox", "-1e308,-1e308,-1e308,1e308,1e308,1e308"], "finite"),
+            (["classify", "--m", "40", "--grid", "16", "--bbox", "-4e305,-1,-1,4e305,1,1"], "finite"),
             (["dimension", "--m", "40", "--scales", "-0.1,0.2"], "positive box sizes"),
         ],
     )
@@ -267,6 +271,39 @@ class TestMap:
         assert json.loads(out)["model_degree_root"] == 4
 
 
+class TestOutPath:
+    """--out is checked when the arguments are parsed, before the necklace is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--m", "40"],
+            ["verify", "--m", "40"],
+            ["classify", "--m", "40", "--grid", "512"],
+            ["periodic", "--m", "40"],
+            ["dimension", "--m", "40"],
+            ["export", "--m", "40"],
+            ["export", "--m", "40", "--what", "points", "--format", "xyz"],
+            ["map", "--m", "40", "--point", "1,0,0"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "trailing slash"])
+    def test_unwritable_out_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, argv, where):
+        def refuse(m):
+            raise AssertionError("the necklace was built")
+
+        monkeypatch.setattr("antoine.cli.build_necklace", refuse)
+        out = {"missing directory": tmp_path / "missing" / "x", "directory": tmp_path}.get(where, f"{tmp_path}/x/")
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert "argument --out:" in stderr.strip().splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
 
@@ -280,7 +317,8 @@ def run_quietly(argv):
     """main(argv) with its output captured: (exit code, stdout and stderr). Any exception but
     SystemExit propagates, as it would end the command with a traceback."""
     text = io.StringIO()
-    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be printed: it ends the run with a traceback instead
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -293,6 +331,8 @@ def run_quietly(argv):
 # that every example stays cheap.
 HOSTILE = ("-1", "0", "nan", "inf", "1e200", "1e400", "", "x", "2000", "-0.5,0,0")
 CHEAP_HOSTILE = tuple(t for t in HOSTILE if t != "2000")
+# a finite box whose extent overflows a double
+BBOX_HOSTILE = HOSTILE + ("-1e308,-1e308,-1e308,1e308,1e308,1e308",)
 FINITE = ("0", "1", "-0.5", "0.9", "3", "1e11", "1e200")
 
 
@@ -313,7 +353,7 @@ FLAGS = {
     ],
     "classify": [
         ("--grid", st.sampled_from(("2", "8", "4,2,8")), HOSTILE, True),
-        ("--bbox", numbers(("-1.6,-1.6,-1.6,1.6,1.6,1.6", "0.8,-0.2,-0.1,1.1,0.2,0.1"), 6), HOSTILE, False),
+        ("--bbox", numbers(("-1.6,-1.6,-1.6,1.6,1.6,1.6", "0.8,-0.2,-0.1,1.1,0.2,0.1"), 6), BBOX_HOSTILE, False),
         ("--budget", st.sampled_from(("1", "12", "2000")), HOSTILE, False),
     ],
     "periodic": [
@@ -365,7 +405,7 @@ def argvs(draw, command):
 
 class TestFuzz:
     """argv drawn from each subcommand's flags, valid and hostile values mixed: every run ends with
-    exit 0, 1 or 2 and no traceback, and any JSON it writes is strict JSON."""
+    exit 0, 1 or 2 with no traceback and no warning, and any JSON it writes is strict JSON."""
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     @settings(

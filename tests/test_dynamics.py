@@ -685,6 +685,102 @@ class TestChildWindow:
         assert claimed > 10**5
 
 
+def every_child_pull_back(n, p, budget, noise_floor):
+    """The step loop on one point, measuring every child at every step: (status, depth, digits, last)."""
+    x = np.asarray(p, dtype=float)
+    if point_circle_distance(n.base_torus.core, x) > n.base_torus.tube + BOUNDARY_TOL:
+        return EXTERIOR, 0, (), x
+    digits = []
+    for k in range(budget):
+        noise = noise_floor * n.expansion**k
+        claims = np.flatnonzero(full_child_distances(n, x)[0] <= n.child_tube + BOUNDARY_TOL + noise)
+        if claims.size == 0:
+            return ESCAPED, k, tuple(digits), x
+        if claims.size > 1:
+            if noise <= BOUNDARY_TOL:
+                raise MultipleChildren(0)
+            return SURVIVED, budget, tuple(digits), x
+        digits.append(int(claims[0]) + 1)
+        x = n.inverse_maps[claims[0]].apply(x)
+    return SURVIVED, budget, tuple(digits), x
+
+
+def child_shell(n, noise_floor):
+    """max_j dist(c_j, core) + r + child_tube + tol_0 + 1e-9 (|c| + R + tube): past it no child claims a point."""
+    t = n.base_torus
+    reach = point_circle_distance(t.core, n.child_centers).max() + n.contraction + n.child_tube
+    return reach + BOUNDARY_TOL + noise_floor + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
+
+
+def shell_points(n, radius, count, seed):
+    """Points at distance radius +- 1e-12 from the parent core: half where the shell is tight, on the line
+    through a child centre, within the child's plane and normal to the core, half in random directions."""
+    rng = np.random.default_rng(seed)
+    s = radius + rng.uniform(-1e-12, 1e-12, (count, 1))
+    half = count // 2
+    j = rng.integers(0, n.multiplicity, half)
+    c = n.child_centers[j]
+    radial = c * [1.0, 1.0, 0.0] / np.hypot(c[:, 0], c[:, 1])[:, None]
+    across = radial - np.sign(n.child_normals[j, 2:]) * [0.0, 0.0, 1.0]  # normal to the child's normal
+    across *= rng.choice([-1.0, 1.0], (half, 1)) / np.linalg.norm(across, axis=1, keepdims=True)
+    tight = c + s[:half] * across
+    phi, theta = rng.uniform(0.0, 2 * math.pi, (2, count - half, 1))
+    ring = np.concatenate([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+    tube = np.cos(theta) * ring + np.sin(theta) * [0.0, 0.0, 1.0]
+    return np.concatenate([tight, ring + s[half:] * tube])
+
+
+class TestChildShell:
+    """A point farther from the parent core than the child shell exits at step 0 without a child test."""
+
+    @pytest.mark.parametrize("m", [40, 64])
+    @pytest.mark.parametrize("noise_floor", [NOISE_FLOOR, 0.0])  # classify_points' and inner_step's
+    def test_removed_points_are_claimed_by_no_child(self, m, noise_floor, monkeypatch):
+        n = build_necklace(m)
+        shell = child_shell(n, noise_floor)
+        pts = shell_points(n, shell, 4000, seed=m)
+        d0 = point_circle_distance(n.base_torus.core, pts)
+        removed = d0 > shell
+        assert 1000 < removed.sum() < 3000  # the sample straddles the shell
+        dist = full_child_distances(n, pts[removed])
+        assert dist.min() > n.child_tube + BOUNDARY_TOL + noise_floor
+        # where the shell is tight, a removed point clears the nearest child tube by about the 1e-9 margin
+        assert dist[: removed[:2000].sum()].min() - (n.child_tube + BOUNDARY_TOL + noise_floor) < 2e-9
+
+        monkeypatch.setattr(dynamics, "NOISE_FLOOR", noise_floor)
+        measured = []
+        original = dynamics.child_distances
+
+        def recording(n, points, slots):
+            measured.append(points.copy())
+            return original(n, points, slots)
+
+        monkeypatch.setattr(dynamics, "child_distances", recording)
+        status, depth, _ = classify_points(n, pts[: _CHUNK], 6)
+        assert np.array_equal(measured[0], pts[: _CHUNK][~removed[: _CHUNK]])
+        assert np.all(status[removed] == ESCAPED) and np.all(depth[removed] == 0)
+
+    @pytest.mark.parametrize("m", [40, 64])
+    def test_equals_every_child_oracle(self, m):
+        n = build_necklace(m)
+        # about the shell, about the outermost reach of the child tubes, and mixed
+        pts = np.concatenate([
+            shell_points(n, child_shell(n, NOISE_FLOOR), 400, seed=m + 1),
+            shell_points(n, n.child_reach, 400, seed=m + 2),
+            mixed_points(n, m),
+        ])
+        budget = 12
+        status, depth, itinerary = classify_points(n, pts, budget, itinerary_digits=budget)
+        assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
+        for i, p in enumerate(pts):
+            want = every_child_pull_back(n, p, budget, NOISE_FLOOR)
+            got = dynamics._pull_back(n, p, budget, NOISE_FLOOR)
+            assert got[:3] == want[:3] and np.array_equal(got[3], want[3])
+            assert (status[i], depth[i], tuple(int(d) for d in itinerary[i] if d)) == want[:3]
+            crisp = dynamics._pull_back(n, p, 1, 0.0)
+            assert crisp[:3] == every_child_pull_back(n, p, 1, 0.0)[:3]
+
+
 def mask_loop_chaos_game(n, count, depth, seed):
     """chaos_game_sample with one boolean mask per digit and level: the reference."""
     digits = np.random.default_rng(seed).integers(1, n.multiplicity + 1, size=(count, depth))

@@ -3,12 +3,15 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from antoine import exports
-from antoine.dynamics import DEFAULT_BUDGET, ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point
+from antoine.dynamics import (
+    BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point,
+)
 from antoine.errors import MultipleChildren, TooManyTori
 from antoine.exports import (
     DEFAULT_BBOX,
@@ -29,6 +32,7 @@ from antoine.exports import (
     voxel_centers,
     write_volume,
 )
+from antoine.geom3 import point_circle_distance
 from antoine.necklace import _rho_classes, build_necklace, torus_at
 
 
@@ -216,6 +220,24 @@ class TestVolume:
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), np.zeros(3), np.ones(3), np.zeros(9, dtype=np.uint16))
 
+    @pytest.mark.parametrize(
+        "dims,bbox",
+        [
+            ((8, 8, 8), ((-1e308,) * 3, (1e308,) * 3)),  # hi - lo overflows
+            ((1024, 2, 2), ((-4e305, -1, -1), (4e305, 1, 1))),  # hi - lo is finite, (hi - lo) * 1023.5 is not
+        ],
+    )
+    def test_non_finite_grid_is_rejected_without_warnings(self, necklace40, tmp_path, dims, bbox):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                VolumeGrid(dims, *bbox, np.zeros(math.prod(dims), dtype=np.uint16))
+            with pytest.raises(ValueError, match="finite"):
+                classify_volume(necklace40, dims, bbox, budget=6)
+            with pytest.raises(ValueError, match="finite"):
+                export_volume(necklace40, dims, bbox, 6, tmp_path / "e.vol")
+        assert list(tmp_path.iterdir()) == []
+
 
 def full_volume(n, dims, bbox, budget):
     """classify_volume's values with every voxel center classified, as before the parent-box cull."""
@@ -227,8 +249,21 @@ def full_volume(n, dims, bbox, budget):
     return values
 
 
+def parent_pad(n):
+    """tube + BOUNDARY_TOL + 1e-9 (|c| + R + tube): past this distance from the core a point is exterior."""
+    t = n.base_torus
+    return t.tube + BOUNDARY_TOL + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
+
+
+def annulus_layer_counts(n, dims, bbox):
+    """Per z-layer, the voxel centres within parent_pad of the parent core by point_circle_distance: the
+    voxels the annulus cull classifies, by another path."""
+    within = point_circle_distance(n.base_torus.core, voxel_centers(dims, *bbox)) <= parent_pad(n)
+    return within.reshape(dims[2], -1).sum(axis=1)
+
+
 class TestParentBoxCull:
-    """classify_volume classifies only the voxels in the parent torus's box."""
+    """classify_volume classifies only the voxels in the annulus about the parent core, found in its box."""
 
     @pytest.mark.parametrize(
         "dims,bbox",
@@ -252,6 +287,36 @@ class TestParentBoxCull:
         assert on_surface.sum() == 2
         assert np.all(classify_volume(necklace40, dims, bbox, budget=6).values[on_surface] != VOL_EXTERIOR)
 
+    @pytest.mark.parametrize("delta", [2.0**-32, 2.0**-44])  # a fifth of the 1e-9 margin, and far below it
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("layer", ["core plane", "box top"])
+    def test_voxels_on_the_annulus_boundary(self, necklace40, delta, side, layer):
+        # a 5^3 grid, spacing delta, whose middle voxel is exactly on |hypot(x, y) - R| = sqrt(pad^2 - z^2) + 1e-9
+        pad = parent_pad(necklace40)
+        z = 0.0 if layer == "core plane" else pad
+        mid = np.array([necklace40.base_torus.core.radius + side * (math.sqrt(max(pad * pad - z * z, 0.0)) + 1e-9), 0.0, z])
+        bbox = (mid - 2.5 * delta, mid + 2.5 * delta)
+        assert np.array_equal(voxel_centers((5, 5, 5), *bbox)[62], mid)
+        grid = classify_volume(necklace40, (5, 5, 5), bbox, budget=6)
+        assert np.array_equal(grid.values, full_volume(necklace40, (5, 5, 5), bbox, 6))
+
+    @pytest.mark.parametrize(
+        "dims,bbox",
+        [
+            ((5, 16, 8), ((-1e300, -1.6, -0.5), (1e300, 1.6, 0.5))),  # the x = 0 column crosses the torus
+            ((7, 7, 7), ((-1e307,) * 3, (1e307,) * 3)),  # one voxel, at the origin, in the box
+        ],
+    )
+    def test_huge_finite_bbox_without_warnings(self, necklace40, tmp_path, dims, bbox):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = classify_volume(necklace40, dims, bbox, budget=6).values
+            export_volume(necklace40, dims, bbox, 6, tmp_path / "e.vol")
+        with np.errstate(over="ignore"):  # the oracle squares every coordinate
+            expected = full_volume(necklace40, dims, bbox, 6)
+        assert np.array_equal(values, expected)
+        assert (tmp_path / "e.vol").read_bytes() == expected.astype("<u2").tobytes()
+
     def test_classifies_only_the_parent_box(self, necklace40, monkeypatch):
         counts = []
 
@@ -261,8 +326,8 @@ class TestParentBoxCull:
 
         monkeypatch.setattr(exports, "classify_points", counting)
         classify_volume(necklace40, (64, 64, 64))
-        # |x|, |y| <= 1 + tube and |z| <= tube with tube = 0.2: 48 * 48 * 8 of the 64^3 voxels
-        assert counts == [48 * 48 * 8]
+        # one slab: the 48 * 48 * 8 box voxels; of them, only the 6,400 within pad of the core are classified
+        assert counts == [annulus_layer_counts(necklace40, (64, 64, 64), DEFAULT_BBOX).sum()] == [6400]
 
 
 class TestStreamedVolume:
@@ -301,8 +366,10 @@ class TestStreamedVolume:
         monkeypatch.setattr(exports, "_SLAB_POINTS", 4 * 18 * 18)
         dims = (24, 24, 50)
         export_volume(necklace40, dims, DEFAULT_BBOX, 6, tmp_path / "e.vol")
-        # the box is 18 * 18 voxels in x and y and 6 layers in z: slabs of 4 and 2 layers
-        assert counts == [4 * 18 * 18, 2 * 18 * 18]
+        # the box is 18 * 18 voxels in x and y and 6 layers in z: slabs of 4 and 2 layers, of which only the
+        # voxels within pad of the core are classified
+        per_layer = annulus_layer_counts(necklace40, dims, DEFAULT_BBOX)[22:28]
+        assert counts == [per_layer[:4].sum(), per_layer[4:].sum()] == [492, 204]
         assert (tmp_path / "e.vol").read_bytes() == full_volume(necklace40, dims, DEFAULT_BBOX, 6).tobytes()
 
     @pytest.mark.parametrize("slab_points", [exports._SLAB_POINTS, 1])
