@@ -1,9 +1,9 @@
 """File exporters: stage meshes (OBJ/PLY), escape-depth volume grids, point clouds.
 
-Numeric text is always written with 17 significant digits (lossless for
-float64) and binary payloads are little-endian, so every artifact
-regenerates byte-identically from the same parameters. Each artifact
-embeds or sits next to the parameters that produced it.
+Floats in text are always the bytes of Python's '%.17g' (lossless for float64)
+and binary payloads are little-endian, so every artifact regenerates
+byte-identically from the same parameters. Each artifact embeds or sits next
+to the parameters that produced it.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _rounding_margin, classify_points
 from .errors import MultipleChildren, TooManyTori
+from .floattext import text_rows
 from .geom3 import circle_frames, unit_rows
 from .necklace import Address, Necklace, word_maps
 
@@ -26,7 +27,6 @@ MAX_EXPORT_TORI = 10**6
 MAX_GRID = 1024  # voxels per axis of a volume grid
 _BLOCK_FACES = 1 << 16  # PLY faces written at a time
 _SLAB_POINTS = 1 << 16  # parent-box voxels per slab, in whole z-layers; only their annulus is classified
-_BLOCK_ROWS = 4096  # point rows formatted at a time
 DEFAULT_BBOX = ((-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))  # contains the parent torus with margin
 
 
@@ -121,13 +121,13 @@ def _object_name(address: Address) -> str:
 def write_obj(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:
     """ASCII OBJ: one `o` object per torus, global 1-based indices, 17-digit floats. Written a torus at a time."""
     per_torus = stage.verts.shape[1]
-    v_rows, f_rows = "v %.17g %.17g %.17g\n" * per_torus, "f %d %d %d\n" * stage.tris.shape[0]
-    with open(path, "w") as fh:
-        fh.writelines(f"# {key}={value}\n" for key, value in (header or {}).items())
+    f_rows = "f %d %d %d\n" * stage.tris.shape[0]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {key}={value}\n" for key, value in (header or {}).items()).encode())
         for i, (address, verts) in enumerate(zip(stage.addresses, stage.verts)):
-            fh.write(f"o {_object_name(address)}\n")
-            fh.write(v_rows % tuple(verts.ravel().tolist()))
-            fh.write(f_rows % tuple((stage.tris + 1 + i * per_torus).ravel().tolist()))
+            fh.write(f"o {_object_name(address)}\n".encode())
+            fh.writelines(text_rows(verts, " ", "v "))
+            fh.write((f_rows % tuple((stage.tris + 1 + i * per_torus).ravel().tolist())).encode())
 
 
 def parse_obj(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -352,13 +352,16 @@ def export_volume(
 
 
 def export_points(samples: np.ndarray, fmt: str, path: str | Path) -> None:
-    """One point per line at 17 significant digits; order follows the input. Written in blocks of rows."""
-    pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    row = {"xyz": "%.17g %.17g %.17g\n", "csv": "%.17g,%.17g,%.17g\n"}.get(fmt)
-    if row is None:
+    """One point per line, each coordinate as '%.17g' writes it; order follows the input.
+
+    samples is one point, shape (3,), or N points, shape (N, 3). Written in blocks of rows (see text_rows).
+    """
+    pts = np.asarray(samples, dtype=float)
+    if pts.shape != (3,) and (pts.ndim != 2 or pts.shape[1] != 3):
+        raise ValueError(f"points must have shape (3,) or (N, 3), not {pts.shape}")
+    sep = {"xyz": " ", "csv": ","}.get(fmt)
+    if sep is None:
         raise ValueError(f"unknown point format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write("x,y,z\n" if fmt == "csv" else "")
-        for first in range(0, pts.shape[0], _BLOCK_ROWS):
-            block = pts[first:first + _BLOCK_ROWS]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,z\n" if fmt == "csv" else b"")
+        fh.writelines(text_rows(pts.reshape(-1, 3), sep))

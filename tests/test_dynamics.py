@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,16 @@ class TestNonFinitePoints:
             orbit(necklace40, ExteriorModel(2), p, 4)
         with pytest.raises(ValueError):
             inner_step(necklace40, p)
+
+
+class TestHugeFinitePoints:
+    def test_exterior_without_a_warning(self, necklace40):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, depth, _ = classify_points(necklace40, np.array([[1e200, 0.0, 0.0]]), 5)
+            outcome = escape_depth(necklace40, np.array([0.0, 1e160, 0.0]))
+        assert status.tolist() == [EXTERIOR] and depth.tolist() == [0]
+        assert outcome.kind is EscapeKind.EXTERIOR and outcome.depth == 0
 
 
 class TestCodingPoint:

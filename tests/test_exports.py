@@ -4,11 +4,12 @@ import math
 import struct
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from antoine import exports
+from antoine import exports, floattext
 from antoine.dynamics import (
     BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point,
 )
@@ -460,9 +461,14 @@ class TestPoints:
 
     @pytest.mark.parametrize("fmt", ["xyz", "csv"])
     def test_rows_past_one_block(self, tmp_path, fmt):
-        pts = np.random.default_rng(4).normal(size=(2 * exports._BLOCK_ROWS + 5, 3))
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(2 * floattext._BLOCK_ROWS + 5, 3))
         export_points(pts, fmt, tmp_path / "p.txt")
         assert (tmp_path / "p.txt").read_bytes() == fstring_points_text(pts, fmt).encode()
+        for rows in (1, floattext._BLOCK_ROWS - 1, floattext._BLOCK_ROWS + 1):
+            pts = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-6, 15, size=(rows, 3))
+            export_points(pts, fmt, tmp_path / "p.txt")
+            assert (tmp_path / "p.txt").read_bytes() == fstring_points_text(pts, fmt).encode(), rows
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.xyz"
@@ -488,6 +494,18 @@ class TestPoints:
         back = np.array([[float(t) for t in path.read_text().split()]])
         assert back.tobytes() == pts.tobytes()
 
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 3, 1), (4,), (1, 2), (0,)])
+    def test_other_shapes_rejected(self, tmp_path, shape):
+        path = tmp_path / "p.xyz"
+        with pytest.raises(ValueError, match="shape"):
+            export_points(np.ones(shape), "xyz", path)
+        assert not path.exists()
+
+    def test_one_point(self, tmp_path):
+        path = tmp_path / "p.xyz"
+        export_points(np.array([0.5, -2.0, 1e-7]), "xyz", path)
+        assert path.read_text() == "0.5 -2 9.9999999999999995e-08\n"
+
     def test_rerun_identical(self, necklace16, tmp_path):
         from antoine.dynamics import chaos_game_sample
 
@@ -495,3 +513,85 @@ class TestPoints:
         export_points(chaos_game_sample(necklace16, 25, 10, seed=2), "xyz", a)
         export_points(chaos_game_sample(necklace16, 25, 10, seed=2), "xyz", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def exact_ties(rng, count):
+    """Doubles in [1e-4, 1e13) whose exact decimal value has 18 significant digits ending in 5: halfway
+    between two 17-digit values. x = M / 2^k with M odd and M * 5^k of 18 digits is M * 5^k / 10^k."""
+    out = []
+    for k in range(2, 40):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        if lo >= hi:
+            continue
+        for m in rng.integers(lo, hi, count).tolist():
+            m |= 1
+            if m * 5**k < 10**18 and 1e-4 <= m / 2**k < 1e13:
+                out.append(m / 2**k)
+    return np.array(out)
+
+
+def writes_like_percent(pts, tmp_path):
+    """export_points' xyz and csv bytes equal fstring_points_text's."""
+    for fmt in ("xyz", "csv"):
+        export_points(pts, fmt, tmp_path / f"p.{fmt}")
+        if (tmp_path / f"p.{fmt}").read_bytes() != fstring_points_text(pts, fmt).encode():
+            return False
+    return True
+
+
+def near_powers_of_ten():
+    """+-300 ulps around 10^k and around the double below it, k = -5..14, with both signs, as rows."""
+    ulps = np.arange(-300, 301)
+    values = []
+    for k in range(-5, 15):
+        for p in (float(f"1e{k}"), np.nextafter(float(f"1e{k}"), 0.0)):
+            values.append(p + ulps * np.spacing(p))
+    values = np.concatenate(values)
+    return as_rows(np.concatenate([values, -values]))
+
+
+def as_rows(values):
+    values = np.asarray(values, dtype=float).ravel()
+    return np.concatenate([values, np.full((-values.size) % 3, 0.5)]).reshape(-1, 3)
+
+
+class TestTextWriter:
+    """The exact 17-digit writer behind export_points and write_obj, byte for byte against '%.17g'."""
+
+    @pytest.mark.parametrize("m", [16, 40, 64])
+    def test_chaos_clouds(self, m, tmp_path):
+        pts = chaos_game_sample(build_necklace(m), 5000, 20, seed=m)
+        assert writes_like_percent(pts, tmp_path)
+
+    def test_random_doubles_of_every_size(self, tmp_path):
+        rng = np.random.default_rng(21)
+        magnitudes = 10.0 ** rng.uniform(-330, 308.2, 30_000)  # 10^-330 underflows to 0, and subnormals
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, math.inf, -math.inf, math.nan]
+        bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(float)  # every exponent, nan payloads and signs
+        values = np.concatenate([magnitudes * rng.choice([-1.0, 1.0], magnitudes.size), special, bits])
+        assert writes_like_percent(as_rows(rng.permutation(values)), tmp_path)
+
+    def test_around_powers_of_ten(self, tmp_path):
+        # log10 rounds across these, and a 17-digit rounding can carry into the next decade
+        assert writes_like_percent(near_powers_of_ten(), tmp_path)
+
+    @pytest.mark.parametrize("error", [-1e-12, 1e-12])
+    def test_exact_when_log10_is_off(self, tmp_path, monkeypatch, error):
+        # vectorized log10 implementations differ by a few ulps: the exponent is corrected from the exact product
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + error)
+        assert writes_like_percent(near_powers_of_ten(), tmp_path)
+
+    def test_exact_ties_round_half_even(self, tmp_path):
+        ties = exact_ties(np.random.default_rng(23), 60)
+        digits = [Decimal(x).as_tuple().digits for x in ties.tolist()]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        assert {d[16] % 2 for d in digits} == {0, 1}  # ties to an even and to an odd 17th digit
+        assert writes_like_percent(as_rows(np.concatenate([ties, -ties])), tmp_path)
+
+    def test_obj_vertex_rows(self, necklace16, tmp_path):
+        stage = mesh_stage(necklace16, 1, 8, 8)
+        stage = exports.MeshStage(1, 8, 8, stage.addresses[:2], stage.verts[:2] * [[[1.0, 1e-7, -3e13]]], stage.tris)
+        exports.write_obj(stage, tmp_path / "s.obj")
+        rows = [line for line in (tmp_path / "s.obj").read_text().splitlines() if line.startswith("v ")]
+        assert rows == ["v %.17g %.17g %.17g" % tuple(v) for v in stage.verts.reshape(-1, 3).tolist()]

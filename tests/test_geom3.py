@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from antoine.errors import NoUniqueFixedPoint
 from antoine.geom3 import (
     Circle3,
+    _unit,
     Rotation3,
     Similarity3,
     SolidTorus,
     circle_circle_distance,
     fixed_points,
     point_circle_distance,
+    unit_rows,
     vec3,
 )
 from antoine.necklace import build_necklace
@@ -205,6 +208,33 @@ class TestPointCircleDistance:
         before = point_circle_distance(c, p)
         after = point_circle_distance(c.transform(s), s.apply(p))
         assert after == pytest.approx(s.scale * before, rel=1e-10, abs=1e-12)
+
+
+    def test_huge_finite_point_is_infinitely_far_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = point_circle_distance(self.unit, np.array([[1e200, 0.0, 0.0], [0.0, 1e160, 3.0], [2.0, 0.0, 1.0]]))
+        assert d[0] == d[1] == math.inf
+        assert d[2] == point_circle_distance(self.unit, vec3(2, 0, 1))
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
+    def test_equals_unit_per_row(self, scale):
+        vs = np.random.default_rng(11).normal(size=(20_000, 3)) * scale
+        assert unit_rows(vs).tobytes() == np.array([_unit(v) for v in vs]).tobytes()
+
+    def test_column_of_a_rotation_stack(self):
+        # what mesh_stage passes: a non-contiguous column of (T, 3, 3) rotations
+        mats = np.random.default_rng(12).normal(size=(1600, 3, 3))
+        assert unit_rows(mats[:, :, 2]).tobytes() == np.array([_unit(v) for v in mats[:, :, 2]]).tobytes()
+
+    def test_near_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="near-zero"):
+            unit_rows(np.array([[1.0, 0.0, 0.0], [1e-15, 0.0, 0.0]]))
+
+    def test_empty(self):
+        assert unit_rows(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestTorusContains:
