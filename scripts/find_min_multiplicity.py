@@ -1,10 +1,10 @@
 """Scan even multiplicities and report which ones validate.
 
-Each candidate's geometric checks are validated, and its certified
-children_disjoint and children_contained margins are printed; a candidate
-whose geometric checks pass is then fully validated, and the first m whose
-validation (including the linking pattern) passes is the package's
-recommended default.
+Each candidate goes through antoine.necklace.scan_multiplicities: its
+geometric checks are validated, and a candidate whose geometric checks pass
+is then fully validated. The certified children_disjoint and
+children_contained margins are printed, and the first m whose validation
+(including the linking pattern) passes is the package's recommended default.
 Exits 0 when some m in the range passes, 1 otherwise.
 
 Usage: python scripts/find_min_multiplicity.py [--start 10] [--stop 60] [--grid-n 512] [--json out.json]
@@ -13,23 +13,7 @@ import argparse
 import json
 import time
 
-from antoine.necklace import build_necklace, validate_necklace
-
-
-def probe(m: int, clearance_grid: int) -> dict:
-    t0 = time.perf_counter()
-    n = build_necklace(m)
-    report = validate_necklace(n, clearance_grid=clearance_grid, check_linking=False)
-    if report.passed:  # link only what the geometric checks admit
-        report = validate_necklace(n, clearance_grid=clearance_grid)
-    margins = {c.name: c.margin for c in report.checks}
-    return {
-        "m": m,
-        "disjoint_margin": margins["children_disjoint"],
-        "contained_margin": margins["children_contained"],
-        "full_validation": report.passed,
-        "validation_seconds": round(time.perf_counter() - t0, 2),
-    }
+from antoine.necklace import scan_multiplicities
 
 
 def main() -> int:
@@ -42,15 +26,24 @@ def main() -> int:
 
     rows = []
     winner = None
-    for m in range(args.start, args.stop + 1, 2):
-        row = probe(m, args.grid_n)
-        if row["full_validation"] and winner is None:
+    t0 = time.perf_counter()
+    for m, report in scan_multiplicities(range(args.start, args.stop + 1, 2), clearance_grid=args.grid_n):
+        margins = {c.name: c.margin for c in report.checks}
+        row = {
+            "m": m,
+            "disjoint_margin": margins["children_disjoint"],
+            "contained_margin": margins["children_contained"],
+            "full_validation": report.passed,
+            "validation_seconds": round(time.perf_counter() - t0, 2),
+        }
+        if report.passed and winner is None:
             winner = m
         rows.append(row)
         print(
             f"m={m:3d}  disjoint={row['disjoint_margin']:+.5f}  contained={row['contained_margin']:+.5f}  "
             f"full={'PASS' if row['full_validation'] else 'fail'}  ({row['validation_seconds']:.2f} s)"
         )
+        t0 = time.perf_counter()
 
     print(f"\nfirst fully validating even multiplicity: {winner}")
     if args.json:

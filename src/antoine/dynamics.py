@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
-from .geom3 import Vec3, fixed_points, point_circle_distance
+from .geom3 import Vec3, fixed_points, point_circle_distance, point_rows
 from .necklace import Address, Necklace, child_distances, is_even_square, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
@@ -106,7 +106,7 @@ def classify_points(
     budget: int = DEFAULT_BUDGET,
     itinerary_digits: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Vectorized escape classification of many points.
+    """Vectorized escape classification of one point, shape (3,), or N points, shape (N, 3).
 
     Returns (status, depth, itinerary):
       status     uint8 per point: EXTERIOR, ESCAPED or SURVIVED
@@ -116,11 +116,14 @@ def classify_points(
                  (0-padded), or None when itinerary_digits == 0
 
     Deterministic: pure array arithmetic, no RNG, independent of chunking.
-    Raises ValueError on a non-finite point, which has no dynamical label.
+    Raises ValueError on any other shape, on a negative itinerary_digits and on a non-finite point,
+    which has no dynamical label.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if itinerary_digits < 0:
+        raise ValueError(f"itinerary_digits must be >= 0, got {itinerary_digits}")
+    pts = point_rows(points)
     n_pts = pts.shape[0]
     status = np.full(n_pts, SURVIVED, dtype=np.uint8)
     depth = np.full(n_pts, budget, dtype=np.int32)
@@ -242,7 +245,9 @@ def _pull_back(n: Necklace, p: Vec3, budget: int, noise_floor: float):
     status = np.full(1, SURVIVED, dtype=np.uint8)
     depth = np.full(1, budget, dtype=np.int32)
     itinerary = np.zeros((1, budget), dtype=np.int16)
-    pts = np.asarray(p, dtype=float).reshape(1, 3)
+    if np.shape(p) != (3,):
+        raise ValueError(f"a point must have shape (3,), not {np.shape(p)}")
+    pts = np.asarray(p, dtype=float)[None]
     last = _classify_chunk(n, pts, 0, budget, noise_floor, status, depth, itinerary)
     return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 

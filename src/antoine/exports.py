@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _rounding_margin, classify_points
 from .errors import MultipleChildren, TooManyTori
 from .floattext import text_rows
-from .geom3 import circle_frames, unit_rows
+from .geom3 import circle_frames, point_rows, unit_rows
 from .necklace import Address, Necklace, word_maps
 
 VOL_EXTERIOR = 0xFFFE
@@ -220,8 +220,8 @@ class VolumeGrid:
 
 def _grid_frame(dims, bbox_min, bbox_max) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
     """Checked integer dims and float corners of a voxel grid whose extent and voxel centres are finite."""
-    if len(dims) != 3 or any(d < 2 for d in dims):
-        raise ValueError("dims must be three values >= 2")
+    if len(dims) != 3 or any(d < 2 or d % 1 for d in dims):
+        raise ValueError(f"dims must be three integers >= 2, not {tuple(dims)}")
     lo, hi = np.asarray(bbox_min, dtype=float), np.asarray(bbox_max, dtype=float)
     if not np.all(hi > lo):
         raise ValueError("bounding box is degenerate: need bbox_max > bbox_min on every axis")
@@ -356,12 +356,10 @@ def export_points(samples: np.ndarray, fmt: str, path: str | Path) -> None:
 
     samples is one point, shape (3,), or N points, shape (N, 3). Written in blocks of rows (see text_rows).
     """
-    pts = np.asarray(samples, dtype=float)
-    if pts.shape != (3,) and (pts.ndim != 2 or pts.shape[1] != 3):
-        raise ValueError(f"points must have shape (3,) or (N, 3), not {pts.shape}")
+    pts = point_rows(samples)
     sep = {"xyz": " ", "csv": ","}.get(fmt)
     if sep is None:
         raise ValueError(f"unknown point format {fmt!r}")
     with open(path, "wb") as fh:
         fh.write(b"x,y,z\n" if fmt == "csv" else b"")
-        fh.writelines(text_rows(pts.reshape(-1, 3), sep))
+        fh.writelines(text_rows(pts, sep))

@@ -41,6 +41,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def point_rows(p) -> np.ndarray:
+    """One point, shape (3,), or N points, shape (N, 3), as an (N, 3) float array; ValueError naming any other shape."""
+    pts = np.asarray(p, dtype=float)
+    if pts.shape != (3,) and (pts.ndim != 2 or pts.shape[1] != 3):
+        raise ValueError(f"points must have shape (3,) or (N, 3), not {pts.shape}")
+    return pts.reshape(-1, 3)
+
+
 def unit_rows(vs: np.ndarray) -> np.ndarray:
     """_unit on each row of an (N, 3) stack, bit for bit: each norm is one stacked row dot product, the same
     BLAS ddot as norm of one row (a stacked norm(axis=1) rounds differently)."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidMultiplicity
 from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import project_rotations
+from .geom3 import _as_readonly, project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -55,18 +55,32 @@ def two_slot_rotation(m: int) -> Rotation3:
 
 @dataclass(frozen=True, eq=False)
 class Necklace:
-    """Immutable stage-0/stage-1 data of the construction."""
+    """Immutable stage-0/stage-1 data of the construction; each child is stored once, as its map."""
 
     multiplicity: int
     base_torus: SolidTorus
-    child_circles: tuple[Circle3, ...]
     child_maps: tuple[Similarity3, ...]
-    # their inverses, which the pullback dynamics applies
-    inverse_maps: tuple[Similarity3, ...]
     child_tube: float
-    # stacked copies of the child circle data, for vectorized membership tests
-    child_centers: np.ndarray
-    child_normals: np.ndarray
+
+    @cached_property
+    def child_circles(self) -> tuple[Circle3, ...]:
+        """Each child map's image of the parent's core circle."""
+        return tuple(self.base_torus.core.transform(s) for s in self.child_maps)
+
+    @cached_property
+    def inverse_maps(self) -> tuple[Similarity3, ...]:
+        """The inverses of the child maps, which the pullback dynamics applies."""
+        return tuple(s.invert() for s in self.child_maps)
+
+    @cached_property
+    def child_centers(self) -> np.ndarray:
+        """(m, 3) stacked child circle centres, read-only, for vectorized membership tests."""
+        return _as_readonly([c.center for c in self.child_circles])
+
+    @cached_property
+    def child_normals(self) -> np.ndarray:
+        """(m, 3) stacked child circle normals, read-only."""
+        return _as_readonly([c.normal for c in self.child_circles])
 
     @property
     def contraction(self) -> float:
@@ -137,17 +151,7 @@ def build_necklace(m: int) -> Necklace:
             )
         )
 
-    circles = tuple(base_circle.transform(s) for s in maps)
-    return Necklace(
-        multiplicity=m,
-        base_torus=base_torus,
-        child_circles=circles,
-        child_maps=tuple(maps),
-        inverse_maps=tuple(s.invert() for s in maps),
-        child_tube=32.0 / m**2,
-        child_centers=np.array([c.center for c in circles]),
-        child_normals=np.array([c.normal for c in circles]),
-    )
+    return Necklace(m, base_torus, tuple(maps), 32.0 / m**2)
 
 
 def word_maps(n: Necklace, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,9 +162,10 @@ def word_maps(n: Necklace, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     word i, composed left to right with the arithmetic of Similarity3.compose,
     so each row equals the compose chain bit for bit.
     """
-    words = np.asarray(words, dtype=np.intp)
-    if words.ndim != 2 or (words.size and not (words.min() >= 1 and words.max() <= n.multiplicity)):
-        raise ValueError(f"words must be an (N, L) array of address digits in 1..{n.multiplicity}")
+    words = np.asarray(words)
+    if words.ndim != 2 or (words.size and not (words.min() >= 1 and words.max() <= n.multiplicity)) or np.any(words % 1):
+        raise ValueError(f"words must be an (N, L) array of integer address digits in 1..{n.multiplicity}")
+    words = words.astype(np.intp)
     child_rots = np.array([s.rot.matrix for s in n.child_maps])
     child_shifts = np.array([s.shift for s in n.child_maps])
     scales = np.ones(words.shape[0])
@@ -416,16 +421,17 @@ def validate_necklace(
     )
 
 
-def find_min_valid_multiplicity(**validate_kwargs) -> tuple[int, ValidationReport]:
-    """Scan even m upward, validating each in turn, and return the first that passes every check.
-
-    Each m is linked only once its geometric checks pass, since the link checks cannot rescue it.
-    Raises InvalidMultiplicity if nothing validates up to 1000.
-    """
-    for m in range(10, 1001, 2):
+def scan_multiplicities(ms, **validate_kwargs):
+    """Yield (m, report) for each m in ms; an m is linked only once its geometric checks pass."""
+    for m in ms:
         n = build_necklace(m)
         geometry = validate_necklace(n, **{**validate_kwargs, "check_linking": False})
-        report = validate_necklace(n, **validate_kwargs) if geometry.passed else geometry
+        yield m, validate_necklace(n, **validate_kwargs) if geometry.passed else geometry
+
+
+def find_min_valid_multiplicity(**validate_kwargs) -> tuple[int, ValidationReport]:
+    """The first (m, report) of the scan over even m in 10..1000 that passes; InvalidMultiplicity if none does."""
+    for m, report in scan_multiplicities(range(10, 1001, 2), **validate_kwargs):
         if report.passed:
             return m, report
     raise InvalidMultiplicity("no even multiplicity <= 1000 passes validation")

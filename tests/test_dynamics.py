@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -250,6 +251,37 @@ class TestNonFinitePoints:
             orbit(necklace40, ExteriorModel(2), p, 4)
         with pytest.raises(ValueError):
             inner_step(necklace40, p)
+
+
+class TestPointShapes:
+    """Points enter as shape (3,) or (N, 3), and any other shape is one ValueError that names it."""
+
+    @pytest.mark.parametrize("shape", [(0,), (4, 2), (6,), (2, 3, 3), (3, 1), (1, 2)])
+    def test_classify_points_names_the_shape(self, necklace40, shape):
+        with pytest.raises(ValueError, match=r"shape \(3,\) or \(N, 3\), not " + re.escape(str(shape))):
+            classify_points(necklace40, np.full(shape, 0.9), 4)
+
+    def test_classify_points_rejects_negative_itinerary_digits(self, necklace40):
+        with pytest.raises(ValueError, match="itinerary_digits"):
+            classify_points(necklace40, np.full((2, 3), 0.9), 4, itinerary_digits=-1)
+
+    @pytest.mark.parametrize("p", [[1.0, 2.0], [[0.9, 0.1, 0.0], [0.9, 0.1, 0.0]], [[[0.9, 0.1, 0.0]]], []])
+    def test_one_point_entries_name_the_shape(self, necklace40, p):
+        shape = np.shape(p)
+        for call in (
+            lambda: escape_depth(necklace40, p, 4),
+            lambda: inner_step(necklace40, p),
+            lambda: orbit(necklace40, ExteriorModel(2), p, 4),
+        ):
+            with pytest.raises(ValueError, match=r"shape \(3,\), not " + re.escape(str(shape))):
+                call()
+
+    def test_accepted_shapes_agree(self, necklace40):
+        p = necklace40.child_circles[3].sample(8)[5]
+        one, rows, empty = (classify_points(necklace40, q, 12, 4) for q in (p, p[None], np.empty((0, 3))))
+        assert all(np.array_equal(a, b) for a, b in zip(one, rows))
+        assert [a.shape for a in empty] == [(0,), (0,), (0, 4)]
+        assert escape_depth(necklace40, p, 12).depth == int(one[1][0])
 
 
 class TestHugeFinitePoints:

@@ -239,6 +239,18 @@ class TestVolume:
                 export_volume(necklace40, dims, bbox, 6, tmp_path / "e.vol")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dims", [(2.5, 4, 4), (4, 4, 3.5), (4, 4, math.nan), (4, math.inf, 4)])
+    def test_non_integer_dims_are_rejected(self, necklace40, tmp_path, dims):
+        # int(2.5) would classify a 2 x 4 x 4 grid
+        bbox = ((-1.6,) * 3, (1.6,) * 3)
+        with pytest.raises(ValueError, match="integers"):
+            VolumeGrid(dims, *bbox, np.zeros(32, dtype=np.uint16))
+        with pytest.raises(ValueError, match="integers"):
+            classify_volume(necklace40, dims, bbox, budget=6)
+        with pytest.raises(ValueError, match="integers"):
+            export_volume(necklace40, dims, bbox, 6, tmp_path / "e.vol")
+        assert list(tmp_path.iterdir()) == []
+
 
 def full_volume(n, dims, bbox, budget):
     """classify_volume's values with every voxel center classified, as before the parent-box cull."""

@@ -8,13 +8,14 @@ import pytest
 
 from antoine import linking
 from antoine.errors import InvalidMultiplicity
-from antoine.geom3 import Circle3, Similarity3, circle_circle_distance, point_circle_distance
+from antoine.geom3 import Rotation3, Similarity3, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
 from antoine.necklace import (
     GAUSS_TOL,
     build_necklace,
     find_min_valid_multiplicity,
     is_even_square,
+    scan_multiplicities,
     stage_summary,
     torus_at,
     two_slot_rotation,
@@ -56,6 +57,41 @@ class TestBuild:
         for circle, cmap in zip(necklace40.child_circles, necklace40.child_maps):
             image = cmap.apply(samples)
             assert np.max(point_circle_distance(circle, image)) < 1e-10
+
+
+class TestChildViews:
+    """The necklace stores each child once, as its map; every other view of the child is derived from it."""
+
+    def test_fields_are_the_maps_and_the_tubes(self, necklace40):
+        assert [f.name for f in dataclasses.fields(necklace40)] == [
+            "multiplicity", "base_torus", "child_maps", "child_tube"
+        ]
+        for view in ("child_circles", "inverse_maps", "child_centers", "child_normals"):
+            assert getattr(necklace40, view) is getattr(necklace40, view)  # computed once
+        assert not necklace40.child_centers.flags.writeable and not necklace40.child_normals.flags.writeable
+
+    def test_views_follow_a_moved_map(self, necklace40):
+        # child 10 moved through its map: its circle, centre, normal and inverse move with it
+        offset = 1e-3 * np.array([2.0, -1.0, 2.0]) / 3.0
+        n = moved_child(necklace40, 9, offset)
+        by_name = {c.name: c for c in validate_necklace(n, check_linking=False).checks}
+        assert by_name["maps_onto_circles"].passed
+        assert not by_name["rho_equivariance"].passed
+        old = necklace40.child_circles[9]
+        assert np.array_equal(n.child_circles[9].center, old.center + offset)
+        assert np.array_equal(n.child_centers[9], old.center + offset)
+        assert np.array_equal(n.child_normals[9], old.normal)
+        assert np.array_equal(n.child_centers[8], necklace40.child_centers[8])
+        # the inverse expands by m/4 = 10, so a unit-size round trip is exact to about 10 ulps;
+        # a stale inverse misses by about 7e-3
+        p = n.base_torus.core.sample(64)
+        assert np.max(np.abs(n.inverse_maps[9].apply(n.child_maps[9].apply(p)) - p)) < 1e-14
+        q = n.child_circles[9].sample(64)
+        assert np.max(np.abs(n.child_maps[9].apply(n.inverse_maps[9].apply(q)) - q)) < 1e-15
+
+    def test_views_cannot_be_replaced(self, necklace40):
+        with pytest.raises(TypeError):
+            dataclasses.replace(necklace40, child_circles=necklace40.child_circles)
 
 
 class TestValidate:
@@ -127,11 +163,17 @@ def exhaustive_pair_checks(n, poly_n, quad_n):
     return margin, entries, gaps, passed
 
 
+def with_child_map(n, k, s):
+    """The necklace with child k (0-based) mapped by s, everything else kept."""
+    maps = list(n.child_maps)
+    maps[k] = s
+    return dataclasses.replace(n, child_maps=tuple(maps))
+
+
 def moved_child(n, k, offset):
-    """The necklace with child circle k (0-based) translated by offset, everything else kept."""
-    circles = list(n.child_circles)
-    circles[k] = Circle3(circles[k].center + offset, circles[k].radius, circles[k].normal)
-    return dataclasses.replace(n, child_circles=tuple(circles))
+    """The necklace with child k (0-based) translated by offset through its map, everything else kept."""
+    s = n.child_maps[k]
+    return with_child_map(n, k, Similarity3(s.scale, s.rot, s.shift + offset))
 
 
 def shift_axis_rho_classes(m):
@@ -191,9 +233,12 @@ class TestRhoClassPass:
         # child 10 as the same point set with the opposite orientation: the
         # copied entry of pair (9, 10) has the wrong sign, which only the
         # oriented measure (normal - normal, not the +- minimum) sees
-        circles = list(necklace40.child_circles)
-        circles[9] = Circle3(circles[9].center, circles[9].radius, -circles[9].normal)
-        n = dataclasses.replace(necklace40, child_circles=tuple(circles))
+        s = necklace40.child_maps[9]
+        reverse = Rotation3(s.rot.matrix @ np.diag([1.0, -1.0, -1.0]))  # the pi-rotation about x1 first: e3 -> -e3
+        n = with_child_map(necklace40, 9, Similarity3(s.scale, reverse, s.shift))
+        circles = n.child_circles
+        flipped = necklace40.child_circles[9]
+        assert np.array_equal(circles[9].center, flipped.center) and np.array_equal(circles[9].normal, -flipped.normal)
         report = validate_necklace(n, poly_n=128, quad_n=64)
         direct = polygonal_linking(PolyLoop.from_circle(circles[8], 128), PolyLoop.from_circle(circles[9], 128))
         assert report.link_matrix.entries[8, 9] == -direct
@@ -229,6 +274,12 @@ class TestRhoClassPass:
 
 
 class TestMultiplicityScan:
+    def test_scan_links_only_what_the_geometry_admits(self):
+        (m38, r38), (m40, r40) = scan_multiplicities([38, 40], poly_n=128, quad_n=64)
+        assert (m38, m40) == (38, 40)
+        assert not r38.passed and r38.link_matrix is None
+        assert r40.passed and r40.link_matrix is not None
+
     def test_find_min_valid_multiplicity(self, monkeypatch):
         linked = []
         link_matrix = linking.link_matrix
@@ -352,6 +403,16 @@ class TestWordMaps:
     def test_bad_words_rejected(self, necklace40, words):
         with pytest.raises(ValueError):
             word_maps(necklace40, words)
+
+    @pytest.mark.parametrize("words", [[[1.5, 2]], [[1, 2 + 1e-12]], [[39.5, 1]], [[math.nan, 2]], [[3, math.inf]]])
+    def test_non_integer_digits_rejected(self, necklace40, words):
+        # a cast to integers would truncate 1.5 to the digit 1
+        with pytest.raises(ValueError, match="integer address digits"):
+            word_maps(necklace40, words)
+
+    def test_integral_float_digits_are_the_digits(self, necklace40):
+        got, want = word_maps(necklace40, [[1.0, 40.0]]), word_maps(necklace40, [[1, 40]])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestStageSummary:
