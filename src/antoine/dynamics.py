@@ -116,13 +116,11 @@ def classify_points(
                  (0-padded), or None when itinerary_digits == 0
 
     Deterministic: pure array arithmetic, no RNG, independent of chunking.
-    Raises ValueError on any other shape, on a negative itinerary_digits and on a non-finite point,
-    which has no dynamical label.
+    Raises ValueError on any other shape, on a budget or itinerary_digits that is not an integer in range,
+    and on a non-finite point, which has no dynamical label.
     """
-    if not 1 <= budget <= MAX_BUDGET:
-        raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
-    if itinerary_digits < 0:
-        raise ValueError(f"itinerary_digits must be >= 0, got {itinerary_digits}")
+    _check_int("budget", budget, 1, MAX_BUDGET)
+    _check_int("itinerary_digits", itinerary_digits, 0)
     pts = point_rows(points)
     n_pts = pts.shape[0]
     status = np.full(n_pts, SURVIVED, dtype=np.uint8)
@@ -158,6 +156,7 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     active = np.flatnonzero(~exterior & ~beyond)
     cur = last[active]
     inverse = _stack_maps(n.inverse_maps)
+    key_type = np.min_scalar_type(n.multiplicity)
     for k in range(budget):
         if active.size == 0:
             break
@@ -174,7 +173,7 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
         fuzzy = n_claims > 1
         if np.any(fuzzy):
             if noise <= BOUNDARY_TOL:
-                raise MultipleChildren(int(first + active[fuzzy][0]))
+                raise MultipleChildren(int(first + active[fuzzy].min()))  # rows are in key order, not input order
             # tolerance ball covers several children: depth resolution is
             # exhausted, report Julia-positive at the budget
             status[active[fuzzy]] = SURVIVED
@@ -187,10 +186,18 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
         digits = (claims * slots).sum(axis=1)[stay]  # the one claiming child of each row that stays
         if itinerary is not None and k < itinerary.shape[1]:
             itinerary[active, k] = digits + 1
-        cur = _apply_gathered(inverse, digits, cur)
+        order, cur = _map_by_key(inverse, digits.astype(key_type), cur)
+        active = active[order]
     # anything still active has survived the budget (the defaults already say so)
     last[active] = cur
     return last
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """ValueError naming the argument unless value is an integer in lo..hi (lo or more when hi is None)."""
+    if not isinstance(value, (int, np.integer)) or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _rounding_margin(n: Necklace) -> float:
@@ -223,7 +230,8 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
 
 
 def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scales (k,), transposed rotations (k, 3, 3) and shifts (k, 3) of k similarities, for _apply_gathered."""
+    """Scales (k,), transposed rotations (k, 3, 3) and shifts (k, 3) of k similarities, for _map_by_key; each
+    R.T is C-contiguous, so a block's product is the matmul whose rounding equals a per-row product's."""
     return (
         np.array([f.scale for f in maps]),
         np.array([f.rot.matrix.T for f in maps]),
@@ -231,17 +239,29 @@ def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _apply_gathered(stacked, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x mapped by map keys[i] of _stack_maps' arrays: scale * (x @ R.T) + shift, the arithmetic
-    of Similarity3.apply in the matmul form of word_maps, so the bits equal a per-map loop's."""
+def _map_by_key(stacked, keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x in stable key order, each mapped by its key's map of _stack_maps' arrays: (order, mapped),
+    mapped[i] = scale * (x[order[i]] @ R.T) + shift for the map keys[order[i]]. Each key's rows form one
+    contiguous block, mapped in place by one (k, 3) @ (3, 3) matmul and one scale, and one add applies every
+    block's shift. That matmul rounds each row as a one-row product with the same C-contiguous R.T does, so a
+    row's bits depend neither on its block nor on the order. Keys in an unsigned type of 16 bits or fewer, as
+    np.min_scalar_type(m) gives for m < 65536, sort by radix."""
     scales, rts, shifts = stacked
-    return scales[keys][:, None] * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
+    order = np.argsort(keys, kind="stable")
+    mapped = x.take(order, axis=0)
+    counts = np.bincount(keys, minlength=len(scales))
+    ends = counts.cumsum()
+    for d in np.flatnonzero(counts).tolist():
+        blk = mapped[ends[d] - counts[d]:ends[d]]
+        np.matmul(blk, rts[d], out=blk)
+        blk *= scales[d]
+    mapped += np.repeat(shifts, counts, axis=0)  # each block's shift, in one add
+    return order, mapped
 
 
 def _pull_back(n: Necklace, p: Vec3, budget: int, noise_floor: float):
     """One point through the classifier's step loop: (status, depth, digits, last position)."""
-    if not 1 <= budget <= MAX_BUDGET:
-        raise ValueError(f"budget must lie in 1..{MAX_BUDGET}, got {budget}")
+    _check_int("budget", budget, 1, MAX_BUDGET)
     status = np.full(1, SURVIVED, dtype=np.uint8)
     depth = np.full(1, budget, dtype=np.int32)
     itinerary = np.zeros((1, budget), dtype=np.int16)
@@ -489,8 +509,10 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     recorded until they pass the recording cap or the next one would overflow
     a double. Escape is certified at the handoff: a norm >= 2 reaches 2^d in
     one model step, and the model map is norm-increasing from there. Raises
-    ValueError on a point whose norm is not a finite double.
+    ValueError on a point whose norm is not a finite double and on a max_iter
+    that is not an integer in 1..MAX_BUDGET.
     """
+    _check_int("max_iter, the step budget,", max_iter, 1, MAX_BUDGET)
     p = np.asarray(p, dtype=float)
     if not np.isfinite(np.linalg.norm(p)):
         raise ValueError(f"point norm must be a finite double, got {p}")
@@ -667,19 +689,27 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
     length-`depth` address to the basepoint of the base circle, so it lies on
     the core of its stage-`depth` torus, within the stage diameter of the
     invariant set. Deterministic for a given seed. Rows are drawn and mapped
-    in blocks of _CHUNK; the generator's stream and each row's arithmetic do
-    not depend on the blocking, so neither does the output.
+    in blocks of _CHUNK, each level through _map_by_key, which reorders the
+    rows by digit; the generator's stream and each row's arithmetic do not
+    depend on the blocking or the order, so neither does the output. Raises
+    ValueError unless count is an integer >= 0 and depth an integer >= 8.
     """
-    if depth < 8:
-        raise ValueError("depth must be >= 8")
+    _check_int("count", count, 0)
+    _check_int("depth", depth, 8)
     rng = np.random.default_rng(seed)
     base = n.base_torus.core.point_at(0.0)
     maps = _stack_maps(n.child_maps)
     out = np.empty((count, 3))
     for lo in range(0, count, _CHUNK):
         digits = rng.integers(1, n.multiplicity + 1, size=(min(_CHUNK, count - lo), depth))
-        x = np.tile(base, (digits.shape[0], 1))
-        for level in range(depth - 1, -1, -1):
-            x = _apply_gathered(maps, digits[:, level] - 1, x)
-        out[lo:lo + x.shape[0]] = x
+        keys = digits.T.astype(np.min_scalar_type(n.multiplicity), order="C")  # (depth, rows): a level is a row
+        del digits
+        keys -= 1
+        perm = np.arange(keys.shape[1])  # x[i] is the point of the block's row perm[i]
+        x = np.tile(base, (keys.shape[1], 1))
+        for level in keys[::-1]:
+            order, x = _map_by_key(maps, level.take(perm), x)
+            perm = perm.take(order)
+        out[lo + perm] = x
+        del keys, level, order, perm, x  # so that the next block's draw is the only one held
     return out

@@ -284,6 +284,60 @@ class TestPointShapes:
         assert escape_depth(necklace40, p, 12).depth == int(one[1][0])
 
 
+class TestIntegerArguments:
+    """Each step, digit and sample count is an integer in its range, or one ValueError that names it."""
+
+    P = np.array([3.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("budget", [2.5, 4.0, 0])
+    def test_classify_points_budget(self, necklace40, budget):
+        with pytest.raises(ValueError, match=f"budget must be an integer in 1..{MAX_BUDGET}, got {budget}"):
+            classify_points(necklace40, self.P, budget)
+
+    @pytest.mark.parametrize("digits", [2.5, 2.0, -1])
+    def test_classify_points_itinerary_digits(self, necklace40, digits):
+        with pytest.raises(ValueError, match=f"itinerary_digits must be an integer >= 0, got {digits}"):
+            classify_points(necklace40, self.P, 4, digits)
+
+    def test_pull_back_budget(self, necklace40):
+        with pytest.raises(ValueError, match="budget must be an integer in 1"):
+            dynamics._pull_back(necklace40, self.P, 2.5, NOISE_FLOOR)
+
+    def test_escape_depth_budget(self, necklace40):
+        with pytest.raises(ValueError, match="budget must be an integer in 1"):
+            escape_depth(necklace40, self.P, 3.5)
+
+    def test_orbit_max_iter(self, necklace40):
+        with pytest.raises(ValueError, match="max_iter, the step budget, must be an integer in 1"):
+            orbit(necklace40, ExteriorModel(2), self.P, 3.5)
+
+    @pytest.mark.parametrize("count", [2.5, 10.0])
+    def test_chaos_game_count(self, necklace40, count):
+        with pytest.raises(ValueError, match=f"count must be an integer >= 0, got {count}"):
+            chaos_game_sample(necklace40, count, 9)
+
+    def test_chaos_game_negative_count(self, necklace40):
+        with pytest.raises(ValueError, match="count must be an integer >= 0, got -1"):
+            chaos_game_sample(necklace40, -1, 9)
+
+    @pytest.mark.parametrize("depth", [9.5, 9.0, 7])
+    def test_chaos_game_depth(self, necklace40, depth):
+        with pytest.raises(ValueError, match=f"depth must be an integer >= 8, got {depth}"):
+            chaos_game_sample(necklace40, 10, depth)
+
+    def test_numpy_integers_are_integers(self, necklace40):
+        p = necklace40.child_circles[3].sample(8)[5]
+        got = classify_points(necklace40, p, np.int64(12), np.int32(4))
+        assert all(np.array_equal(a, b) for a, b in zip(got, classify_points(necklace40, p, 12, 4)))
+        assert escape_depth(necklace40, p, np.uint16(12)) == escape_depth(necklace40, p, 12)
+        assert orbit(necklace40, ExteriorModel(2), p, np.int64(12)).itinerary == orbit(
+            necklace40, ExteriorModel(2), p, 12
+        ).itinerary
+        sample = chaos_game_sample(necklace40, np.int64(7), np.int8(9), 1)
+        assert np.array_equal(sample, chaos_game_sample(necklace40, 7, 9, 1))
+        assert chaos_game_sample(necklace40, 0, 9).shape == (0, 3)
+
+
 class TestHugeFinitePoints:
     def test_exterior_without_a_warning(self, necklace40):
         with warnings.catch_warnings():
@@ -825,15 +879,38 @@ class TestChildShell:
 
 
 def mask_loop_chaos_game(n, count, depth, seed):
-    """chaos_game_sample with one boolean mask per digit and level: the reference."""
+    """chaos_game_sample with one boolean mask per digit and level, each digit's rows mapped as one block by
+    scale * (x @ R.T) + shift against a C-contiguous R.T: the reference. (Similarity3.apply multiplies by the
+    F-ordered view matrix.T, which on a one-row block takes a gemv kernel that rounds differently.)"""
     digits = np.random.default_rng(seed).integers(1, n.multiplicity + 1, size=(count, depth))
     x = np.tile(n.base_torus.core.point_at(0.0), (count, 1))
     for level in range(depth - 1, -1, -1):
         col = digits[:, level]
         for j in np.unique(col):
             sel = col == j
-            x[sel] = n.child_maps[j - 1].apply(x[sel])
+            f = n.child_maps[j - 1]
+            x[sel] = f.scale * (x[sel] @ np.ascontiguousarray(f.rot.matrix.T)) + f.shift
     return x
+
+
+def gathered_apply(stacked, keys, x):
+    """Row i of x mapped by map keys[i], with each row's scale, R.T and shift gathered and one (1, 3) @ (3, 3)
+    product per row: the reference for _map_by_key."""
+    scales, rts, shifts = stacked
+    return scales[keys][:, None] * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
+
+
+def synthetic_maps(k, seed):
+    """_stack_maps' arrays for k random similarities: scales in [0.05, 20), random orthogonal R.T, shifts."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
+    return rng.uniform(0.05, 20.0, k), np.ascontiguousarray(q), rng.normal(size=(k, 3))
+
+
+def assert_map_by_key_is_gathered(stacked, keys, x):
+    order, mapped = dynamics._map_by_key(stacked, keys, x)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(mapped, gathered_apply(stacked, keys, x)[order])
 
 
 class TestGroupedApply:
@@ -841,13 +918,73 @@ class TestGroupedApply:
     @pytest.mark.parametrize(
         "m,seed,count,depth",
         [pytest.param(m, seed, 20_000, 20, id=f"{m}-{seed}") for m, seed in ((16, 1), (40, 2), (40, 3))]
-        + [(40, 11, count, depth) for count in (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5) for depth in (9, 13)],
+        + [(40, 11, count, depth) for count in (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5) for depth in (9, 13)]
+        + [pytest.param(300, 4, 3000, 9, id="300-one-row-digits")],  # some digit claims one row at some level
     )
     def test_chaos_game_equals_mask_loop(self, m, seed, count, depth):
         n = build_necklace(m)
         got = chaos_game_sample(n, count, depth, seed)
         assert got.shape == (count, 3)
         assert np.array_equal(got, mask_loop_chaos_game(n, count, depth, seed))
+
+
+class TestMapByKey:
+    """_map_by_key equals the per-row gathered product bit for bit, in stable key order."""
+
+    @pytest.fixture(scope="class")
+    def maps40(self, necklace40):
+        return dynamics._stack_maps(necklace40.inverse_maps), dynamics._stack_maps(necklace40.child_maps)
+
+    @staticmethod
+    def rows(count, seed):
+        return np.random.default_rng(seed).normal(size=(count, 3))
+
+    def test_absent_keys(self, maps40):
+        keys = np.random.default_rng(1).choice([0, 3, 17, 39], 5000).astype(np.uint8)
+        for stacked in maps40:
+            assert_map_by_key_is_gathered(stacked, keys, self.rows(5000, 2))
+
+    def test_one_row_keys(self, maps40):
+        keys = np.random.default_rng(3).permutation(np.repeat(np.arange(40), [1, 300] * 20)).astype(np.uint8)
+        for stacked in maps40:
+            assert_map_by_key_is_gathered(stacked, keys, self.rows(keys.size, 4))
+
+    def test_every_row_one_key(self, maps40):
+        for stacked in maps40:
+            assert_map_by_key_is_gathered(stacked, np.full(3000, 11, dtype=np.uint8), self.rows(3000, 5))
+
+    def test_block_sizes(self):
+        # one block each of 1..39, 64, 100, 257 and 1000 rows
+        sizes = [*range(1, 40), 64, 100, 257, 1000]
+        keys = np.random.default_rng(6).permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(np.uint8)
+        assert_map_by_key_is_gathered(synthetic_maps(len(sizes), 7), keys, self.rows(keys.size, 8))
+
+    def test_no_rows(self, maps40):
+        order, mapped = dynamics._map_by_key(maps40[0], np.empty(0, dtype=np.uint8), np.empty((0, 3)))
+        assert order.shape == (0,) and mapped.shape == (0, 3)
+
+    def test_uint16_keys(self):
+        n = build_necklace(300)
+        keys = np.random.default_rng(9).integers(0, 300, 20_000).astype(np.min_scalar_type(300))
+        assert keys.dtype == np.uint16
+        for maps in (n.inverse_maps, n.child_maps):
+            assert_map_by_key_is_gathered(dynamics._stack_maps(maps), keys, self.rows(20_000, 10))
+
+    def test_uint32_keys(self):
+        keys = np.random.default_rng(11).integers(0, 70_000, 100_000).astype(np.min_scalar_type(70_000))
+        assert keys.dtype == np.uint32
+        assert_map_by_key_is_gathered(synthetic_maps(70_000, 12), keys, self.rows(100_000, 13))
+
+    def test_multiple_children_names_the_lower_index(self, necklace16):
+        # p lies on child 1's core and in child 2's tube; pushed into children 10 and 3 it is in one child at
+        # step 0, and sorting by digit puts input row 1 first, so both rows are fuzzy at step 1 in the order 1, 0
+        a, b = necklace16.child_circles[0], necklace16.child_circles[1]
+        pa = a.sample(4096)
+        p = pa[int(np.argmin(point_circle_distance(b, pa)))]
+        pts = np.array([necklace16.child_maps[9].apply(p), necklace16.child_maps[2].apply(p)])
+        assert [int(d) for d in classify_points(necklace16, pts, 1, 1)[2][:, 0]] == [10, 3]
+        with pytest.raises(MultipleChildren, match="point index 0 "):
+            classify_points(necklace16, pts, 3)
 
 
 class TestBudgetBound:
