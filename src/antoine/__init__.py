@@ -11,7 +11,6 @@ Library layout:
 
 from .dynamics import (
     EscapeKind,
-    EscapeOutcome,
     ExteriorModel,
     PeriodicPoint,
     box_dimension_estimate,
@@ -20,14 +19,9 @@ from .dynamics import (
     coding_point,
     density_report,
     dilatation_estimate,
-    dilatation_report,
     enumerate_periodic,
-    escape_depth,
     exterior_model_map,
-    inner_step,
-    involution,
     orbit,
-    periodic_point,
     similarity_dimension,
     winding_map,
 )
@@ -39,7 +33,6 @@ from .geom3 import (
     circle_circle_distance,
     fixed_points,
     point_circle_distance,
-    vec3,
 )
 from .linking import LinkMatrix, PolyLoop, gauss_linking, link_matrix, polygonal_linking
 from .necklace import (
@@ -47,7 +40,6 @@ from .necklace import (
     StageSummary,
     ValidationReport,
     build_necklace,
-    find_min_valid_multiplicity,
     stage_summary,
     torus_at,
     validate_necklace,

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
-from .geom3 import Vec3, fixed_points, point_circle_distance, point_rows
+from .geom3 import Vec3, _check_int, fixed_points, point_circle_distance, point_rows
 from .necklace import Address, Necklace, child_distances, is_even_square, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
@@ -56,48 +56,6 @@ class EscapeKind(Enum):
 
 
 _ESCAPE_KINDS = {EXTERIOR: EscapeKind.EXTERIOR, ESCAPED: EscapeKind.ESCAPED, SURVIVED: EscapeKind.SURVIVED}
-
-
-@dataclass(frozen=True)
-class EscapeOutcome:
-    """Classification of one starting point.
-
-    kind EXTERIOR: outside the parent torus at step 0 (depth is 0).
-    kind ESCAPED:  depth k means the point lies in stage k but not stage k+1.
-    kind SURVIVED: still inside through `depth` = budget pullback steps.
-    """
-
-    kind: EscapeKind
-    depth: int
-
-
-class StepKind(Enum):
-    MAPPED = "mapped"
-    EXITS = "exits"
-    NOT_IN_T0 = "not_in_t0"
-
-
-@dataclass(frozen=True)
-class StepResult:
-    kind: StepKind
-    point: Vec3 | None = None
-    digit: int | None = None
-
-
-def inner_step(n: Necklace, p: Vec3) -> StepResult:
-    """One step of the map at crisp tolerance: the classifier's first step with no noise term.
-
-    Outside the parent torus: NOT_IN_T0. In a child torus: the inverse child
-    similarity is applied and the digit recorded. In the parent but in no
-    child: EXITS (one application of the covering part of the map leaves the
-    parent; its pointwise values are not modeled here, see `orbit`). Raises
-    MultipleChildren when two children claim the point within BOUNDARY_TOL,
-    which only happens on a necklace whose disjointness certificate fails.
-    """
-    status, _, digits, x = _pull_back(n, p, 1, 0.0)
-    if status == SURVIVED:
-        return StepResult(StepKind.MAPPED, x, digits[0])
-    return StepResult(StepKind.NOT_IN_T0 if status == EXTERIOR else StepKind.EXITS)
 
 
 def classify_points(
@@ -130,13 +88,13 @@ def classify_points(
     for lo in range(0, n_pts, _CHUNK):
         hi = min(lo + _CHUNK, n_pts)
         _classify_chunk(
-            n, pts[lo:hi], lo, budget, NOISE_FLOOR, status[lo:hi], depth[lo:hi],
+            n, pts[lo:hi], lo, budget, status[lo:hi], depth[lo:hi],
             itinerary[lo:hi] if itinerary is not None else None,
         )
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary):
+def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
     """The pullback step loop over one chunk from input index `first`: writes status, depth and
     itinerary in place and returns each point's last position (where it left the parent or the
     children, where its tolerance ball covered several children, or after `budget` pullbacks)."""
@@ -149,7 +107,7 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     depth[exterior] = 0
     # child shell: dist(p, C_j) >= |p - c_j| - r >= d0 - dist(c_j, core) - r, so no child claims a point
     # past it at step 0's tolerance, and the point exits there, as the step loop would find
-    beyond = ~exterior & (d0 > n.child_reach + BOUNDARY_TOL + noise_floor + _rounding_margin(n))
+    beyond = ~exterior & (d0 > n.child_reach + BOUNDARY_TOL + NOISE_FLOOR + _rounding_margin(n))
     status[beyond] = ESCAPED
     depth[beyond] = 0
 
@@ -160,7 +118,7 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     for k in range(budget):
         if active.size == 0:
             break
-        noise = noise_floor * n.expansion**k
+        noise = NOISE_FLOOR * n.expansion**k
         tol_k = BOUNDARY_TOL + noise
         slots = _bracketing_children(n, cur, tol_k)
         claims = child_distances(n, cur, slots) <= n.child_tube + tol_k
@@ -191,13 +149,6 @@ def _classify_chunk(n, pts, first, budget, noise_floor, status, depth, itinerary
     # anything still active has survived the budget (the defaults already say so)
     last[active] = cur
     return last
-
-
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
-    """ValueError naming the argument unless value is an integer in lo..hi (lo or more when hi is None)."""
-    if not isinstance(value, (int, np.integer)) or value < lo or (hi is not None and value > hi):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _rounding_margin(n: Necklace) -> float:
@@ -259,30 +210,6 @@ def _map_by_key(stacked, keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return order, mapped
 
 
-def _pull_back(n: Necklace, p: Vec3, budget: int, noise_floor: float):
-    """One point through the classifier's step loop: (status, depth, digits, last position)."""
-    _check_int("budget", budget, 1, MAX_BUDGET)
-    status = np.full(1, SURVIVED, dtype=np.uint8)
-    depth = np.full(1, budget, dtype=np.int32)
-    itinerary = np.zeros((1, budget), dtype=np.int16)
-    if np.shape(p) != (3,):
-        raise ValueError(f"a point must have shape (3,), not {np.shape(p)}")
-    pts = np.asarray(p, dtype=float)[None]
-    last = _classify_chunk(n, pts, 0, budget, noise_floor, status, depth, itinerary)
-    return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
-
-
-def escape_depth(n: Necklace, p: Vec3, budget: int = DEFAULT_BUDGET) -> EscapeOutcome:
-    """Escape classification of a single point (see module docstring).
-
-    Equivalent to direct containment testing against the address tori, with
-    the itinerary digits as the address, for as long as a double can resolve
-    the stage.
-    """
-    status, depth, _, _ = _pull_back(n, p, budget, NOISE_FLOOR)
-    return EscapeOutcome(_ESCAPE_KINDS[status], depth)
-
-
 def coding_point(n: Necklace, prefix: Address, tail: Address) -> Vec3:
     """The point of the invariant set with address prefix + tail + tail + ...
 
@@ -302,23 +229,6 @@ class PeriodicPoint:
     point: Vec3
     period: int
     multiplier: float
-
-
-def periodic_point(n: Necklace, word: Address) -> PeriodicPoint:
-    """Fixed point of the composed contraction of `word`.
-
-    Under the dynamics it is periodic with period len(word), itinerary equal
-    to the word repeated, and per-cycle expansion (m/4)^len(word).
-    """
-    word = tuple(int(d) for d in word)
-    if not word:
-        raise ValueError("periodic word must be nonempty")
-    return PeriodicPoint(
-        word=word,
-        point=fixed_points(*word_maps(n, [word]))[0],
-        period=len(word),
-        multiplier=n.expansion ** len(word),
-    )
 
 
 def _least_rotation(word: Address) -> Address:
@@ -341,10 +251,11 @@ def enumerate_periodic(
     Words are deduplicated to the lexicographically least rotation of their
     primitive root, so each periodic orbit appears once with its true
     (primitive) period. Periods whose full word count m^p exceeds `cap` are
-    covered by a seeded uniform sample of cap words instead.
+    covered by a seeded uniform sample of cap words instead. Raises
+    ValueError unless p_max and cap are integers >= 1.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    _check_int("p_max", p_max, 1)
+    _check_int("cap", cap, 1)
     rng = np.random.default_rng(seed)
     seen: set[Address] = set()
     out: list[PeriodicPoint] = []
@@ -380,7 +291,9 @@ def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray, chunk: int =
 
 def periodic_point_cloud(n: Necklace, p_max: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Fixed points of all words of length <= p_max (every orbit point, not one representative per
-    orbit), as an (N, 3) array; a seeded sample of 200,000 words stands in for a period with more."""
+    orbit), as an (N, 3) array; a seeded sample of 200,000 words stands in for a period with more.
+    Raises ValueError unless p_max is an integer >= 1."""
+    _check_int("p_max", p_max, 1)
     # seed derived per period so the clouds are nested across p_max
     return np.concatenate([
         fixed_points(*word_maps(n, _period_words(n.multiplicity, p, 200000, np.random.default_rng(seed + p))))
@@ -397,9 +310,10 @@ def density_report(n: Necklace, p_max: int, sample_k: int, seed: int = DEFAULT_S
     held fixed, the value is non-increasing in p_max (the point clouds are
     nested), and it is bounded by the stage-p_max torus diameter since every
     reference point shares a length-p_max address prefix with a fixed point.
+    Raises ValueError unless p_max is an integer >= 1 and sample_k one >= p_max.
     """
-    if p_max < 1 or sample_k < p_max:
-        raise ValueError("need p_max >= 1 and sample_k >= p_max")
+    _check_int("p_max", p_max, 1)
+    _check_int("sample_k", sample_k, p_max)
     rng = np.random.default_rng(seed)
     addresses = rng.integers(1, n.multiplicity + 1, size=(512, sample_k))
     # the base circle is centered at the origin, so each torus center is its word map's shift
@@ -416,11 +330,6 @@ def winding_map(p: Vec3, m: int) -> Vec3:
     r = np.hypot(p[..., 0], p[..., 1])
     theta = np.arctan2(p[..., 1], p[..., 0]) * (m / 2.0)
     return np.stack([r * np.cos(theta), r * np.sin(theta), p[..., 2]], axis=-1)
-
-
-def involution(p: Vec3) -> Vec3:
-    """Rotation by pi about the x1-axis: (x1, x2, x3) -> (x1, -x2, -x3)."""
-    return np.asarray(p, dtype=float) * np.array([1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -503,21 +412,28 @@ _NORM_RECORD_CAP = 1e12
 def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
-    Inner steps are the classifier's step loop on one point. On exit (or
-    for a point already outside the parent torus) the position is handed to
-    the radial model, clamped out to norm 2 if needed, and norms are
-    recorded until they pass the recording cap or the next one would overflow
-    a double. Escape is certified at the handoff: a norm >= 2 reaches 2^d in
-    one model step, and the model map is norm-increasing from there. Raises
-    ValueError on a point whose norm is not a finite double and on a max_iter
-    that is not an integer in 1..MAX_BUDGET.
+    Inner steps are the classifier's step loop (_classify_chunk) on one
+    row. On exit (or for a point already outside the parent torus) the
+    position where the loop left it is handed to the radial model, clamped
+    out to norm 2 if needed, and norms are recorded until they pass the
+    recording cap or the next one would overflow a double. Escape is
+    certified at the handoff: a norm >= 2 reaches 2^d in one model step, and
+    the model map is norm-increasing from there. Raises ValueError on a point
+    whose norm is not a finite double, on a point not of shape (3,) and on a
+    max_iter that is not an integer in 1..MAX_BUDGET.
     """
     _check_int("max_iter, the step budget,", max_iter, 1, MAX_BUDGET)
     p = np.asarray(p, dtype=float)
     if not np.isfinite(np.linalg.norm(p)):
         raise ValueError(f"point norm must be a finite double, got {p}")
-    status, depth, itinerary, x = _pull_back(n, p, max_iter, NOISE_FLOOR)
-    exit_kind = _ESCAPE_KINDS[status]
+    if p.shape != (3,):
+        raise ValueError(f"a point must have shape (3,), not {p.shape}")
+    status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, max_iter, dtype=np.int32)
+    digits = np.zeros((1, max_iter), dtype=np.int16)
+    x = _classify_chunk(n, p[None], 0, max_iter, status, depth, digits)[0]
+    itinerary = tuple(int(d) for d in digits[0] if d)
+    exit_kind = _ESCAPE_KINDS[int(status[0])]
+    exit_depth = int(depth[0]) if exit_kind is EscapeKind.ESCAPED else None
     if exit_kind is EscapeKind.SURVIVED:
         return OrbitRecord(
             start=p, itinerary=itinerary, exit=exit_kind, exit_depth=None,
@@ -544,31 +460,11 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
             break
         norms.append(norm)
     return OrbitRecord(
-        start=p, itinerary=itinerary, exit=exit_kind, exit_depth=depth if status == ESCAPED else None,
+        start=p, itinerary=itinerary, exit=exit_kind, exit_depth=exit_depth,
         handoff=handoff, handoff_clamped=clamped, exterior_norms=tuple(norms),
         escape_certified=norms[0] >= model.inner_radius,
         model_degree_root=model.degree_root,
     )
-
-
-def _numerical_jacobian(f: Callable, p: np.ndarray, h: float | None) -> np.ndarray:
-    if h is None:
-        h = min(max(1e-5 * (1.0 + float(np.linalg.norm(p))), 1e-7), 1e-3)
-    elif not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h}")
-    jac = np.empty((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        jac[:, i] = (np.asarray(f(p + e), dtype=float) - np.asarray(f(p - e), dtype=float)) / (2.0 * h)
-    return jac
-
-
-def _distortion(jac: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(jac, compute_uv=False)
-    if s[2] < 1e-12 * s[0]:
-        raise NonInvertibleJacobian(f"singular values {s} at {p}")
-    return float((s[0] / s[1]) * (s[0] / s[2])), float((s[0] / s[2]) * (s[1] / s[2]))
 
 
 def dilatation_estimate(
@@ -586,47 +482,19 @@ def dilatation_estimate(
     s3 < 1e-12 * s1.
     """
     p = np.asarray(p, dtype=float)
-    return _distortion(_numerical_jacobian(f, p, h), p)
-
-
-@dataclass(frozen=True, eq=False)
-class DilatationReport:
-    """Distortion of one map over a sample of points.
-
-    jacobian_dets are central-difference determinants; all positive means
-    the map is sense-preserving on the sample.
-    """
-
-    points: np.ndarray
-    outer: np.ndarray
-    inner: np.ndarray
-    jacobian_dets: np.ndarray
-
-    @property
-    def max_outer(self) -> float:
-        return float(self.outer.max())
-
-    @property
-    def max_inner(self) -> float:
-        return float(self.inner.max())
-
-    @property
-    def sense_preserving(self) -> bool:
-        return bool(np.all(self.jacobian_dets > 0.0))
-
-
-def dilatation_report(
-    f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, h: float | None = None
-) -> DilatationReport:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    outer = np.empty(pts.shape[0])
-    inner = np.empty(pts.shape[0])
-    dets = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        jac = _numerical_jacobian(f, p, h)
-        outer[i], inner[i] = _distortion(jac, p)
-        dets[i] = np.linalg.det(jac)
-    return DilatationReport(pts, outer, inner, dets)
+    if h is None:
+        h = min(max(1e-5 * (1.0 + float(np.linalg.norm(p))), 1e-7), 1e-3)
+    elif not 1e-7 <= h <= 1e-3:
+        raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h}")
+    jac = np.empty((3, 3))
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        jac[:, i] = (np.asarray(f(p + e), dtype=float) - np.asarray(f(p - e), dtype=float)) / (2.0 * h)
+    s = np.linalg.svd(jac, compute_uv=False)
+    if s[2] < 1e-12 * s[0]:
+        raise NonInvertibleJacobian(f"singular values {s} at {p}")
+    return float((s[0] / s[1]) * (s[0] / s[2])), float((s[0] / s[2]) * (s[1] / s[2]))
 
 
 def similarity_dimension(m: int) -> float:

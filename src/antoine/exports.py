@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _rounding_margin, classify_points
 from .errors import MultipleChildren, TooManyTori
 from .floattext import text_rows
-from .geom3 import circle_frames, point_rows, unit_rows
+from .geom3 import _check_int, circle_frames, point_rows, unit_rows
 from .necklace import Address, Necklace, word_maps
 
 VOL_EXTERIOR = 0xFFFE
@@ -41,8 +41,8 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
     nv around the tube. In each torus's right-handed frame (u, v, normal) the one triangle
     list winds with outward normals (positive signed volume).
     """
-    if nu < 8 or nv < 8:
-        raise ValueError("need nu >= 8 and nv >= 8")
+    _check_int("nu", nu, 8)
+    _check_int("nv", nv, 8)
     u_basis, v_basis = circle_frames(normals)
     a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)[None, :, None]
     b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)[None, None, :, None]
@@ -65,28 +65,6 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
     return verts, np.concatenate([tri_a, tri_b], axis=0)
 
 
-def mesh_signed_volume(verts: np.ndarray, tris: np.ndarray) -> float:
-    """Signed volume via the divergence theorem; positive for outward orientation."""
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
-
-
-def mesh_is_watertight(verts: np.ndarray, tris: np.ndarray) -> bool:
-    """Every undirected edge in exactly 2 triangles, each directed edge used once."""
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    seen = set(map(tuple, directed.tolist()))
-    if len(seen) != len(directed):
-        return False
-    # consistent orientation: the reverse of every directed edge must appear
-    return all((e[1], e[0]) in seen for e in seen)
-
-
-def mesh_euler_characteristic(verts: np.ndarray, tris: np.ndarray) -> int:
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    undirected = {tuple(sorted(e)) for e in directed.tolist()}
-    return verts.shape[0] - len(undirected) + tris.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class MeshStage:
     """All tori of one stage, tessellated in one pass: verts[i], of shape (nu*nv, 3), is the
@@ -101,9 +79,8 @@ class MeshStage:
 
 
 def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
-    """Tessellate every stage-k torus; raises TooManyTori above 10^6 tori."""
-    if k < 0:
-        raise ValueError("stage must be >= 0")
+    """Tessellate every stage-k torus; raises TooManyTori above 10^6 tori and ValueError unless k is an integer >= 0."""
+    _check_int("k, the stage,", k, 0)
     count = n.multiplicity**k
     if count > MAX_EXPORT_TORI:
         raise TooManyTori(f"stage {k} holds {count} tori, cap is {MAX_EXPORT_TORI}")
@@ -128,23 +105,6 @@ def write_obj(stage: MeshStage, path: str | Path, header: dict | None = None) ->
             fh.write(f"o {_object_name(address)}\n".encode())
             fh.writelines(text_rows(verts, " ", "v "))
             fh.write((f_rows % tuple((stage.tris + 1 + i * per_torus).ravel().tolist())).encode())
-
-
-def parse_obj(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read back an OBJ written by write_obj, one (vertices, triangles) per object."""
-    objects: list[tuple[list, list]] = []
-    offsets: list[int] = []
-    total = 0
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("o "):
-            offsets.append(total)
-            objects.append(([], []))
-        elif line.startswith("v "):
-            objects[-1][0].append([float(x) for x in line.split()[1:4]])
-            total += 1
-        elif line.startswith("f "):
-            objects[-1][1].append([int(x) - 1 - offsets[-1] for x in line.split()[1:4]])
-    return [(np.array(v), np.array(f, dtype=int)) for v, f in objects]
 
 
 def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:

@@ -20,14 +20,6 @@ Vec3 = np.ndarray
 _EYE3 = np.eye(3)
 
 
-def vec3(x: float, y: float, z: float) -> Vec3:
-    """Build a finite 3-vector."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v}")
-    return v
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -47,6 +39,15 @@ def point_rows(p) -> np.ndarray:
     if pts.shape != (3,) and (pts.ndim != 2 or pts.shape[1] != 3):
         raise ValueError(f"points must have shape (3,) or (N, 3), not {pts.shape}")
     return pts.reshape(-1, 3)
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """ValueError naming the argument unless value is an integer in lo..hi (lo or more when hi is None); a bool is
+    not an integer here, though Python's bool subclasses int."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def unit_rows(vs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidMultiplicity
 from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import _as_readonly, project_rotations
+from .geom3 import _as_readonly, _check_int, project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -212,9 +212,8 @@ class StageSummary:
 
 
 def stage_summary(n: Necklace, k: int) -> StageSummary:
-    """Stage k holds m^k tori of diameter (4/m)^k * (2 + 16/m), decreasing to 0."""
-    if k < 0:
-        raise ValueError("stage index must be >= 0")
+    """Stage k holds m^k tori of diameter (4/m)^k * (2 + 16/m), decreasing to 0; ValueError unless k is an integer >= 0."""
+    _check_int("k, the stage,", k, 0)
     diam0 = 2.0 + 16.0 / n.multiplicity
     return StageSummary(k, n.multiplicity**k, n.contraction**k * diam0)
 
@@ -427,11 +426,3 @@ def scan_multiplicities(ms, **validate_kwargs):
         n = build_necklace(m)
         geometry = validate_necklace(n, **{**validate_kwargs, "check_linking": False})
         yield m, validate_necklace(n, **validate_kwargs) if geometry.passed else geometry
-
-
-def find_min_valid_multiplicity(**validate_kwargs) -> tuple[int, ValidationReport]:
-    """The first (m, report) of the scan over even m in 10..1000 that passes; InvalidMultiplicity if none does."""
-    for m, report in scan_multiplicities(range(10, 1001, 2), **validate_kwargs):
-        if report.passed:
-            return m, report
-    raise InvalidMultiplicity("no even multiplicity <= 1000 passes validation")

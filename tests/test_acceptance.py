@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion. The heavy artifacts (multiplicity scan, full link matrix)
 are computed once per session.
 """
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -14,9 +13,7 @@ import pytest
 
 from antoine.dynamics import (
     ESCAPED,
-    EXTERIOR,
     SURVIVED,
-    EscapeKind,
     ExteriorModel,
     box_dimension_estimate,
     chaos_game_sample,
@@ -24,25 +21,25 @@ from antoine.dynamics import (
     coding_point,
     density_report,
     dilatation_estimate,
-    escape_depth,
     exterior_model_map,
-    inner_step,
-    periodic_point,
     similarity_dimension,
     winding_map,
 )
-from antoine.exports import export_mesh, export_points, export_volume, mesh_euler_characteristic, mesh_is_watertight, parse_obj
+from antoine.exports import export_mesh, export_points, export_volume
+from antoine.geom3 import fixed_points
 from antoine.linking import link_matrix
 from antoine.necklace import (
     build_necklace,
-    find_min_valid_multiplicity,
+    scan_multiplicities,
     stage_summary,
     torus_at,
     validate_necklace,
     word_map,
+    word_maps,
 )
 
 from conftest import M_STAR, torus_membership
+from oracles import mesh_euler_characteristic, mesh_is_watertight, parse_obj
 
 
 @contextmanager
@@ -71,7 +68,7 @@ def scan_result():
         if not all(c.passed for c in checks if c.name in geometry):
             rejected.append(m)
     t0 = time.perf_counter()
-    candidate, report = find_min_valid_multiplicity()
+    candidate, report = next((m, r) for m, r in scan_multiplicities(range(10, 1001, 2)) if r.passed)
     elapsed = time.perf_counter() - t0
     return rejected, candidate, report, elapsed
 
@@ -148,25 +145,22 @@ def test_criterion_4_repelling_periodic_points(necklace40):
         rng = np.random.default_rng(103)
         words = [tuple(rng.integers(1, m + 1, size=rng.integers(1, 4))) for _ in range(1000)]
         for w in words:
-            pp = periodic_point(necklace40, w)
-            z = pp.point
-            digits = []
-            for _ in range(pp.period):
-                r = inner_step(necklace40, z)
-                digits.append(r.digit)
-                z = r.point
-            assert tuple(digits) == w
-            assert np.linalg.norm(z - pp.point) <= 1e-9 * c0
-            assert pp.multiplier == pytest.approx((m / 4.0) ** pp.period)
+            scales, rots, shifts = word_maps(necklace40, [w])
+            x = fixed_points(scales, rots, shifts)[0]
+            _, _, itinerary = classify_points(necklace40, x, len(w), itinerary_digits=len(w))
+            assert tuple(itinerary[0]) == w
+            z = x
+            for d in w:
+                z = necklace40.inverse_maps[d - 1].apply(z)
+            assert np.linalg.norm(z - x) <= 1e-9 * c0
+            assert 1.0 / scales[0] == pytest.approx((m / 4.0) ** len(w))  # the orbit's multiplier
 
         # measured per-step expansion on point pairs deep in the word torus
         for w in words[:100]:
             tor = torus_at(necklace40, w + w)
             x, y = tor.core.point_at(0.3), tor.core.point_at(0.9)
-            a, b = x, y
-            for _ in range(1):
-                a = inner_step(necklace40, a).point
-                b = inner_step(necklace40, b).point
+            dx, dy = classify_points(necklace40, np.stack([x, y]), 1, itinerary_digits=1)[2][:, 0]
+            a, b = necklace40.inverse_maps[dx - 1].apply(x), necklace40.inverse_maps[dy - 1].apply(y)
             rate = np.linalg.norm(a - b) / np.linalg.norm(x - y)
             assert rate == pytest.approx(m / 4.0, rel=1e-6)
 
@@ -184,12 +178,12 @@ def test_criterion_5_escaping_boundary_witness(necklace40):
             prefix = tuple(rng.integers(1, 41, size=rng.integers(0, 3)))
             tail = tuple(rng.integers(1, 41, size=rng.integers(1, 4)))
             p = coding_point(necklace40, prefix, tail)
-            if escape_depth(necklace40, p, 40).kind is not EscapeKind.SURVIVED:
+            if classify_points(necklace40, p, 40)[0][0] != SURVIVED:
                 continue
             for _ in range(8):
                 d = rng.normal(size=3)
                 q = p + 1e-3 * d / np.linalg.norm(d)
-                if escape_depth(necklace40, q, 40).kind is EscapeKind.ESCAPED:
+                if classify_points(necklace40, q, 40)[0][0] == ESCAPED:
                     passes += 1
                     break
         assert passes == 100

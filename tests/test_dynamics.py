@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import re
 import warnings
@@ -22,7 +21,6 @@ from antoine.dynamics import (
     SURVIVED,
     EscapeKind,
     ExteriorModel,
-    StepKind,
     WINDOW_MARGIN,
     _CHUNK,
     _bracketing_children,
@@ -33,19 +31,17 @@ from antoine.dynamics import (
     coding_point,
     density_report,
     dilatation_estimate,
-    dilatation_report,
     enumerate_periodic,
-    escape_depth,
     exterior_model_map,
-    inner_step,
-    involution,
     orbit,
-    periodic_point,
+    periodic_point_cloud,
     similarity_dimension,
     winding_map,
 )
-from antoine.geom3 import circle_frames, point_circle_distance
-from antoine.necklace import build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map
+from antoine.geom3 import circle_frames, fixed_points, point_circle_distance
+from antoine.necklace import (
+    build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map, word_maps,
+)
 
 from conftest import torus_membership
 
@@ -53,16 +49,29 @@ coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
 
 
-class TestInnerStep:
+def one_step(n, p):
+    """classify_points' first step on one point: (status, digit), digit 0 unless the point stays."""
+    status, _, itinerary = classify_points(n, p, 1, itinerary_digits=1)
+    return int(status[0]), int(itinerary[0, 0])
+
+
+def chunk_pull_back(n, p, budget):
+    """dynamics._classify_chunk on one row: (status, depth, digits, last position)."""
+    status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, budget, dtype=np.int32)
+    itinerary = np.zeros((1, budget), dtype=np.int16)
+    last = dynamics._classify_chunk(n, np.asarray(p, dtype=float)[None], 0, budget, status, depth, itinerary)
+    return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
+
+
+class TestFirstStep:
     def test_origin_not_in_parent(self, necklace40):
-        assert inner_step(necklace40, np.zeros(3)).kind is StepKind.NOT_IN_T0
+        assert one_step(necklace40, np.zeros(3)) == (EXTERIOR, 0)
 
     def test_core_point_maps_to_base_circle(self, necklace40):
         p = necklace40.child_circles[0].sample(16)[5]
-        r = inner_step(necklace40, p)
-        assert r.kind is StepKind.MAPPED
-        assert r.digit == 1
-        assert point_circle_distance(necklace40.base_torus.core, r.point) < 1e-12
+        assert one_step(necklace40, p) == (SURVIVED, 1)
+        image = necklace40.inverse_maps[0].apply(p)
+        assert point_circle_distance(necklace40.base_torus.core, image) < 1e-12
 
     def test_gap_point_exits(self, necklace40):
         # the base-circle point midway between child centers is in no child
@@ -70,15 +79,15 @@ class TestInnerStep:
         for c in necklace40.child_circles:
             d = point_circle_distance(c, p)
             assert d > necklace40.child_tube
-        assert inner_step(necklace40, p).kind is StepKind.EXITS
+        assert one_step(necklace40, p) == (ESCAPED, 0)
 
     def test_core_sample_digit(self, necklace40):
         p = necklace40.child_circles[0].sample(8)[2]
-        assert inner_step(necklace40, p).digit == 1
+        assert one_step(necklace40, p)[1] == 1
 
     def test_child_center_exits(self, necklace40):
         # the circle center is radius 4/m from the curve, above tube 32/m^2
-        assert inner_step(necklace40, necklace40.child_centers[0]).kind is StepKind.EXITS
+        assert one_step(necklace40, necklace40.child_centers[0]) == (ESCAPED, 0)
 
     def test_multiple_children_on_invalid_necklace(self, necklace40, monkeypatch):
         fat = dataclasses.replace(necklace40, child_tube=8.0 * necklace40.child_tube)
@@ -88,7 +97,7 @@ class TestInnerStep:
         p = pa[int(np.argmin(db))]
         mid = 0.5 * (p + b.sample(512)[int(np.argmin(point_circle_distance(a, b.sample(512))))])
         with pytest.raises(MultipleChildren):
-            inner_step(fat, mid)
+            classify_points(fat, mid, 1)
         # in a later chunk the message names the point's index in the input
         pts = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], mid])
         monkeypatch.setattr(dynamics, "_CHUNK", 2)
@@ -101,8 +110,9 @@ class TestInnerStep:
             j = int(rng.integers(1, 41))
             angle = rng.uniform(0, 2 * math.pi)
             p = torus_at(necklace40, (j,)).core.point_at(angle)
-            r = inner_step(necklace40, p)
-            back = necklace40.child_maps[r.digit - 1].apply(r.point)
+            status, digit = one_step(necklace40, p)
+            assert (status, digit) == (SURVIVED, j)
+            back = necklace40.child_maps[digit - 1].apply(necklace40.inverse_maps[digit - 1].apply(p))
             assert np.linalg.norm(back - p) <= 1e-12 * (1.0 + np.linalg.norm(p))
 
 
@@ -125,7 +135,7 @@ def mixed_points(n, seed):
 
 
 class TestOneStepLoop:
-    """orbit, inner_step and escape_depth run the classifier's step loop on one point."""
+    """orbit runs the classifier's step loop on one point."""
 
     def test_orbit_matches_classifier(self, necklace40):
         pts = mixed_points(necklace40, 41)
@@ -138,40 +148,31 @@ class TestOneStepLoop:
             assert rec.exit is kinds[int(s)]
             assert rec.exit_depth == (int(d) if s == ESCAPED else None)
             assert rec.itinerary == tuple(int(x) for x in digits if x)
-            out = escape_depth(necklace40, p, budget)
-            assert (out.kind, out.depth) == (kinds[int(s)], int(d))
 
-    def test_inner_step_matches_classifier(self, necklace40, monkeypatch):
+    def test_one_step_image_is_the_inverse_map(self, necklace40):
         pts = mixed_points(necklace40, 42)
-        monkeypatch.setattr(dynamics, "NOISE_FLOOR", 0.0)  # inner_step's crisp tolerance
         status, _, itinerary = classify_points(necklace40, pts, 1, itinerary_digits=1)
-        kinds = {EXTERIOR: StepKind.NOT_IN_T0, ESCAPED: StepKind.EXITS, SURVIVED: StepKind.MAPPED}
         assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
         for p, s, digits in zip(pts, status, itinerary):
-            r = inner_step(necklace40, p)
-            assert r.kind is kinds[int(s)]
-            if r.kind is StepKind.MAPPED:
-                assert r.digit == int(digits[0])
-                assert np.array_equal(r.point, necklace40.inverse_maps[r.digit - 1].apply(p))
-            else:
-                assert r.digit is None and r.point is None
+            got = chunk_pull_back(necklace40, p, 1)
+            assert got[:3] == (int(s), int(s == SURVIVED), tuple(int(d) for d in digits if d))
+            want = necklace40.inverse_maps[digits[0] - 1].apply(p) if s == SURVIVED else p
+            assert np.array_equal(got[3], want)
 
 
 class TestEscapeDepth:
     def test_origin_exterior(self, necklace40):
-        assert escape_depth(necklace40, np.zeros(3), 40).kind is EscapeKind.EXTERIOR
+        assert classify_points(necklace40, np.zeros(3), 40)[0][0] == EXTERIOR
 
     def test_fixed_point_survives_any_budget(self, necklace40):
         fp = word_map(necklace40, (1,)).fixed_point()
         for budget in (5, 20, 40):
-            out = escape_depth(necklace40, fp, budget)
-            assert out.kind is EscapeKind.SURVIVED
-            assert out.depth == budget
+            status, depth, _ = classify_points(necklace40, fp, budget)
+            assert (status[0], depth[0]) == (SURVIVED, budget)
 
     def test_gap_point_depth_zero(self, necklace40):
-        out = escape_depth(necklace40, necklace40.base_torus.core.point_at(0.0), 40)
-        assert out.kind is EscapeKind.ESCAPED
-        assert out.depth == 0
+        status, depth, _ = classify_points(necklace40, necklace40.base_torus.core.point_at(0.0), 40)
+        assert (status[0], depth[0]) == (ESCAPED, 0)
 
     def test_matches_direct_containment_exhaustively_depth_two(self, necklace40):
         # oracle: scan every address of length 1 and 2 for containment
@@ -181,9 +182,9 @@ class TestEscapeDepth:
         pts += [torus_at(necklace40, (3, 9)).core.point_at(0.4)]
         pts += [necklace40.base_torus.core.point_at(0.0)]
         pts += list(rng.uniform(-1.3, 1.3, size=(30, 3)))
-        for p in pts:
-            out = escape_depth(necklace40, p, 2)
-            if out.kind is EscapeKind.EXTERIOR:
+        status, depth, _ = classify_points(necklace40, np.array(pts), 2)
+        for p, s, d in zip(pts, status, depth):
+            if s == EXTERIOR:
                 continue
             in_stage1 = [
                 j
@@ -203,10 +204,10 @@ class TestEscapeDepth:
                 if in_stage2:
                     assert len(in_stage2) == 1
                     depth_oracle = 2
-            if out.kind is EscapeKind.SURVIVED:
+            if s == SURVIVED:
                 assert depth_oracle == 2
             else:
-                assert out.depth == depth_oracle
+                assert d == depth_oracle
 
     def test_bulk_matches_scalar(self, necklace40):
         rng = np.random.default_rng(23)
@@ -215,12 +216,8 @@ class TestEscapeDepth:
         )
         status, depth, _ = classify_points(necklace40, pts, 15)
         for p, s, d in zip(pts, status, depth):
-            out = escape_depth(necklace40, p, 15)
-            assert {EXTERIOR: EscapeKind.EXTERIOR, ESCAPED: EscapeKind.ESCAPED, SURVIVED: EscapeKind.SURVIVED}[
-                int(s)
-            ] is out.kind
-            if out.kind is EscapeKind.ESCAPED:
-                assert out.depth == int(d)
+            one_status, one_depth, _ = classify_points(necklace40, p, 15)
+            assert (one_status[0], one_depth[0]) == (s, d)
 
     def test_expansion_rate(self, necklace40):
         # separation large enough that subtraction cancellation stays two
@@ -228,10 +225,7 @@ class TestEscapeDepth:
         w = (3, 1)
         tor = torus_at(necklace40, w + w)
         x, y = tor.core.point_at(1.0), tor.core.point_at(1.2)
-        a, b = x, y
-        for _ in range(len(w)):
-            a = inner_step(necklace40, a).point
-            b = inner_step(necklace40, b).point
+        a, b = (chunk_pull_back(necklace40, q, len(w))[3] for q in (x, y))
         ratio = np.linalg.norm(a - b) / np.linalg.norm(x - y)
         assert ratio == pytest.approx(necklace40.expansion ** len(w), rel=1e-10)
 
@@ -246,11 +240,9 @@ class TestNonFinitePoints:
         with pytest.raises(ValueError):
             classify_points(necklace40, pts, 4)
         with pytest.raises(ValueError):
-            escape_depth(necklace40, p, 4)
+            classify_points(necklace40, p, 4)
         with pytest.raises(ValueError):
             orbit(necklace40, ExteriorModel(2), p, 4)
-        with pytest.raises(ValueError):
-            inner_step(necklace40, p)
 
 
 class TestPointShapes:
@@ -267,21 +259,14 @@ class TestPointShapes:
 
     @pytest.mark.parametrize("p", [[1.0, 2.0], [[0.9, 0.1, 0.0], [0.9, 0.1, 0.0]], [[[0.9, 0.1, 0.0]]], []])
     def test_one_point_entries_name_the_shape(self, necklace40, p):
-        shape = np.shape(p)
-        for call in (
-            lambda: escape_depth(necklace40, p, 4),
-            lambda: inner_step(necklace40, p),
-            lambda: orbit(necklace40, ExteriorModel(2), p, 4),
-        ):
-            with pytest.raises(ValueError, match=r"shape \(3,\), not " + re.escape(str(shape))):
-                call()
+        with pytest.raises(ValueError, match=r"shape \(3,\), not " + re.escape(str(np.shape(p)))):
+            orbit(necklace40, ExteriorModel(2), p, 4)
 
     def test_accepted_shapes_agree(self, necklace40):
         p = necklace40.child_circles[3].sample(8)[5]
         one, rows, empty = (classify_points(necklace40, q, 12, 4) for q in (p, p[None], np.empty((0, 3))))
         assert all(np.array_equal(a, b) for a, b in zip(one, rows))
         assert [a.shape for a in empty] == [(0,), (0,), (0, 4)]
-        assert escape_depth(necklace40, p, 12).depth == int(one[1][0])
 
 
 class TestIntegerArguments:
@@ -289,23 +274,15 @@ class TestIntegerArguments:
 
     P = np.array([3.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("budget", [2.5, 4.0, 0])
+    @pytest.mark.parametrize("budget", [2.5, 4.0, 0, True])
     def test_classify_points_budget(self, necklace40, budget):
         with pytest.raises(ValueError, match=f"budget must be an integer in 1..{MAX_BUDGET}, got {budget}"):
             classify_points(necklace40, self.P, budget)
 
-    @pytest.mark.parametrize("digits", [2.5, 2.0, -1])
+    @pytest.mark.parametrize("digits", [2.5, 2.0, -1, True])
     def test_classify_points_itinerary_digits(self, necklace40, digits):
         with pytest.raises(ValueError, match=f"itinerary_digits must be an integer >= 0, got {digits}"):
             classify_points(necklace40, self.P, 4, digits)
-
-    def test_pull_back_budget(self, necklace40):
-        with pytest.raises(ValueError, match="budget must be an integer in 1"):
-            dynamics._pull_back(necklace40, self.P, 2.5, NOISE_FLOOR)
-
-    def test_escape_depth_budget(self, necklace40):
-        with pytest.raises(ValueError, match="budget must be an integer in 1"):
-            escape_depth(necklace40, self.P, 3.5)
 
     def test_orbit_max_iter(self, necklace40):
         with pytest.raises(ValueError, match="max_iter, the step budget, must be an integer in 1"):
@@ -325,17 +302,46 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=f"depth must be an integer >= 8, got {depth}"):
             chaos_game_sample(necklace40, 10, depth)
 
+    @pytest.mark.parametrize("p_max", [1.5, 2.0, 0])
+    def test_enumerate_periodic_p_max(self, necklace16, p_max):
+        with pytest.raises(ValueError, match=f"p_max must be an integer >= 1, got {p_max}"):
+            enumerate_periodic(necklace16, p_max)
+
+    @pytest.mark.parametrize("cap", [0, -1, 100.5, 100.0])
+    def test_enumerate_periodic_cap(self, necklace16, cap):
+        with pytest.raises(ValueError, match=f"cap must be an integer >= 1, got {cap}"):
+            enumerate_periodic(necklace16, 2, cap=cap)
+
+    @pytest.mark.parametrize("p_max", [0, 1.5])
+    def test_periodic_point_cloud_p_max(self, necklace16, p_max):
+        with pytest.raises(ValueError, match=f"p_max must be an integer >= 1, got {p_max}"):
+            periodic_point_cloud(necklace16, p_max)
+
+    @pytest.mark.parametrize("p_max", [0, 1.5])
+    def test_density_report_p_max(self, necklace16, p_max):
+        with pytest.raises(ValueError, match=f"p_max must be an integer >= 1, got {p_max}"):
+            density_report(necklace16, p_max, 8)
+
+    @pytest.mark.parametrize("sample_k", [8.5, 8.0, 1])
+    def test_density_report_sample_k(self, necklace16, sample_k):
+        with pytest.raises(ValueError, match=f"sample_k must be an integer >= 2, got {sample_k}"):
+            density_report(necklace16, 2, sample_k)
+
     def test_numpy_integers_are_integers(self, necklace40):
         p = necklace40.child_circles[3].sample(8)[5]
         got = classify_points(necklace40, p, np.int64(12), np.int32(4))
         assert all(np.array_equal(a, b) for a, b in zip(got, classify_points(necklace40, p, 12, 4)))
-        assert escape_depth(necklace40, p, np.uint16(12)) == escape_depth(necklace40, p, 12)
         assert orbit(necklace40, ExteriorModel(2), p, np.int64(12)).itinerary == orbit(
             necklace40, ExteriorModel(2), p, 12
         ).itinerary
         sample = chaos_game_sample(necklace40, np.int64(7), np.int8(9), 1)
         assert np.array_equal(sample, chaos_game_sample(necklace40, 7, 9, 1))
         assert chaos_game_sample(necklace40, 0, 9).shape == (0, 3)
+        words = [pp.word for pp in enumerate_periodic(necklace40, np.int64(2), cap=np.int32(100))]
+        assert words == [pp.word for pp in enumerate_periodic(necklace40, 2, cap=100)]
+        cloud = periodic_point_cloud(necklace40, np.uint8(2))
+        assert np.array_equal(cloud, periodic_point_cloud(necklace40, 2))
+        assert density_report(necklace40, np.int64(1), np.int16(3)) == density_report(necklace40, 1, 3)
 
 
 class TestHugeFinitePoints:
@@ -343,9 +349,9 @@ class TestHugeFinitePoints:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, depth, _ = classify_points(necklace40, np.array([[1e200, 0.0, 0.0]]), 5)
-            outcome = escape_depth(necklace40, np.array([0.0, 1e160, 0.0]))
+            one = classify_points(necklace40, np.array([0.0, 1e160, 0.0]))
         assert status.tolist() == [EXTERIOR] and depth.tolist() == [0]
-        assert outcome.kind is EscapeKind.EXTERIOR and outcome.depth == 0
+        assert one[0].tolist() == [EXTERIOR] and one[1].tolist() == [0]
 
 
 class TestCodingPoint:
@@ -368,7 +374,7 @@ class TestCodingPoint:
             prefix = tuple(rng.integers(1, 41, size=rng.integers(0, 3)))
             tail = tuple(rng.integers(1, 41, size=rng.integers(1, 4)))
             p = coding_point(necklace40, prefix, tail)
-            assert escape_depth(necklace40, p, 50).kind is EscapeKind.SURVIVED
+            assert classify_points(necklace40, p, 50)[0][0] == SURVIVED
             # cross-check the itinerary address against direct containment
             _, _, itin = classify_points(necklace40, p[None, :], 12, itinerary_digits=12)
             word = tuple(int(d) for d in itin[0] if d > 0)
@@ -382,28 +388,29 @@ class TestCodingPoint:
             coding_point(necklace40, (1,), ())
 
 
+def periodic_point(n, word):
+    """The fixed point of the word's composed child map: periodic under the dynamics with the word as itinerary."""
+    return fixed_points(*word_maps(n, [word]))[0]
+
+
 class TestPeriodicPoints:
     def test_single_digit_fixed(self, necklace40):
-        pp = periodic_point(necklace40, (4,))
-        r = inner_step(necklace40, pp.point)
-        assert r.digit == 4
-        assert np.linalg.norm(r.point - pp.point) < 1e-12
+        x = periodic_point(necklace40, (4,))
+        assert one_step(necklace40, x) == (SURVIVED, 4)
+        assert np.linalg.norm(necklace40.inverse_maps[3].apply(x) - x) < 1e-12
 
     def test_two_cycle_roundtrip(self, necklace40):
-        pp = periodic_point(necklace40, (1, 2))
-        assert torus_membership(torus_at(necklace40, (1, 2)), pp.point) == "inside"
-        z = pp.point
-        digits = []
-        for _ in range(2):
-            r = inner_step(necklace40, z)
-            digits.append(r.digit)
-            z = r.point
+        x = periodic_point(necklace40, (1, 2))
+        assert torus_membership(torus_at(necklace40, (1, 2)), x) == "inside"
+        _, _, digits, z = chunk_pull_back(necklace40, x, 2)
         c0 = stage_summary(necklace40, 0).max_diameter
-        assert np.linalg.norm(z - pp.point) <= 1e-9 * c0
-        assert digits == [1, 2]
+        assert np.linalg.norm(z - x) <= 1e-9 * c0
+        assert digits == (1, 2)
 
     def test_multiplier_m16(self, necklace16):
-        assert periodic_point(necklace16, (1, 2)).multiplier == pytest.approx(16.0)
+        (pp,) = [pp for pp in enumerate_periodic(necklace16, 2) if pp.word == (1, 2)]
+        assert pp.multiplier == pytest.approx(16.0)
+        assert np.array_equal(pp.point, periodic_point(necklace16, (1, 2)))
 
     def test_enumerate_period_one(self, necklace16):
         pts = enumerate_periodic(necklace16, 1)
@@ -464,13 +471,6 @@ class TestModelMaps:
         d = np.linalg.norm(img_3[:, None, :] - img_1[None, :, :], axis=2).min(axis=1)
         assert np.max(d) < 2e-2  # same point set up to sampling resolution
 
-    def test_involution(self):
-        assert np.allclose(involution(np.array([1.0, 2, 3])), [1, -2, -3])
-        p = np.array([0.3, -0.8, 2.2])
-        assert np.allclose(involution(involution(p)), p)
-        axis_point = np.array([5.0, 0, 0])
-        assert np.allclose(involution(axis_point), axis_point)
-
     def test_exterior_model_examples(self):
         m4 = ExteriorModel(4)
         p = np.array([2.0, 0, 0])
@@ -518,8 +518,7 @@ class TestOrbit:
         assert not rec.handoff_clamped
 
     def test_periodic_never_exits(self, necklace40):
-        pp = periodic_point(necklace40, (2, 9, 5))
-        rec = orbit(necklace40, ExteriorModel(2), pp.point, max_iter=30)
+        rec = orbit(necklace40, ExteriorModel(2), periodic_point(necklace40, (2, 9, 5)), max_iter=30)
         assert rec.exit is EscapeKind.SURVIVED
         assert rec.exterior_norms == ()
         period = 3
@@ -538,12 +537,12 @@ class TestOrbit:
     def test_perturbed_periodic_exit_bound(self, necklace40):
         m = necklace40.multiplicity
         bound = math.ceil(math.log(8e3 / m) / math.log(m / 4.0)) + 1
-        pp = periodic_point(necklace40, (6, 2))
+        x = periodic_point(necklace40, (6, 2))
         rng = np.random.default_rng(26)
         for _ in range(10):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            rec = orbit(necklace40, ExteriorModel(2), pp.point + 1e-3 * d, max_iter=40)
+            rec = orbit(necklace40, ExteriorModel(2), x + 1e-3 * d, max_iter=40)
             assert rec.exit is EscapeKind.ESCAPED
             assert rec.exit_depth <= bound
 
@@ -583,12 +582,11 @@ class TestDilatation:
         with pytest.raises(ValueError):
             dilatation_estimate(lambda p: p, np.zeros(3), h=1.0)
 
-    def test_report_sense_preserving(self, necklace40):
+    def test_child_map_conformal_over_a_sample(self, necklace40):
         rng = np.random.default_rng(28)
-        rep = dilatation_report(necklace40.child_maps[4].apply, rng.normal(size=(10, 3)))
-        assert rep.sense_preserving
-        assert rep.max_outer <= 1.0 + 1e-6
-        assert rep.max_inner <= 1.0 + 1e-6
+        for p in rng.normal(size=(10, 3)):
+            ko, ki = dilatation_estimate(necklace40.child_maps[4].apply, p)
+            assert ko <= 1.0 + 1e-6 and ki <= 1.0 + 1e-6
 
 
 class TestDimensions:
@@ -682,14 +680,13 @@ class TestBoundaryWitness:
         for _ in range(5):
             tail = tuple(rng.integers(1, 41, size=2))
             p = coding_point(necklace40, (), tail)
-            assert escape_depth(necklace40, p, DEFAULT_BUDGET).kind is EscapeKind.SURVIVED
+            assert classify_points(necklace40, p, DEFAULT_BUDGET)[0][0] == SURVIVED
             for eps in (1e-2, 1e-3, 1e-4):
                 found = False
                 for _ in range(8):
                     d = rng.normal(size=3)
                     q = p + eps * d / np.linalg.norm(d)
-                    out = escape_depth(necklace40, q, DEFAULT_BUDGET)
-                    if out.kind is EscapeKind.ESCAPED:
+                    if classify_points(necklace40, q, DEFAULT_BUDGET)[0][0] == ESCAPED:
                         found = True
                         break
                 assert found
@@ -782,14 +779,14 @@ class TestChildWindow:
         assert claimed > 10**5
 
 
-def every_child_pull_back(n, p, budget, noise_floor):
+def every_child_pull_back(n, p, budget):
     """The step loop on one point, measuring every child at every step: (status, depth, digits, last)."""
     x = np.asarray(p, dtype=float)
     if point_circle_distance(n.base_torus.core, x) > n.base_torus.tube + BOUNDARY_TOL:
         return EXTERIOR, 0, (), x
     digits = []
     for k in range(budget):
-        noise = noise_floor * n.expansion**k
+        noise = NOISE_FLOOR * n.expansion**k
         claims = np.flatnonzero(full_child_distances(n, x)[0] <= n.child_tube + BOUNDARY_TOL + noise)
         if claims.size == 0:
             return ESCAPED, k, tuple(digits), x
@@ -802,11 +799,11 @@ def every_child_pull_back(n, p, budget, noise_floor):
     return SURVIVED, budget, tuple(digits), x
 
 
-def child_shell(n, noise_floor):
+def child_shell(n):
     """max_j dist(c_j, core) + r + child_tube + tol_0 + 1e-9 (|c| + R + tube): past it no child claims a point."""
     t = n.base_torus
     reach = point_circle_distance(t.core, n.child_centers).max() + n.contraction + n.child_tube
-    return reach + BOUNDARY_TOL + noise_floor + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
+    return reach + BOUNDARY_TOL + NOISE_FLOOR + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
 
 
 def shell_points(n, radius, count, seed):
@@ -831,20 +828,18 @@ class TestChildShell:
     """A point farther from the parent core than the child shell exits at step 0 without a child test."""
 
     @pytest.mark.parametrize("m", [40, 64])
-    @pytest.mark.parametrize("noise_floor", [NOISE_FLOOR, 0.0])  # classify_points' and inner_step's
-    def test_removed_points_are_claimed_by_no_child(self, m, noise_floor, monkeypatch):
+    def test_removed_points_are_claimed_by_no_child(self, m, monkeypatch):
         n = build_necklace(m)
-        shell = child_shell(n, noise_floor)
+        shell = child_shell(n)
         pts = shell_points(n, shell, 4000, seed=m)
         d0 = point_circle_distance(n.base_torus.core, pts)
         removed = d0 > shell
         assert 1000 < removed.sum() < 3000  # the sample straddles the shell
         dist = full_child_distances(n, pts[removed])
-        assert dist.min() > n.child_tube + BOUNDARY_TOL + noise_floor
+        assert dist.min() > n.child_tube + BOUNDARY_TOL + NOISE_FLOOR
         # where the shell is tight, a removed point clears the nearest child tube by about the 1e-9 margin
-        assert dist[: removed[:2000].sum()].min() - (n.child_tube + BOUNDARY_TOL + noise_floor) < 2e-9
+        assert dist[: removed[:2000].sum()].min() - (n.child_tube + BOUNDARY_TOL + NOISE_FLOOR) < 2e-9
 
-        monkeypatch.setattr(dynamics, "NOISE_FLOOR", noise_floor)
         measured = []
         original = dynamics.child_distances
 
@@ -862,7 +857,7 @@ class TestChildShell:
         n = build_necklace(m)
         # about the shell, about the outermost reach of the child tubes, and mixed
         pts = np.concatenate([
-            shell_points(n, child_shell(n, NOISE_FLOOR), 400, seed=m + 1),
+            shell_points(n, child_shell(n), 400, seed=m + 1),
             shell_points(n, n.child_reach, 400, seed=m + 2),
             mixed_points(n, m),
         ])
@@ -870,12 +865,10 @@ class TestChildShell:
         status, depth, itinerary = classify_points(n, pts, budget, itinerary_digits=budget)
         assert set(status.tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
         for i, p in enumerate(pts):
-            want = every_child_pull_back(n, p, budget, NOISE_FLOOR)
-            got = dynamics._pull_back(n, p, budget, NOISE_FLOOR)
+            want = every_child_pull_back(n, p, budget)
+            got = chunk_pull_back(n, p, budget)
             assert got[:3] == want[:3] and np.array_equal(got[3], want[3])
             assert (status[i], depth[i], tuple(int(d) for d in itinerary[i] if d)) == want[:3]
-            crisp = dynamics._pull_back(n, p, 1, 0.0)
-            assert crisp[:3] == every_child_pull_back(n, p, 1, 0.0)[:3]
 
 
 def mask_loop_chaos_game(n, count, depth, seed):
@@ -998,7 +991,5 @@ class TestBudgetBound:
         p = np.array([3.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="budget"):
             classify_points(necklace40, p[None], budget)
-        with pytest.raises(ValueError, match="budget"):
-            escape_depth(necklace40, p, budget)
         with pytest.raises(ValueError, match="budget"):
             orbit(necklace40, ExteriorModel(2), p, budget)

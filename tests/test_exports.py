@@ -24,17 +24,15 @@ from antoine.exports import (
     export_points,
     export_volume,
     load_volume,
-    mesh_euler_characteristic,
-    mesh_is_watertight,
-    mesh_signed_volume,
     mesh_stage,
-    parse_obj,
     torus_meshes,
     voxel_centers,
     write_volume,
 )
 from antoine.geom3 import point_circle_distance
 from antoine.necklace import _rho_classes, build_necklace, torus_at
+
+from oracles import mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume, parse_obj
 
 
 def torus_mesh(t, nu, nv):
@@ -88,6 +86,16 @@ class TestTorusMesh:
     def test_too_many_tori(self, necklace16):
         with pytest.raises(TooManyTori):
             mesh_stage(necklace16, 6, 8, 8)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, -1])
+    def test_stage_is_an_integer(self, necklace16, k):
+        with pytest.raises(ValueError, match=f"k, the stage, must be an integer >= 0, got {k}"):
+            mesh_stage(necklace16, k, 8, 8)
+
+    @pytest.mark.parametrize("nu, nv, name", [(8.5, 8, "nu"), (8, 8.0, "nv")])
+    def test_resolution_is_an_integer(self, necklace16, nu, nv, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 8, got {nu if name == 'nu' else nv}"):
+            mesh_stage(necklace16, 1, nu, nv)
 
 
 class TestObjPly:

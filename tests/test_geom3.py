@@ -17,7 +17,6 @@ from antoine.geom3 import (
     fixed_points,
     point_circle_distance,
     unit_rows,
-    vec3,
 )
 from antoine.necklace import build_necklace
 
@@ -45,15 +44,15 @@ def random_similarity(rng):
 
 class TestSimilarityApply:
     def test_identity(self):
-        assert np.allclose(Similarity3.identity().apply(vec3(1, 2, 3)), [1, 2, 3])
+        assert np.allclose(Similarity3.identity().apply(np.array([1.0, 2.0, 3.0])), [1, 2, 3])
 
     def test_pure_scale(self):
         s = Similarity3(0.5, Rotation3.identity(), np.zeros(3))
-        assert np.allclose(s.apply(vec3(2, 0, 0)), [1, 0, 0])
+        assert np.allclose(s.apply(np.array([2.0, 0.0, 0.0])), [1, 0, 0])
 
     def test_quarter_turn(self):
         s = Similarity3(1.0, Rotation3.about_axis(E3, math.pi / 2), np.zeros(3))
-        assert np.allclose(s.apply(vec3(1, 0, 0)), [0, 1, 0], atol=1e-15)
+        assert np.allclose(s.apply(np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-15)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
@@ -75,12 +74,12 @@ class TestSimilarityCompose:
         rng = np.random.default_rng(1)
         s = random_similarity(rng)
         c = Similarity3.identity().compose(s)
-        p = vec3(0.3, -0.7, 2.0)
+        p = np.array([0.3, -0.7, 2.0])
         assert np.allclose(c.apply(p), s.apply(p))
 
     def test_translations_add(self):
-        t1 = Similarity3(1.0, Rotation3.identity(), vec3(1, 2, 3))
-        t2 = Similarity3(1.0, Rotation3.identity(), vec3(-4, 0, 1))
+        t1 = Similarity3(1.0, Rotation3.identity(), np.array([1.0, 2.0, 3.0]))
+        t2 = Similarity3(1.0, Rotation3.identity(), np.array([-4.0, 0.0, 1.0]))
         assert np.allclose(t1.compose(t2).shift, [-3, 2, 4])
         assert t1.compose(t2).scale == 1.0
 
@@ -98,10 +97,10 @@ class TestSimilarityCompose:
 class TestSimilarityInvert:
     def test_identity(self):
         inv = Similarity3.identity().invert()
-        assert np.allclose(inv.apply(vec3(5, -1, 2)), [5, -1, 2])
+        assert np.allclose(inv.apply(np.array([5.0, -1.0, 2.0])), [5, -1, 2])
 
     def test_explicit(self):
-        s = Similarity3(0.5, Rotation3.identity(), vec3(1, 0, 0))
+        s = Similarity3(0.5, Rotation3.identity(), np.array([1.0, 0.0, 0.0]))
         inv = s.invert()
         assert inv.scale == pytest.approx(2.0)
         assert np.allclose(inv.shift, [-2, 0, 0])
@@ -117,11 +116,11 @@ class TestSimilarityInvert:
 
 class TestFixedPoint:
     def test_pure_contraction(self):
-        s = Similarity3(0.5, Rotation3.identity(), vec3(1, 0, 0))
+        s = Similarity3(0.5, Rotation3.identity(), np.array([1.0, 0.0, 0.0]))
         assert np.allclose(s.fixed_point(), [2, 0, 0])
 
     def test_with_half_turn(self):
-        s = Similarity3(0.5, Rotation3.about_axis(E3, math.pi), vec3(1, 0, 0))
+        s = Similarity3(0.5, Rotation3.about_axis(E3, math.pi), np.array([1.0, 0.0, 0.0]))
         assert np.allclose(s.fixed_point(), [2 / 3, 0, 0], atol=1e-14)
 
     def test_iteration_oracle(self):
@@ -134,7 +133,7 @@ class TestFixedPoint:
         assert np.allclose(s.fixed_point(), x, atol=1e-10)
 
     def test_scale_one_rejected(self):
-        s = Similarity3(1.0, Rotation3.about_axis(E3, 0.3), vec3(1, 0, 0))
+        s = Similarity3(1.0, Rotation3.about_axis(E3, 0.3), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(NoUniqueFixedPoint):
             s.fixed_point()
 
@@ -187,13 +186,13 @@ class TestPointCircleDistance:
     unit = Circle3(np.zeros(3), 1.0, E3)
 
     def test_on_circle(self):
-        assert point_circle_distance(self.unit, vec3(1, 0, 0)) == pytest.approx(0.0, abs=1e-15)
+        assert point_circle_distance(self.unit, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_axis_case(self):
         assert point_circle_distance(self.unit, np.zeros(3)) == pytest.approx(1.0)
 
     def test_off_plane(self):
-        assert point_circle_distance(self.unit, vec3(2, 0, 1)) == pytest.approx(math.sqrt(2))
+        assert point_circle_distance(self.unit, np.array([2.0, 0.0, 1.0])) == pytest.approx(math.sqrt(2))
 
     def test_batch(self):
         pts = np.array([[1, 0, 0], [0, 0, 0], [2, 0, 1]], dtype=float)
@@ -215,7 +214,7 @@ class TestPointCircleDistance:
             warnings.simplefilter("error")
             d = point_circle_distance(self.unit, np.array([[1e200, 0.0, 0.0], [0.0, 1e160, 3.0], [2.0, 0.0, 1.0]]))
         assert d[0] == d[1] == math.inf
-        assert d[2] == point_circle_distance(self.unit, vec3(2, 0, 1))
+        assert d[2] == point_circle_distance(self.unit, np.array([2.0, 0.0, 1.0]))
 
 
 class TestUnitRows:
@@ -243,13 +242,13 @@ class TestTorusContains:
     torus = SolidTorus(Circle3(np.zeros(3), 1.0, E3), 0.5)  # the m = 16 parent
 
     def test_core_point_inside(self):
-        assert torus_membership(self.torus, vec3(1, 0, 0)) == "inside"
+        assert torus_membership(self.torus, np.array([1.0, 0.0, 0.0])) == "inside"
 
     def test_origin_outside(self):
         assert torus_membership(self.torus, np.zeros(3)) == "outside"
 
     def test_exact_boundary(self):
-        assert torus_membership(self.torus, vec3(1.5, 0, 0)) == "boundary"
+        assert torus_membership(self.torus, np.array([1.5, 0.0, 0.0])) == "boundary"
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -259,7 +258,7 @@ class TestTorusContains:
 class TestCircleCircleDistance:
     def test_coaxial(self):
         a = Circle3(np.zeros(3), 1.0, E3)
-        b = Circle3(vec3(0, 0, 3), 1.0, E3)
+        b = Circle3(np.array([0.0, 0.0, 3.0]), 1.0, E3)
         bound = circle_circle_distance(a, b, 64)
         assert 2.9 <= bound <= 3.0
 
@@ -305,11 +304,7 @@ class TestCircleCircleDistance:
             assert bound <= oracle + 1e-12
 
 
-class TestVec3:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            vec3(float("nan"), 0, 0)
-
+class TestCircleInput:
     def test_circle_rejects_zero_normal(self):
         with pytest.raises(ValueError):
             Circle3(np.zeros(3), 1.0, np.zeros(3))

@@ -13,7 +13,6 @@ from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, po
 from antoine.necklace import (
     GAUSS_TOL,
     build_necklace,
-    find_min_valid_multiplicity,
     is_even_square,
     scan_multiplicities,
     stage_summary,
@@ -280,11 +279,11 @@ class TestMultiplicityScan:
         assert not r38.passed and r38.link_matrix is None
         assert r40.passed and r40.link_matrix is not None
 
-    def test_find_min_valid_multiplicity(self, monkeypatch):
+    def test_first_passing_multiplicity(self, monkeypatch):
         linked = []
         link_matrix = linking.link_matrix
         monkeypatch.setattr(linking, "link_matrix", lambda n, **kw: linked.append(n.multiplicity) or link_matrix(n, **kw))
-        m, report = find_min_valid_multiplicity(poly_n=128, quad_n=64)
+        m, report = next((m, r) for m, r in scan_multiplicities(range(10, 1001, 2), poly_n=128, quad_n=64) if r.passed)
         assert m == M_STAR
         assert report.passed
         assert linked == [M_STAR]  # every smaller m fails a geometric check, so it is never linked
@@ -430,3 +429,11 @@ class TestStageSummary:
         diams = [stage_summary(necklace16, k).max_diameter for k in range(11)]
         assert all(a > b for a, b in zip(diams, diams[1:]))
         assert diams[10] / diams[0] == pytest.approx(0.25**10, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, -1])
+    def test_stage_is_an_integer(self, necklace16, k):
+        with pytest.raises(ValueError, match=f"k, the stage, must be an integer >= 0, got {k}"):
+            stage_summary(necklace16, k)
+
+    def test_numpy_integer_stage(self, necklace16):
+        assert stage_summary(necklace16, np.int64(2)) == stage_summary(necklace16, 2)
