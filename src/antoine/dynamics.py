@@ -107,7 +107,7 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
     depth[exterior] = 0
     # child shell: dist(p, C_j) >= |p - c_j| - r >= d0 - dist(c_j, core) - r, so no child claims a point
     # past it at step 0's tolerance, and the point exits there, as the step loop would find
-    beyond = ~exterior & (d0 > n.child_reach + BOUNDARY_TOL + NOISE_FLOOR + _rounding_margin(n))
+    beyond = ~exterior & (d0 > _child_shell(n))
     status[beyond] = ESCAPED
     depth[beyond] = 0
 
@@ -158,6 +158,12 @@ def _rounding_margin(n: Necklace) -> float:
     return 1e-9 * (float(np.abs(core.center).max()) + core.radius + n.base_torus.tube)
 
 
+def _child_shell(n: Necklace) -> float:
+    """Distance from the parent core past which no child claims a point at step 0's tolerance: the child
+    reach plus that tolerance and the rounding margin."""
+    return n.child_reach + BOUNDARY_TOL + NOISE_FLOOR + _rounding_margin(n)
+
+
 def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray:
     """(N, 2k) indices of the children whose centre azimuths lie nearest each point's, k on each side
     of it, for the least k that holds every claim at tolerance tol; all m, as (1, m), when no 2k < m
@@ -176,7 +182,7 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
             span = (np.roll(phi, -k) - phi) % (2.0 * math.pi)  # k gaps up from each child
             if np.all((span > need) & (np.roll(span, k) > need)):
                 first = np.searchsorted(phi, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - k
-                return order[(first[:, None] + np.arange(2 * k)) % m]
+                return order.take(first[:, None] + np.arange(2 * k), mode="wrap")
     return np.arange(m)[None]
 
 

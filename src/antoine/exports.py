@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _rounding_margin, classify_points
+from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _child_shell, _rounding_margin, classify_points
 from .errors import MultipleChildren, TooManyTori
 from .floattext import text_rows
 from .geom3 import _check_int, circle_frames, point_rows, unit_rows
@@ -26,7 +26,7 @@ VOL_SURVIVED = 0xFFFF
 MAX_EXPORT_TORI = 10**6
 MAX_GRID = 1024  # voxels per axis of a volume grid
 _BLOCK_FACES = 1 << 16  # PLY faces written at a time
-_SLAB_POINTS = 1 << 16  # parent-box voxels per slab, in whole z-layers; only their annulus is classified
+_SLAB_POINTS = 1 << 17  # parent-box voxels per slab, in whole z-layers; about one classifier chunk is classified
 DEFAULT_BBOX = ((-1.6, -1.6, -1.6), (1.6, 1.6, 1.6))  # contains the parent torus with margin
 
 
@@ -213,13 +213,15 @@ def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
 def _volume_layers(n: Necklace, dims, bbox, budget: int):
     """The volume's z-layers in file order as (k, ny, nx) little-endian uint16 blocks: one reused exterior
     layer outside the parent torus's box, slabs of about _SLAB_POINTS box voxels inside, of which only the
-    annulus about the core is classified (see classify_volume)."""
+    annulus about the core is coded and only its part about the child shell is classified (see
+    classify_volume)."""
     dims, lo, hi = _grid_frame(dims, *bbox)
     nx, ny, nz = dims
     if max(dims) > MAX_GRID:
         raise ValueError(f"dims are capped at {MAX_GRID} per axis")
     core = n.base_torus.core
-    pad = n.base_torus.tube + BOUNDARY_TOL + _rounding_margin(n)
+    margin = _rounding_margin(n)
+    pad = n.base_torus.tube + BOUNDARY_TOL + margin
     # the base circle is the unit circle about e3 at the origin: the box is R + pad across, pad high
     reach = (core.radius + pad, core.radius + pad, pad)
     axes = _voxel_axes(dims, lo, hi)
@@ -230,21 +232,31 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
     x, y, z = axes[0][xs], axes[1][ys], axes[2][zs]
     cx, cy, cz = core.center
     ring = np.abs(np.hypot(x - cx, (y - cy)[:, None]) - core.radius)  # (box ny, box nx)
-    half = np.sqrt(np.maximum(pad * pad - (z - cz) ** 2, 0.0)) + 1e-9  # per box z-layer
+
+    def half_widths(radius, widen):  # per box z-layer, of the annulus within radius of the core
+        return (np.sqrt(np.maximum(radius * radius - (z - cz) ** 2, 0.0)) + widen)[:, None, None]
+
+    annulus = half_widths(pad, 1e-9)  # past it a voxel is exterior
+    # past the classifier's child shell and short of the parent tube, a voxel escapes at depth 0
+    shell = half_widths(_child_shell(n), 1e-9)
+    tube = half_widths(n.base_torus.tube + BOUNDARY_TOL - margin, -1e-9)
     exterior = np.full((1, ny, nx), VOL_EXTERIOR, dtype="<u2")
     yield from itertools.repeat(exterior, zs.start)
     step = max(1, _SLAB_POINTS // max(1, x.size * y.size))
     for z0 in range(0, z.size, step):
-        inside = ring <= half[z0:z0 + step, None, None]  # (k, box ny, box nx)
-        iz, iy, ix = np.nonzero(inside)
+        k = slice(z0, z0 + step)
+        escaped = (ring > shell[k]) & (ring < tube[k])  # (k, box ny, box nx), inside the annulus
+        classified = (ring <= annulus[k]) & ~escaped
+        iz, iy, ix = np.nonzero(classified)
         try:
             status, depth, _ = classify_points(n, np.stack([x[ix], y[iy], z[z0 + iz]], axis=1), budget)
-        except MultipleChildren as exc:  # exc.index counts the slab's annulus voxels
+        except MultipleChildren as exc:  # exc.index counts the slab's classified voxels
             at = (zs.start + z0 + iz[exc.index], ys.start + iy[exc.index], xs.start + ix[exc.index])
             raise MultipleChildren(int(np.ravel_multi_index(at, dims[::-1]))) from None
-        layers = np.full((inside.shape[0], ny, nx), VOL_EXTERIOR, dtype="<u2")
-        codes = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
-        layers[:, ys, xs][inside] = codes
+        layers = np.full((escaped.shape[0], ny, nx), VOL_EXTERIOR, dtype="<u2")
+        box = layers[:, ys, xs]
+        box[escaped] = 0
+        box[classified] = np.where(status == ESCAPED, depth, np.where(status == EXTERIOR, VOL_EXTERIOR, VOL_SURVIVED))
         yield layers
     yield from itertools.repeat(exterior, nz - zs.stop)
 
@@ -255,10 +267,14 @@ def classify_volume(
     """Escape depth of every voxel center; deterministic for identical arguments.
 
     Only voxels in the annulus |hypot(x - cx, y - cy) - R| <= sqrt(pad^2 - (z - cz)^2) + 1e-9 about the
-    parent core are classified, with pad = tube + BOUNDARY_TOL + a 1e-9 relative rounding margin: outside
-    it the exterior test hypot(rho - R, h) > tube + BOUNDARY_TOL holds. The annulus is found within the
-    parent torus's axis-aligned box, and its centres are gathered from the full grid's axes (same bits).
-    MultipleChildren names the voxel's x-fastest index in the full grid.
+    parent core are coded, with pad = tube + BOUNDARY_TOL + a 1e-9 relative rounding margin: outside it
+    the exterior test hypot(rho - R, h) > tube + BOUNDARY_TOL holds. Of those, a voxel past the child shell
+    by the same test, with S (the classifier's child-shell bound, which includes the margin) for pad, and
+    short of the parent tube, |hypot(x - cx, y - cy) - R| < sqrt(T^2 - (z - cz)^2) - 1e-9 with
+    T = tube + BOUNDARY_TOL less the margin, is coded as escaped at depth 0, as the classifier would code it;
+    only the others are classified. The annulus is found within the parent torus's axis-aligned box, and the
+    classified centres are gathered from the full grid's axes (same bits). MultipleChildren names the
+    voxel's x-fastest index in the full grid.
     """
     values = np.concatenate(list(_volume_layers(n, dims, bbox, budget)))
     return VolumeGrid(dims, bbox[0], bbox[1], values.reshape(-1))

@@ -5,9 +5,10 @@ circles with the periodic trapezoid rule (spectrally accurate for disjoint
 smooth curves). Its quad_n x quad_n grid comes from three small matrix
 products, on samples shifted by the midpoint of the two centres: the
 numerator by the triple-product identity, the squared distance by
-expanding |pa - pb|^2. Grid entries the expansion cannot resolve are
-re-measured from the exact sample differences, and those decide the
-1e-9 separation guard. polygonal_linking counts signed crossings of polygonal
+expanding |pa - pb|^2. Grid entries near the separation guard, half the
+larger circle's sample spacing, are re-measured from the exact sample
+differences, which decide the guard; those the expansion cannot resolve take
+the re-measured value. polygonal_linking counts signed crossings of polygonal
 approximations in a generic projection and returns an exact integer. The
 two back ends share a sign convention, so they agree as reals, not just in
 absolute value; only the absolute values are meaningful for the necklace,
@@ -70,14 +71,18 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | 
     (pa_i x da_i) . db_j - da_i . (db_j x pb_j), and the squared distance as
     |pa_i|^2 + |pb_j|^2 - 2 pa_i . pb_j, which the shift keeps from cancelling.
 
-    Raises MinSeparationTooSmall if the sampled curves come within 1e-9 (the
-    integrand is then too singular for fixed-order quadrature to mean
-    anything). The expanded squared distance is off by at most
-    8 eps (max|pa|^2 + max|pb|^2), so every grid entry below (2e-9)^2 plus
+    Raises MinSeparationTooSmall if the sampled curves come within half the
+    larger circle's sample spacing, pi * max(r_a, r_b) / quad_n: closer than
+    that the fixed grid no longer resolves the integrand's peak (two
+    perpendicular unit circles err by 0.12 at half a spacing and by 795 at a
+    hundredth of one). The expanded squared distance is off by at most
+    8 eps (max|pa|^2 + max|pb|^2), so every grid entry below (2 guard)^2 plus
     that allowance (the factor 2 covers the rounding of the shift) is
     re-measured from the exact differences a.point_at(t_i) - b.point_at(t_j).
     The guard reads those, so it raises on exactly the inputs whose sampled
-    separation is below 1e-9, and the integrand uses them.
+    separation is below it. Of those entries, the ones below (2e-9)^2 plus the
+    allowance, which the expansion cannot resolve, take the re-measured value
+    in the integrand.
 
     The three grids go into `work`, a C-contiguous (3, quad_n, quad_n) float64
     scratch array whose contents are ignored (allocated when None): fresh
@@ -103,13 +108,19 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | 
     sq_a, sq_b = np.einsum("ic,ic->i", pa, pa), np.einsum("jc,jc->j", pb, pb)
     np.add.outer(sq_a, sq_b, out=d2)
     d2 -= np.matmul(pa, (2.0 * pb).T, out=den)  # doubling is exact: the bits of sq_a + sq_b - 2 pa . pb
-    limit = 4e-18 + 8.0 * np.finfo(float).eps * (sq_a.max() + sq_b.max())
-    if d2.min() < limit:
-        near = np.nonzero(d2 < limit)
+    rounding = 8.0 * np.finfo(float).eps * (sq_a.max() + sq_b.max())
+    limit = 4e-18 + rounding  # below it the expansion cannot resolve an entry
+    guard = math.pi * max(a.radius, b.radius) / quad_n
+    candidates = max(limit, 4.0 * guard * guard + rounding)
+    if d2.min() < candidates:
+        near = np.nonzero(d2 < candidates)
         dist = np.linalg.norm(exact_a[near[0]] - exact_b[near[1]], axis=1)
-        if float(dist.min()) < 1e-9:
-            raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
-        d2[near] = dist * dist
+        if float(dist.min()) < guard:
+            raise MinSeparationTooSmall(
+                f"sampled curve separation {dist.min():.3e} < {guard:.3e}, half the sample spacing"
+            )
+        low = d2[near] < limit
+        d2[near[0][low], near[1][low]] = dist[low] * dist[low]
     np.matmul(np.cross(pa, da), db.T, out=integrand)
     integrand -= np.matmul(da, np.cross(db, pb).T, out=den)
     np.sqrt(d2, out=den)

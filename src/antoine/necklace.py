@@ -192,14 +192,35 @@ def torus_at(n: Necklace, word: Address) -> SolidTorus:
 
 
 def child_distances(n: Necklace, points: np.ndarray, slots: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """(N, m) distances from each point to each child core circle, or (N, k) to the children in slots (N, k)."""
+    """(N, m) distances from each point to each child core circle, or (N, k) to the children in slots (N, k).
+
+    Component form: each centre and normal coordinate is gathered by take from a C-contiguous (3, m) array,
+    and the arithmetic is that of the vector form, so every distance has its bits: with w = p - c,
+    h = (wx nx + wz nz) + wy ny as einsum sums it, rho = sqrt((px^2 + py^2) + pz^2) of w - h n as
+    np.linalg.norm does, and hypot(rho - r, h).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    centers, normals = n.child_centers[slots], n.child_normals[slots]
-    w = pts[:, None, :] - centers
-    h = np.einsum("...c,...c->...", w, normals)
-    w_perp = w - h[:, :, None] * normals
-    rho = np.linalg.norm(w_perp, axis=2)
-    return np.hypot(rho - n.contraction, h)
+    if isinstance(slots, slice):
+        slots = np.arange(n.multiplicity)[slots][None]
+    (cx, cy, cz), (nx, ny, nz) = n.child_centers.T.copy(), n.child_normals.T.copy()
+    nx, ny, nz = nx.take(slots), ny.take(slots), nz.take(slots)
+    wx = pts[:, 0, None] - cx.take(slots)
+    wy = pts[:, 1, None] - cy.take(slots)
+    wz = pts[:, 2, None] - cz.take(slots)
+    h = wx * nx
+    h += wz * nz
+    h += wy * ny
+    wx -= h * nx  # w - h n, then its squared norm, in place
+    wy -= h * ny
+    wz -= h * nz
+    wx *= wx
+    wy *= wy
+    wz *= wz
+    wx += wy
+    wx += wz
+    np.sqrt(wx, out=wx)
+    wx -= n.contraction
+    return np.hypot(wx, h, out=wx)
 
 
 @dataclass(frozen=True)

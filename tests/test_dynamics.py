@@ -44,6 +44,7 @@ from antoine.necklace import (
 )
 
 from conftest import torus_membership
+from oracles import child_shell, vector_child_distances
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -692,16 +693,6 @@ class TestBoundaryWitness:
                 assert found
 
 
-def full_child_distances(n, points):
-    """The (N, m) distance matrix as computed before the azimuth window: the reference."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = pts[:, None, :] - n.child_centers[None, :, :]
-    h = np.einsum("nmc,mc->nm", w, n.child_normals)
-    w_perp = w - h[:, :, None] * n.child_normals[None, :, :]
-    rho = np.linalg.norm(w_perp, axis=2)
-    return np.hypot(rho - n.contraction, h)
-
-
 def window_points(n, count, claim_radii, seed):
     """count points in four equal parts: uniform over the parent torus's box, attractor samples,
     points within 1e-12 of a claim boundary (a tube of one of claim_radii about a child core),
@@ -763,7 +754,7 @@ class TestChildWindow:
         claimed = 0
         for lo in range(0, pts.shape[0], 50_000):
             chunk = pts[lo : lo + 50_000]
-            full = full_child_distances(n, chunk)
+            full = vector_child_distances(n, chunk)
             if lo == 0:
                 assert np.array_equal(child_distances(n, chunk), full)
             rows = np.arange(chunk.shape[0])[:, None]
@@ -787,7 +778,7 @@ def every_child_pull_back(n, p, budget):
     digits = []
     for k in range(budget):
         noise = NOISE_FLOOR * n.expansion**k
-        claims = np.flatnonzero(full_child_distances(n, x)[0] <= n.child_tube + BOUNDARY_TOL + noise)
+        claims = np.flatnonzero(vector_child_distances(n, x)[0] <= n.child_tube + BOUNDARY_TOL + noise)
         if claims.size == 0:
             return ESCAPED, k, tuple(digits), x
         if claims.size > 1:
@@ -797,13 +788,6 @@ def every_child_pull_back(n, p, budget):
         digits.append(int(claims[0]) + 1)
         x = n.inverse_maps[claims[0]].apply(x)
     return SURVIVED, budget, tuple(digits), x
-
-
-def child_shell(n):
-    """max_j dist(c_j, core) + r + child_tube + tol_0 + 1e-9 (|c| + R + tube): past it no child claims a point."""
-    t = n.base_torus
-    reach = point_circle_distance(t.core, n.child_centers).max() + n.contraction + n.child_tube
-    return reach + BOUNDARY_TOL + NOISE_FLOOR + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
 
 
 def shell_points(n, radius, count, seed):
@@ -835,7 +819,7 @@ class TestChildShell:
         d0 = point_circle_distance(n.base_torus.core, pts)
         removed = d0 > shell
         assert 1000 < removed.sum() < 3000  # the sample straddles the shell
-        dist = full_child_distances(n, pts[removed])
+        dist = vector_child_distances(n, pts[removed])
         assert dist.min() > n.child_tube + BOUNDARY_TOL + NOISE_FLOOR
         # where the shell is tight, a removed point clears the nearest child tube by about the 1e-9 margin
         assert dist[: removed[:2000].sum()].min() - (n.child_tube + BOUNDARY_TOL + NOISE_FLOOR) < 2e-9

@@ -32,7 +32,10 @@ from antoine.exports import (
 from antoine.geom3 import point_circle_distance
 from antoine.necklace import _rho_classes, build_necklace, torus_at
 
-from oracles import mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume, parse_obj
+from oracles import (
+    child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume, parse_obj, parent_pad,
+    rounding_margin,
+)
 
 
 def torus_mesh(t, nu, nv):
@@ -270,17 +273,30 @@ def full_volume(n, dims, bbox, budget):
     return values
 
 
-def parent_pad(n):
-    """tube + BOUNDARY_TOL + 1e-9 (|c| + R + tube): past this distance from the core a point is exterior."""
-    t = n.base_torus
-    return t.tube + BOUNDARY_TOL + 1e-9 * (np.abs(t.core.center).max() + t.core.radius + t.tube)
+def cull_masks(n, dims, bbox):
+    """By point_circle_distance, another path than the volume's: the voxel centres within parent_pad of the parent
+    core, and those past the child shell and inside the parent tube less the rounding margin, which the volume
+    codes as escaped at depth 0 without classifying them."""
+    d0 = point_circle_distance(n.base_torus.core, voxel_centers(dims, *bbox))
+    return d0 <= parent_pad(n), (d0 > child_shell(n)) & (d0 < n.base_torus.tube + BOUNDARY_TOL - rounding_margin(n))
 
 
-def annulus_layer_counts(n, dims, bbox):
-    """Per z-layer, the voxel centres within parent_pad of the parent core by point_circle_distance: the
-    voxels the annulus cull classifies, by another path."""
-    within = point_circle_distance(n.base_torus.core, voxel_centers(dims, *bbox)) <= parent_pad(n)
-    return within.reshape(dims[2], -1).sum(axis=1)
+def classified_layer_counts(n, dims, bbox):
+    """Per z-layer, the voxels the volume classifies, by cull_masks."""
+    annulus, escaped = cull_masks(n, dims, bbox)
+    return (annulus & ~escaped).reshape(dims[2], -1).sum(axis=1)
+
+
+def counting_classifier(monkeypatch):
+    """Replace exports.classify_points by one that records the number of points of each call; returns the list."""
+    counts = []
+
+    def counting(n, points, budget):
+        counts.append(len(points))
+        return classify_points(n, points, budget)
+
+    monkeypatch.setattr(exports, "classify_points", counting)
+    return counts
 
 
 class TestParentBoxCull:
@@ -338,17 +354,34 @@ class TestParentBoxCull:
         assert np.array_equal(values, expected)
         assert (tmp_path / "e.vol").read_bytes() == expected.astype("<u2").tobytes()
 
+    @pytest.mark.parametrize("delta", [2.0**-32, 2.0**-44])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("layer", ["core plane", "top"])
+    @pytest.mark.parametrize("bound", ["child shell", "parent tube"])
+    def test_voxels_on_the_escape_cull_boundary(self, necklace40, monkeypatch, delta, side, layer, bound):
+        # a 5^3 grid, spacing delta, whose middle voxel is exactly on the boundary of the voxels coded as escaped
+        # at depth 0 without classification: |hypot(x, y) - R| = sqrt(S^2 - z^2) + 1e-9 past the child shell S,
+        # or = sqrt(T^2 - z^2) - 1e-9 short of the parent tube T less the rounding margin
+        n = necklace40
+        if bound == "child shell":
+            radius, widen = child_shell(n), 1e-9
+        else:
+            radius, widen = n.base_torus.tube + BOUNDARY_TOL - rounding_margin(n), -1e-9
+        z = 0.0 if layer == "core plane" else radius
+        mid = np.array([n.base_torus.core.radius + side * (math.sqrt(max(radius**2 - z * z, 0.0)) + widen), 0.0, z])
+        bbox = (mid - 2.5 * delta, mid + 2.5 * delta)
+        assert np.array_equal(voxel_centers((5, 5, 5), *bbox)[62], mid)
+        counts = counting_classifier(monkeypatch)
+        grid = classify_volume(n, (5, 5, 5), bbox, budget=6)
+        assert 0 < sum(counts) < 125  # the boundary cuts the grid
+        assert np.array_equal(grid.values, full_volume(n, (5, 5, 5), bbox, 6))
+
     def test_classifies_only_the_parent_box(self, necklace40, monkeypatch):
-        counts = []
-
-        def counting(n, points, budget):
-            counts.append(len(points))
-            return classify_points(n, points, budget)
-
-        monkeypatch.setattr(exports, "classify_points", counting)
+        counts = counting_classifier(monkeypatch)
         classify_volume(necklace40, (64, 64, 64))
-        # one slab: the 48 * 48 * 8 box voxels; of them, only the 6,400 within pad of the core are classified
-        assert counts == [annulus_layer_counts(necklace40, (64, 64, 64), DEFAULT_BBOX).sum()] == [6400]
+        # one slab: the 48 * 48 * 8 box voxels; of the 6,400 within pad of the core, the 4,256 past the child
+        # shell and inside the parent tube are coded as escaped at depth 0, and only the other 2,144 are classified
+        assert counts == [classified_layer_counts(necklace40, (64, 64, 64), DEFAULT_BBOX).sum()] == [2144]
 
 
 class TestStreamedVolume:
@@ -377,27 +410,26 @@ class TestStreamedVolume:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.vol", "s.vol.json", "w.vol", "w.vol.json"]
 
     def test_slab_height_need_not_divide_the_box(self, necklace40, tmp_path, monkeypatch):
-        counts = []
-
-        def counting(n, points, budget):
-            counts.append(len(points))
-            return classify_points(n, points, budget)
-
-        monkeypatch.setattr(exports, "classify_points", counting)
+        counts = counting_classifier(monkeypatch)
         monkeypatch.setattr(exports, "_SLAB_POINTS", 4 * 18 * 18)
         dims = (24, 24, 50)
         export_volume(necklace40, dims, DEFAULT_BBOX, 6, tmp_path / "e.vol")
         # the box is 18 * 18 voxels in x and y and 6 layers in z: slabs of 4 and 2 layers, of which only the
-        # voxels within pad of the core are classified
-        per_layer = annulus_layer_counts(necklace40, dims, DEFAULT_BBOX)[22:28]
-        assert counts == [per_layer[:4].sum(), per_layer[4:].sum()] == [492, 204]
+        # voxels within pad of the core and not escaped past the child shell are classified
+        per_layer = classified_layer_counts(necklace40, dims, DEFAULT_BBOX)[22:28]
+        assert counts == [per_layer[:4].sum(), per_layer[4:].sum()] == [212, 60]
         assert (tmp_path / "e.vol").read_bytes() == full_volume(necklace40, dims, DEFAULT_BBOX, 6).tobytes()
 
     @pytest.mark.parametrize("slab_points", [exports._SLAB_POINTS, 1])
-    @pytest.mark.parametrize("dims,index", [((8, 8, 8), 202), ((8, 8, 12), 402)])  # 402: in the box's second layer
+    @pytest.mark.parametrize(
+        "dims,index", [((8, 8, 8), 202), ((8, 8, 12), 402), ((16, 16, 16), 1860)]  # 402: in the box's second layer
+    )
     def test_invalid_necklace_names_the_voxel_and_writes_nothing(
         self, necklace16, tmp_path, monkeypatch, slab_points, dims, index
     ):
+        # voxels coded as escaped without classification precede the named one in its z-layer, so in its slab
+        layer = index - index % (dims[0] * dims[1])
+        assert cull_masks(necklace16, dims, DEFAULT_BBOX)[1][layer:index].any()
         monkeypatch.setattr(exports, "_SLAB_POINTS", slab_points)
         with pytest.raises(MultipleChildren, match=f"point index {index} "):
             export_volume(necklace16, dims, DEFAULT_BBOX, 6, tmp_path / "e.vol")

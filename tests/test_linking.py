@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -15,6 +16,7 @@ from antoine.errors import MinSeparationTooSmall, NoGenericProjection
 from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames
 from antoine.linking import (
     DEFAULT_PROJECTION_SEED,
+    LinkBackendError,
     LinkMatrix,
     PolyLoop,
     _projection_frame,
@@ -70,6 +72,23 @@ class TestGaussLinking:
         with pytest.raises(MinSeparationTooSmall):
             gauss_linking(HOPF_A, close, 64)
 
+    def test_pair_closer_than_half_a_sample_spacing_rejected(self):
+        # a unit circle and a perpendicular one 1e-5 from it: the fixed grid cannot resolve the integrand's
+        # peak there (it gave -7.67e6 under a 1e-9 guard), so the guard is half the sample spacing, pi / 64
+        close = Circle3(np.array([2.0 + 1e-5, 0.0, 0.0]), 1.0, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(MinSeparationTooSmall, match=re.escape(f"1.000e-05 < {math.pi / 64:.3e}, half the sample")):
+            gauss_linking(HOPF_A, close, 64)
+
+    def test_pair_closer_than_half_a_sample_spacing_named_by_link_matrix(self):
+        # children 1 and 2 of an m = 10 necklace moved onto that pair: pair (1, 2) is measured first
+        n = build_necklace(10)
+        unit = Similarity3(1.0, Rotation3(np.eye(3)), np.zeros(3))
+        near = Similarity3(1.0, Rotation3.aligning(E3, np.array([0.0, 1.0, 0.0])), np.array([2.0 + 1e-5, 0.0, 0.0]))
+        n = dataclasses.replace(n, child_maps=(unit, near, *n.child_maps[2:]))
+        with pytest.raises(LinkBackendError, match=re.escape("child pair (1, 2)")) as info:
+            link_matrix(n, quad_n=64)
+        assert info.value.pair == (1, 2) and isinstance(info.value.cause, MinSeparationTooSmall)
+
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             gauss_linking(HOPF_A, HOPF_B, 8)
@@ -93,8 +112,9 @@ def broadcast_gauss_linking(a, b, quad_n):
     db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
     diff = pa[:, None, :] - pb[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    if float(dist.min()) < 1e-9:
-        raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < 1e-9")
+    guard = half_spacing(a, b, quad_n)
+    if float(dist.min()) < guard:
+        raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < {guard:.3e}, half the sample spacing")
     integrand = np.einsum("ijc,ijc->ij", np.cross(da[:, None, :], db[None, :, :]), diff) / dist**3
     return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
 
@@ -105,6 +125,11 @@ def dirty_workspaces(quad_n):
     used = np.empty((3, quad_n, quad_n))
     gauss_linking(HOPF_A, HOPF_B, quad_n, work=used)
     return np.full((3, quad_n, quad_n), np.nan), used
+
+
+def half_spacing(a, b, quad_n):
+    """The separation guard: half the larger circle's sample spacing."""
+    return math.pi * max(a.radius, b.radius) / quad_n
 
 
 def sampled_separation(a, b, quad_n):
@@ -149,32 +174,37 @@ class TestMatrixFormGauss:
         assert all(gauss_linking(a, b, quad_n, work=w) == g for w in dirty_workspaces(quad_n))
 
     @given(centres, radii, normals, radii, normals, normals, st.integers(0, 63), st.integers(0, 63),
-           st.floats(-11.0, -8.0))
-    def test_guard_raises_exactly_where_the_oracle_does(self, ca, ra, na, rb, nb, w, i, j, log_s):
-        # b's j-th sample is placed 10^log_s from a's i-th along w: the exact sampled separation
+           st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e-12, 1e-12])))
+    def test_guard_raises_exactly_where_the_oracle_does(self, ca, ra, na, rb, nb, w, i, j, log2_s):
+        # b's j-th sample is placed 2^log2_s guards from a's i-th along w: the exact sampled separation
         # decides, wherever the pair lies relative to the centres' midpoint
         a = Circle3(ca, ra, na)
         t = 2.0 * math.pi / 64 * np.arange(64)
         (ub,), (vb,) = circle_frames(nb[None] / np.linalg.norm(nb))
-        target = a.point_at(t[i]) + 10.0**log_s * w / np.linalg.norm(w)
+        guard = math.pi * max(ra, rb) / 64
+        target = a.point_at(t[i]) + guard * 2.0**log2_s * w / np.linalg.norm(w)
         b = Circle3(target - rb * (math.cos(t[j]) * ub + math.sin(t[j]) * vb), rb, nb)
         sep = sampled_separation(a, b, 64)
         for work in (None, *dirty_workspaces(64)):
-            if sep < 1e-9:
-                with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < 1e-9")):
+            if sep < guard:
+                with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < {guard:.3e}")):
                     gauss_linking(a, b, 64, work=work)
             else:
                 assert math.isfinite(gauss_linking(a, b, 64, work=work))
 
     @pytest.mark.parametrize("normal", [E3, np.array([0.0, 1.0, 0.0])])
-    @pytest.mark.parametrize("offset,gap", [(np.zeros(3), 2e-9), (FAR, 2e-9), (FAR, 1e-10)])
+    @pytest.mark.parametrize(
+        "offset,gap", [(np.zeros(3), 1.0 + 2.0**-30), (FAR, 1.0 + 2.0**-30), (FAR, 1.0 - 2.0**-30), (FAR, 1e-9)]
+    )
     def test_guard_at_the_threshold(self, offset, gap, normal):
-        # sample 16 of the unit circle about offset and sample 0 or 48 of close lie gap apart;
-        # 1e-10 about the origin is test_near_touching_rejected
+        # sample 16 of the unit circle about offset and sample 0 or 48 of close lie gap half-spacings apart;
+        # 1e-10 apart about the origin is test_near_touching_rejected
+        guard = math.pi / 64
         a = Circle3(offset, 1.0, E3)
-        close = Circle3(np.array([2.0 + gap, 0.0, 0.0]) + offset, 1.0, normal)
+        close = Circle3(np.array([2.0 + gap * guard, 0.0, 0.0]) + offset, 1.0, normal)
+        assert (sampled_separation(a, close, 64) < guard) == (gap < 1.0)
         for work in (None, *dirty_workspaces(64)):
-            if gap < 1e-9:
+            if gap < 1.0:
                 with pytest.raises(MinSeparationTooSmall):
                     gauss_linking(a, close, 64, work=work)
             else:

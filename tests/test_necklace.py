@@ -13,6 +13,7 @@ from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, po
 from antoine.necklace import (
     GAUSS_TOL,
     build_necklace,
+    child_distances,
     is_even_square,
     scan_multiplicities,
     stage_summary,
@@ -25,6 +26,7 @@ from antoine.necklace import (
 )
 
 from conftest import M_STAR, shift_orbits
+from oracles import vector_child_distances
 
 
 class TestBuild:
@@ -437,3 +439,26 @@ class TestStageSummary:
 
     def test_numpy_integer_stage(self, necklace16):
         assert stage_summary(necklace16, np.int64(2)) == stage_summary(necklace16, 2)
+
+
+class TestChildDistances:
+    """The component-form kernel has the bits of the vector form (tests/oracles.py) for every kind of slots."""
+
+    @pytest.mark.parametrize("m", [10, 40, 300])
+    def test_equals_the_vector_form_bit_for_bit(self, m):
+        n = build_necklace(m)
+        rng = np.random.default_rng(m)
+        count = 3000
+        # about the child cores, where the claims are decided, and anywhere in and around the parent torus
+        near = n.child_centers[rng.integers(0, m, count)] + rng.normal(scale=n.contraction, size=(count, 3))
+        far = rng.uniform(-3.0, 3.0, (count, 3))
+        for pts in (near, far):
+            windows = [rng.integers(0, m, (count, 2 * k)) for k in (1, 2, 3)]  # (N, 2k), as the step loop gathers
+            whole = [rng.permutation(m)[None], np.arange(m)[None]]  # (1, m): every child, in any order
+            for slots in [*windows, *whole]:
+                got, want = child_distances(n, pts, slots), vector_child_distances(n, pts, slots)
+                assert got.shape == want.shape == (count, slots.shape[1])
+                assert got.tobytes() == want.tobytes()
+            got, want = child_distances(n, pts), vector_child_distances(n, pts)  # the default slice: all m
+            assert got.shape == (count, m) and got.tobytes() == want.tobytes()
+            assert child_distances(n, pts[0]).tobytes() == vector_child_distances(n, pts[0]).tobytes()
