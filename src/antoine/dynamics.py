@@ -94,13 +94,13 @@ def classify_points(
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
-    """The pullback step loop over one chunk from input index `first`: writes status, depth and
-    itinerary in place and returns each point's last position (where it left the parent or the
-    children, where its tolerance ball covered several children, or after `budget` pullbacks)."""
+def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
+    """The pullback step loop over one chunk from input index `first`: writes status, depth, itinerary
+    and, when given an (N, 3) array `last`, each point's last position in place (where it left the parent
+    or the children, where its tolerance ball covered several children, or after `budget` pullbacks).
+    Only orbit reads that position, so only orbit passes `last`."""
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    last = np.array(pts, dtype=float)
     d0 = point_circle_distance(n.base_torus.core, pts)
     exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
@@ -110,9 +110,11 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
     beyond = ~exterior & (d0 > _child_shell(n))
     status[beyond] = ESCAPED
     depth[beyond] = 0
+    if last is not None:
+        last[:] = pts
 
     active = np.flatnonzero(~exterior & ~beyond)
-    cur = last[active]
+    cur = pts[active]
     inverse = _stack_maps(n.inverse_maps)
     key_type = np.min_scalar_type(n.multiplicity)
     for k in range(budget):
@@ -122,7 +124,11 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
         tol_k = BOUNDARY_TOL + noise
         slots = _bracketing_children(n, cur, tol_k)
         claims = child_distances(n, cur, slots) <= n.child_tube + tol_k
-        n_claims = claims.sum(axis=1)
+        # the claim count and the one claiming child of each row that stays, a column at a time
+        n_claims, digits = claims[:, 0].astype(np.intp), claims[:, 0] * slots[:, 0]
+        for j in range(1, claims.shape[1]):
+            n_claims += claims[:, j]
+            digits += claims[:, j] * slots[:, j]
 
         exited = n_claims == 0
         status[active[exited]] = ESCAPED
@@ -138,17 +144,18 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
             depth[active[fuzzy]] = budget
 
         stay = n_claims == 1
-        last[active[~stay]] = cur[~stay]
+        if last is not None:
+            last[active[~stay]] = cur[~stay]
         active = active[stay]
         cur = cur[stay]
-        digits = (claims * slots).sum(axis=1)[stay]  # the one claiming child of each row that stays
+        digits = digits[stay]
         if itinerary is not None and k < itinerary.shape[1]:
             itinerary[active, k] = digits + 1
         order, cur = _map_by_key(inverse, digits.astype(key_type), cur)
         active = active[order]
     # anything still active has survived the budget (the defaults already say so)
-    last[active] = cur
-    return last
+    if last is not None:
+        last[active] = cur
 
 
 def _rounding_margin(n: Necklace) -> float:
@@ -170,20 +177,28 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
     does. A claimed point is within r + child_tube + tol of its child's centre, so its azimuth is within
     asin(that / rho) of the centre's (rho: distance from the x3-axis). A child outside the window is at
     least k neighbouring gaps from the point, so the window holds while this, plus WINDOW_MARGIN, is
-    below the sum of the k gaps next to each child on either side."""
-    m = n.multiplicity
-    phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
-    order = np.argsort(phi)
-    phi = phi[order]
-    reach = (n.contraction + n.child_tube + tol) / np.hypot(*n.child_centers[order, :2].T)
-    if np.all(reach < 1.0):
-        need = np.arcsin(reach) + WINDOW_MARGIN
-        for k in range(1, (m + 1) // 2):
-            span = (np.roll(phi, -k) - phi) % (2.0 * math.pi)  # k gaps up from each child
-            if np.all((span > need) & (np.roll(span, k) > need)):
-                first = np.searchsorted(phi, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - k
-                return order.take(first[:, None] + np.arange(2 * k), mode="wrap")
-    return np.arange(m)[None]
+    below the sum of the k gaps next to each child on either side. The window (sorted centre azimuths,
+    their order and k, 0 for all m) depends only on the necklace and tol: it is found once per tolerance
+    and kept in the necklace's window cache."""
+    if tol not in n._windows:
+        m = n.multiplicity
+        phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
+        order = np.argsort(phi)
+        phi = phi[order]
+        reach = (n.contraction + n.child_tube + tol) / np.hypot(*n.child_centers[order, :2].T)
+        n._windows[tol] = phi, order, 0
+        if np.all(reach < 1.0):
+            need = np.arcsin(reach) + WINDOW_MARGIN
+            for k in range(1, (m + 1) // 2):
+                span = (np.roll(phi, -k) - phi) % (2.0 * math.pi)  # k gaps up from each child
+                if np.all((span > need) & (np.roll(span, k) > need)):
+                    n._windows[tol] = phi, order, k
+                    break
+    phi, order, k = n._windows[tol]
+    if not k:
+        return np.arange(n.multiplicity)[None]
+    first = np.searchsorted(phi, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - k
+    return order.take(first[:, None] + np.arange(2 * k), mode="wrap")
 
 
 def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,8 +434,9 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
     Inner steps are the classifier's step loop (_classify_chunk) on one
-    row. On exit (or for a point already outside the parent torus) the
-    position where the loop left it is handed to the radial model, clamped
+    row, which writes the row's last position for orbit alone. On exit (or
+    for a point already outside the parent torus) that position, where the
+    loop left it, is handed to the radial model, clamped
     out to norm 2 if needed, and norms are recorded until they pass the
     recording cap or the next one would overflow a double. Escape is
     certified at the handoff: a norm >= 2 reaches 2^d in one model step, and
@@ -435,8 +451,9 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     if p.shape != (3,):
         raise ValueError(f"a point must have shape (3,), not {p.shape}")
     status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, max_iter, dtype=np.int32)
-    digits = np.zeros((1, max_iter), dtype=np.int16)
-    x = _classify_chunk(n, p[None], 0, max_iter, status, depth, digits)[0]
+    digits, last = np.zeros((1, max_iter), dtype=np.int16), np.empty((1, 3))
+    _classify_chunk(n, p[None], 0, max_iter, status, depth, digits, last)
+    x = last[0]
     itinerary = tuple(int(d) for d in digits[0] if d)
     exit_kind = _ESCAPE_KINDS[int(status[0])]
     exit_depth = int(depth[0]) if exit_kind is EscapeKind.ESCAPED else None
@@ -564,24 +581,32 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
     the core of its stage-`depth` torus, within the stage diameter of the
     invariant set. Deterministic for a given seed. Rows are drawn and mapped
     in blocks of _CHUNK, each level through _map_by_key, which reorders the
-    rows by digit; the generator's stream and each row's arithmetic do not
-    depend on the blocking or the order, so neither does the output. Raises
+    rows by digit. The m^L points of the innermost L digits are mapped once,
+    into a table, for the largest L with m^L <= min(count, _CHUNK). The
+    generator's stream and each row's arithmetic depend neither on the
+    blocking, the table nor the order, so neither does the output. Raises
     ValueError unless count is an integer >= 0 and depth an integer >= 8.
     """
     _check_int("count", count, 0)
     _check_int("depth", depth, 8)
+    m = n.multiplicity
     rng = np.random.default_rng(seed)
-    base = n.base_torus.core.point_at(0.0)
     maps = _stack_maps(n.child_maps)
+    key_type = np.min_scalar_type(m)
+    table = n.base_torus.core.point_at(0.0)[None]  # entry t: the point of the innermost digits t, in base m
+    inner = 0
+    while m ** (inner + 1) <= min(count, _CHUNK):
+        _, table = _map_by_key(maps, np.repeat(np.arange(m, dtype=key_type), len(table)), np.tile(table, (m, 1)))
+        inner += 1
     out = np.empty((count, 3))
     for lo in range(0, count, _CHUNK):
-        digits = rng.integers(1, n.multiplicity + 1, size=(min(_CHUNK, count - lo), depth))
-        keys = digits.T.astype(np.min_scalar_type(n.multiplicity), order="C")  # (depth, rows): a level is a row
+        digits = rng.integers(1, m + 1, size=(min(_CHUNK, count - lo), depth))
+        keys = digits.T.astype(key_type, order="C")  # (depth, rows): a level is a row
         del digits
         keys -= 1
         perm = np.arange(keys.shape[1])  # x[i] is the point of the block's row perm[i]
-        x = np.tile(base, (keys.shape[1], 1))
-        for level in keys[::-1]:
+        x = table.take(m ** np.arange(inner)[::-1] @ keys[depth - inner:], axis=0)  # by the innermost digits
+        for level in keys[depth - inner - 1::-1]:
             order, x = _map_by_key(maps, level.take(perm), x)
             perm = perm.take(order)
         out[lo + perm] = x

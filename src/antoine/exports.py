@@ -247,7 +247,8 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
         k = slice(z0, z0 + step)
         escaped = (ring > shell[k]) & (ring < tube[k])  # (k, box ny, box nx), inside the annulus
         classified = (ring <= annulus[k]) & ~escaped
-        iz, iy, ix = np.nonzero(classified)
+        iz, iyx = np.divmod(np.flatnonzero(classified), ring.size)  # a flat index: one pass over the slab
+        iy, ix = np.divmod(iyx, x.size)
         try:
             status, depth, _ = classify_points(n, np.stack([x[ix], y[iy], z[z0 + iz]], axis=1), budget)
         except MultipleChildren as exc:  # exc.index counts the slab's classified voxels

@@ -98,6 +98,11 @@ class Necklace:
         return is_even_square(self.multiplicity)
 
     @cached_property
+    def _windows(self) -> dict:
+        """The step loop's windows by tolerance (dynamics._bracketing_children); a replace() copy starts empty."""
+        return {}
+
+    @cached_property
     def child_reach(self) -> float:
         """max_j dist(c_j, parent core) + r + child_tube: no point of a child torus lies farther from the core."""
         d = point_circle_distance(self.base_torus.core, self.child_centers)
@@ -116,7 +121,10 @@ def build_necklace(m: int) -> Necklace:
     Raises InvalidMultiplicity otherwise. Any even m >= 10 is accepted;
     whether the stage-1 hypotheses actually hold for it is what
     validate_necklace certifies (the smallest passing m with default
-    settings is 40).
+    settings is 40). Child slot j >= 2 (0-based) is the seed at slot j % 2
+    conjugated by rho^(j // 2): the rho^k, their inverses and the rho^k seed
+    products are three stacks, each projected once, with the arithmetic of
+    Rotation3.about_axis, inverse and compose (the same bytes).
     """
     if not isinstance(m, (int, np.integer)) or m % 2 != 0 or m < 10:
         raise InvalidMultiplicity(f"multiplicity must be an even integer >= 10, got {m!r}")
@@ -135,21 +143,15 @@ def build_necklace(m: int) -> Necklace:
         normal = math.cos(PLANE_TILT) * radial + lean * math.sin(PLANE_TILT) * _E3
         seeds.append(Similarity3(ratio, Rotation3.aligning(_E3, normal), radial))
 
-    maps = []
-    for j in range(1, m + 1):
-        seed = seeds[(j - 1) % 2]
-        k = (j - 1) // 2
-        if k == 0:
-            maps.append(seed)
-            continue
-        rho_k = Rotation3.about_axis(_E3, 4.0 * math.pi * k / m)
-        maps.append(
-            Similarity3(
-                ratio,
-                rho_k.compose(seed.rot).compose(rho_k.inverse()),
-                rho_k.apply(seed.shift),
-            )
-        )
+    angles = [4.0 * math.pi * (j // 2) / m for j in range(2, m)]
+    cos, sin = (np.array([f(a) for a in angles])[:, None, None] for f in (math.cos, math.sin))
+    kx = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -0.0], [-0.0, 0.0, 0.0]])  # the cross-product matrix of e3
+    rho = project_rotations(np.eye(3) + sin * kx + (1.0 - cos) * (kx @ kx))
+    seed_rots = np.array([seeds[j % 2].rot.matrix for j in range(2, m)])
+    rots = project_rotations(rho @ seed_rots) @ project_rotations(rho.transpose(0, 2, 1))
+    maps = seeds + [
+        Similarity3(ratio, Rotation3(rot), seeds[j % 2].shift @ r.T) for j, r, rot in zip(range(2, m), rho, rots)
+    ]
 
     return Necklace(m, base_torus, tuple(maps), 32.0 / m**2)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antoine import dynamics
+from antoine import dynamics, exports
 from antoine.errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
 from antoine.dynamics import (
     BOUNDARY_TOL,
@@ -38,13 +38,14 @@ from antoine.dynamics import (
     similarity_dimension,
     winding_map,
 )
+from antoine.exports import DEFAULT_BBOX, voxel_centers
 from antoine.geom3 import circle_frames, fixed_points, point_circle_distance
 from antoine.necklace import (
     build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map, word_maps,
 )
 
 from conftest import torus_membership
-from oracles import child_shell, vector_child_distances
+from oracles import child_shell, full_state_step_loop, level_loop_chaos_game, rebuilt_window, vector_child_distances
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -59,8 +60,8 @@ def one_step(n, p):
 def chunk_pull_back(n, p, budget):
     """dynamics._classify_chunk on one row: (status, depth, digits, last position)."""
     status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, budget, dtype=np.int32)
-    itinerary = np.zeros((1, budget), dtype=np.int16)
-    last = dynamics._classify_chunk(n, np.asarray(p, dtype=float)[None], 0, budget, status, depth, itinerary)
+    itinerary, last = np.zeros((1, budget), dtype=np.int16), np.empty((1, 3))
+    dynamics._classify_chunk(n, np.asarray(p, dtype=float)[None], 0, budget, status, depth, itinerary, last)
     return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 
 
@@ -888,6 +889,146 @@ def assert_map_by_key_is_gathered(stacked, keys, x):
     order, mapped = dynamics._map_by_key(stacked, keys, x)
     assert np.array_equal(order, np.argsort(keys, kind="stable"))
     assert np.array_equal(mapped, gathered_apply(stacked, keys, x)[order])
+
+
+class TestChaosTable:
+    """chaos_game_sample maps each of the m^L distinct innermost points once, for the largest L with
+    m^L <= min(count, _CHUNK), and keeps the bits of the level loop that maps every level of every row."""
+
+    @pytest.mark.parametrize(
+        "m,count,depth,table_levels",
+        [
+            (10, 20_000, 12, 4),
+            (10, 5_000, 12, 3),
+            (40, 20_000, 20, 2),
+            (130, 20_000, 9, 1),  # m^2 > _CHUNK
+            (300, 20_000, 8, 1),  # uint16 keys
+            (40, 7, 20, 0),  # count below m: no table
+            (40, 0, 20, 0),
+            (40, 2 * _CHUNK + 5, 13, 2),  # count not a multiple of _CHUNK
+            (16, 3_000, 8, 2),
+        ],
+    )
+    def test_equals_the_level_loop(self, m, count, depth, table_levels, monkeypatch):
+        n = build_necklace(m)
+        calls = []
+        original = dynamics._map_by_key
+
+        def counting(stacked, keys, x):
+            calls.append(keys.size)
+            return original(stacked, keys, x)
+
+        monkeypatch.setattr(dynamics, "_map_by_key", counting)
+        got = chaos_game_sample(n, count, depth, seed=m + count)
+        blocks = -(-count // _CHUNK)
+        assert len(calls) == table_levels + blocks * (depth - table_levels)
+        assert calls[:table_levels] == [m ** (level + 1) for level in range(table_levels)]
+        assert got.shape == (count, 3)
+        assert np.array_equal(got, level_loop_chaos_game(n, count, depth, seed=m + count))
+
+
+def full_state_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
+    """The oracle step loop in _classify_chunk's signature: it keeps every row's last position either way."""
+    kept = full_state_step_loop(n, pts, first, budget, status, depth, itinerary)
+    if last is not None:
+        last[:] = kept
+
+
+def classify_both(n, pts, budget, digits, monkeypatch):
+    """classify_points as it is, then through the oracle step loop: two (status, depth, itinerary)."""
+    got = classify_points(n, pts, budget, digits)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_classify_chunk", full_state_chunk)
+        want = classify_points(n, pts, budget, digits)
+    return got, want
+
+
+def assert_same_classification(got, want):
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+class TestStepLoopBookkeeping:
+    """The step loop keeps no position its caller does not read, adds the claim columns and finds each
+    window once per tolerance, with the status, depth, itinerary and orbit records of the loop that kept
+    every position, summed along axis 1 and found the window at every step."""
+
+    def test_volume_voxels(self, necklace40, monkeypatch):
+        seen = []
+        original = exports.classify_points
+
+        def recording(n, points, budget):
+            seen.append(points)
+            return original(n, points, budget)
+
+        monkeypatch.setattr(exports, "classify_points", recording)
+        exports.classify_volume(necklace40, (64, 64, 64))
+        monkeypatch.undo()
+        pts = np.concatenate(seen)
+        got, want = classify_both(necklace40, pts, DEFAULT_BUDGET, 0, monkeypatch)
+        assert pts.shape[0] > 2000 and set(got[0].tolist()) == {ESCAPED} and set(got[1].tolist()) == {0, 1, 2}
+        assert_same_classification(got, want)
+
+    def test_chaos_sample_through_the_windows(self, necklace40, monkeypatch):
+        pts = chaos_game_sample(necklace40, 20_000, 20, seed=19)
+        widths = set()
+        original = dynamics.child_distances
+
+        def recording(n, points, slots):
+            widths.add(slots.shape[1])
+            return original(n, points, slots)
+
+        monkeypatch.setattr(dynamics, "child_distances", recording)
+        got, want = classify_both(necklace40, pts, 40, 12, monkeypatch)
+        # every row is fuzzy by step 15, whose tolerance ball needs 16 slots, so no row meets the all-m window
+        assert widths == {2, 4, 16}
+        assert_same_classification(got, want)
+
+    @pytest.mark.parametrize("m", [40, 64])
+    def test_all_m_window(self, m, monkeypatch):
+        # every step forced onto the (1, m) window of all children, whose claims are those of any window
+        n = build_necklace(m)
+        monkeypatch.setattr(dynamics, "_bracketing_children", lambda n, pts, tol: np.arange(n.multiplicity)[None])
+        assert_same_classification(*classify_both(n, mixed_points(n, m), 12, 12, monkeypatch))
+
+    @pytest.mark.parametrize("m", [10, 16])
+    def test_multiple_children_names_the_same_index(self, m, monkeypatch):
+        n = build_necklace(m)
+        pts = voxel_centers((48, 48, 48), *DEFAULT_BBOX)
+        with pytest.raises(MultipleChildren) as got:
+            classify_points(n, pts, DEFAULT_BUDGET)
+        monkeypatch.setattr(dynamics, "_classify_chunk", full_state_chunk)
+        with pytest.raises(MultipleChildren) as want:
+            classify_points(n, pts, DEFAULT_BUDGET)
+        assert got.value.index == want.value.index > 2 * _CHUNK  # raised in the third chunk
+
+    def test_orbit_records(self, necklace40, monkeypatch):
+        n = necklace40
+        pts = np.concatenate([
+            mixed_points(n, 43),
+            shell_points(n, child_shell(n), 60, seed=44),  # exits at step 0 through the shell test
+            [[0.9582351218204458, 0.455377323371077, -0.06656957632023612], [3.0, 0.0, 0.0]],
+        ])
+        models = [ExteriorModel(2), ExteriorModel(5)]
+        got = [orbit(n, models[i % 2], p, 20).to_json_dict() for i, p in enumerate(pts)]
+        monkeypatch.setattr(dynamics, "_classify_chunk", full_state_chunk)
+        want = [orbit(n, models[i % 2], p, 20).to_json_dict() for i, p in enumerate(pts)]
+        assert {r["exit"] for r in got} == {"exterior", "escaped", "survived"}
+        assert got == want
+
+    def test_replaced_copy_finds_its_own_windows(self, monkeypatch):
+        n = build_necklace(40)
+        pts = chaos_game_sample(n, 2000, 20, seed=21)
+        classify_points(n, pts, 40)
+        assert len(n._windows) >= 15  # one window per step tolerance the classification met
+        moved = dataclasses.replace(n, child_maps=n.child_maps[::-1])
+        assert "_windows" not in vars(moved)
+        steps = [BOUNDARY_TOL + NOISE_FLOOR * n.expansion**k for k in range(20)]
+        for tol in steps:
+            assert np.array_equal(_bracketing_children(moved, pts, tol), rebuilt_window(moved, pts, tol))
+            assert np.array_equal(_bracketing_children(n, pts, tol), rebuilt_window(n, pts, tol))
+        assert not np.array_equal(_bracketing_children(moved, pts, steps[0]), _bracketing_children(n, pts, steps[0]))
+        assert_same_classification(*classify_both(moved, pts, 40, 12, monkeypatch))
 
 
 class TestGroupedApply:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from antoine import linking
+from antoine import geom3, linking
 from antoine.errors import InvalidMultiplicity
 from antoine.geom3 import Rotation3, Similarity3, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
@@ -26,7 +26,7 @@ from antoine.necklace import (
 )
 
 from conftest import M_STAR, shift_orbits
-from oracles import vector_child_distances
+from oracles import per_object_child_maps, vector_child_distances
 
 
 class TestBuild:
@@ -58,6 +58,38 @@ class TestBuild:
         for circle, cmap in zip(necklace40.child_circles, necklace40.child_maps):
             image = cmap.apply(samples)
             assert np.max(point_circle_distance(circle, image)) < 1e-10
+
+
+class TestStackedConstruction:
+    """build_necklace projects the rho^k, their inverses and the rho^k seed products as three stacks, and
+    keeps the bytes of the construction that made each of them a projected Rotation3."""
+
+    @staticmethod
+    def map_bytes(s):
+        return np.float64(s.scale).tobytes(), s.rot.matrix.tobytes(), s.shift.tobytes()
+
+    @pytest.mark.parametrize("m", [10, 40, 64, 300])
+    def test_equals_the_per_object_construction(self, m):
+        n = build_necklace(m)
+        want = per_object_child_maps(m)
+        assert len(n.child_maps) == len(want) == m
+        assert [self.map_bytes(s) for s in n.child_maps] == [self.map_bytes(s) for s in want]
+        assert [self.map_bytes(s) for s in n.inverse_maps] == [self.map_bytes(s.invert()) for s in want]
+
+    def test_one_rotation_object_per_child(self, monkeypatch):
+        made = []
+        original = geom3.Rotation3.__post_init__
+
+        def counting(self):
+            made.append(1)
+            original(self)
+
+        monkeypatch.setattr(geom3.Rotation3, "__post_init__", counting)
+        build_necklace(40)
+        assert len(made) == 40  # two seeds, each aligned by one about_axis, and 38 conjugates
+        made.clear()
+        per_object_child_maps(40)
+        assert len(made) == 40 + 3 * 38
 
 
 class TestChildViews:
