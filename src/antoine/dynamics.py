@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
-from .geom3 import Vec3, _check_int, fixed_points, point_circle_distance, point_rows
+from .geom3 import Vec3, _check_int, fixed_points, point_rows
 from .necklace import Address, Necklace, child_distances, is_even_square, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
@@ -101,7 +101,15 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
     Only orbit reads that position, so only orbit passes `last`."""
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    d0 = point_circle_distance(n.base_torus.core, pts)
+    # point_circle_distance in component form (same bits): the base core is the unit circle about e3 at the
+    # origin, so h = z and rho = sqrt(x^2 + y^2), which overflows to +inf past ~1.3e154
+    x, y, z = pts.T
+    with np.errstate(over="ignore"):
+        d0 = x * x
+        d0 += y * y
+        np.sqrt(d0, out=d0)
+        d0 -= n.base_torus.core.radius
+        np.hypot(d0, z, out=d0)
     exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0
@@ -124,7 +132,7 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
         tol_k = BOUNDARY_TOL + noise
         slots = _bracketing_children(n, cur, tol_k)
         claims = child_distances(n, cur, slots) <= n.child_tube + tol_k
-        # the claim count and the one claiming child of each row that stays, a column at a time
+        # the claim count and the one claiming child of each row that stays, a contiguous column at a time
         n_claims, digits = claims[:, 0].astype(np.intp), claims[:, 0] * slots[:, 0]
         for j in range(1, claims.shape[1]):
             n_claims += claims[:, j]
@@ -179,7 +187,8 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
     least k neighbouring gaps from the point, so the window holds while this, plus WINDOW_MARGIN, is
     below the sum of the k gaps next to each child on either side. The window (sorted centre azimuths,
     their order and k, 0 for all m) depends only on the necklace and tol: it is found once per tolerance
-    and kept in the necklace's window cache."""
+    and kept in the necklace's window cache. The indices are gathered slot-major, as (2k, N), and returned
+    as its transposed view, whose columns child_distances and the step loop read contiguously."""
     if tol not in n._windows:
         m = n.multiplicity
         phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
@@ -198,7 +207,7 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
     if not k:
         return np.arange(n.multiplicity)[None]
     first = np.searchsorted(phi, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - k
-    return order.take(first[:, None] + np.arange(2 * k), mode="wrap")
+    return order.take(first + np.arange(2 * k)[:, None], mode="wrap").T
 
 
 def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,11 +231,13 @@ def _map_by_key(stacked, keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     order = np.argsort(keys, kind="stable")
     mapped = x.take(order, axis=0)
     counts = np.bincount(keys, minlength=len(scales))
-    ends = counts.cumsum()
-    for d in np.flatnonzero(counts).tolist():
-        blk = mapped[ends[d] - counts[d]:ends[d]]
-        np.matmul(blk, rts[d], out=blk)
-        blk *= scales[d]
+    lo = 0
+    for d, hi in enumerate(counts.cumsum().tolist()):
+        if hi > lo:
+            blk = mapped[lo:hi]
+            np.matmul(blk, rts[d], out=blk)
+            blk *= scales[d]
+        lo = hi
     mapped += np.repeat(shifts, counts, axis=0)  # each block's shift, in one add
     return order, mapped
 

@@ -39,20 +39,26 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
 
     centers and unit normals are (T, 3), radii and tubes (T,). nu runs along the core circle,
     nv around the tube. In each torus's right-handed frame (u, v, normal) the one triangle
-    list winds with outward normals (positive signed volume).
+    list winds with outward normals (positive signed volume). A vertex is
+    ring + tube * (cos(b) radial + sin(b) normal), in that operation order, built one coordinate
+    and one tube angle b at a time: each pass runs along the (T, nu) tori and core angles and is
+    written into the vertex array in place.
     """
     _check_int("nu", nu, 8)
     _check_int("nv", nv, 8)
     u_basis, v_basis = circle_frames(normals)
-    a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)[None, :, None]
-    b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)[None, None, :, None]
-    radial = np.cos(a) * u_basis[:, None, :] + np.sin(a) * v_basis[:, None, :]  # (T, nu, 3)
-    ring = centers[:, None, :] + radii[:, None, None] * radial
-    # ring + tube * (cos(b) radial + sin(b) normal), built in place in that operation order (same bits)
-    verts = np.cos(b) * radial[:, :, None, :]  # (T, nu, nv, 3)
-    verts += np.sin(b) * normals[:, None, None, :]
-    verts *= tubes[:, None, None, None]
-    verts += ring[:, :, None, :]
+    a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)
+    b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)
+    verts = np.empty((len(centers), nu, nv, 3))
+    row = np.empty((len(centers), nu))
+    for c in range(3):
+        radial = np.cos(a) * u_basis[:, c, None] + np.sin(a) * v_basis[:, c, None]  # (T, nu)
+        ring = centers[:, c, None] + radii[:, None] * radial
+        for j, (cos_b, sin_b) in enumerate(zip(np.cos(b).tolist(), np.sin(b).tolist())):
+            np.multiply(cos_b, radial, out=row)
+            row += sin_b * normals[:, c, None]
+            row *= tubes[:, None]
+            np.add(row, ring, out=verts[:, :, j, c])
     verts = verts.reshape(-1, nu * nv, 3)
 
     idx = np.arange(nu * nv).reshape(nu, nv)
@@ -108,7 +114,8 @@ def write_obj(stage: MeshStage, path: str | Path, header: dict | None = None) ->
 
 
 def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) -> None:
-    """Binary little-endian PLY: float64 vertices, int32 index lists, tori merged (faces written in blocks of tori)."""
+    """Binary little-endian PLY: float64 vertices, int32 index lists, tori merged (faces written in blocks of tori,
+    each built one triangle corner at a time)."""
     count, per_torus, _ = stage.verts.shape
     comments = "".join(f"comment {k}={v}\n" for k, v in (header or {}).items())
     head = (
@@ -124,12 +131,15 @@ def write_ply(stage: MeshStage, path: str | Path, header: dict | None = None) ->
     per_block = max(1, _BLOCK_FACES // stage.tris.shape[0])
     faces = np.empty((min(per_block, count), stage.tris.shape[0]), dtype=[("n", "u1"), ("idx", "<i4", (3,))])
     faces["n"] = 3
+    corners = stage.tris.T.astype("<i4")  # int32 sums wrap as the int64 sums cast to int32 would
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
         fh.write(np.ascontiguousarray(stage.verts, dtype="<f8"))
         for first in range(0, count, per_block):
             block = faces[: min(per_block, count - first)]
-            block["idx"] = stage.tris + per_torus * np.arange(first, first + block.shape[0])[:, None, None]
+            offsets = per_torus * np.arange(first, first + block.shape[0], dtype="<i4")[:, None]
+            for c in range(3):
+                np.add(corners[c], offsets, out=block["idx"][..., c])
             fh.write(block)
 
 

@@ -86,9 +86,10 @@ def _digit_bytes(v: np.ndarray) -> np.ndarray:
     return q | ((x - q * _U(10)) << _U(8))
 
 
-def _text_fields(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.17g' % x for each x of a flat float64 array as (n, 3) little-endian uint64 words of text, and
-    (n, 3) words whose 0x01 bytes mark the text's bytes.
+def _text_fields(v: np.ndarray, words: np.ndarray, marks: np.ndarray) -> None:
+    """'%.17g' % x for each x of a flat float64 array, written into words, (n, 3) little-endian uint64 words
+    of text, and marks, (n, 3) words whose 0x01 bytes mark the text's bytes; each row of either may be part
+    of a wider row.
 
     For 1e-4 <= |x| < 1e13 '%.17g' writes fixed notation: the exactly rounded digits (_round17) are laid
     out eight to a word, a '.' is inserted, and trailing zeros (and a trailing '.') fall outside the mark.
@@ -119,38 +120,39 @@ def _text_fields(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w0 = (w0 << shift) | front
     # ... and '.' inserted at byte p (2..15): every byte from p moves up one
     h0, h1 = w0 & ~m0, w1 & ~m1
-    words = np.empty((v.size, 3), "<u8")
     words[:, 0] = (w0 & m0) | (h0 << _U(8)) | dot0
     words[:, 1] = (w1 & m1) | (h1 << _U(8)) | (h0 >> _U(56)) | dot1
     words[:, 2] = (w2 << _U(8)) | (h1 >> _U(56))
     # the text ends after the last nonzero digit, or after the units digit when no fraction digit is
     # nonzero; byte 0 holds '-' for negative values only
-    marks = _MARKS.take(np.where(last > e, last + 3 + np.maximum(-e, 0), e + 2), axis=0)
+    marks[:] = _MARKS.take(np.where(last > e, last + 3 + np.maximum(-e, 0), e + 2), axis=0)
     marks[:, 0] &= ~(fast & (v > 0)).astype(_U)
     for k in np.flatnonzero(~fast).tolist():
         text = b"%.17g" % float(v[k])
         words[k] = 0
         words[k].view(np.uint8)[: len(text)] = np.frombuffer(text, np.uint8)
         marks[k] = _MARKS[len(text)]
-    return words, marks
 
 
 def text_rows(rows: np.ndarray, sep: str, lead: str = "") -> Iterator[np.ndarray]:
     """The bytes of lead + sep.join('%.17g' % x for x in row) + '\n' for each row of an (N, 3) float64
-    array, yielded as uint8 arrays of up to _BLOCK_ROWS rows.
+    array, yielded as uint8 arrays: lead once, then blocks of up to _BLOCK_ROWS rows.
 
-    A row is built as 13 words: lead, x, sep, y, sep, z, '\n', with three words per value (see
-    _text_fields), and one boolean mask keeps the written bytes.
+    Each value has a slot of four words: its three words of text (see _text_fields), then sep, or '\n' +
+    lead after the row's last value, cut to the '\n' after the call's last row. One boolean mask keeps the
+    written bytes.
     """
+    if not rows.shape[0]:
+        return
     count = min(rows.shape[0], _BLOCK_ROWS)
-    words, marks = np.zeros((count, 13), "<u8"), np.zeros((count, 13), "<u8")
-    for col, text in ((0, lead), (4, sep), (8, sep), (12, "\n")):
-        words[:, col] = _words(text.encode("ascii"), 1)
-        marks[:, col] = _MARKS[len(text), 0]
+    words, marks = np.empty((3 * count, 4), "<u8"), np.empty((3 * count, 4), "<u8")
+    ends = [text.encode("ascii") for text in (sep, sep, "\n" + lead)]
+    words.reshape(count, 3, 4)[..., 3] = [_words(text, 1)[0] for text in ends]
+    marks.reshape(count, 3, 4)[..., 3] = [_MARKS[len(text), 0] for text in ends]
+    yield np.frombuffer(lead.encode("ascii"), np.uint8)
     for first in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[first:first + _BLOCK_ROWS]
-        n = block.shape[0]
-        fields, field_marks = _text_fields(block.ravel())
-        words[:n, :12].reshape(n, 3, 4)[..., 1:] = fields.reshape(n, 3, 3)
-        marks[:n, :12].reshape(n, 3, 4)[..., 1:] = field_marks.reshape(n, 3, 3)
-        yield words[:n].view(np.uint8)[marks[:n].view(np.bool_)]
+        block = rows[first:first + _BLOCK_ROWS].ravel()
+        _text_fields(block, words[:block.size, :3], marks[:block.size, :3])
+        if first + _BLOCK_ROWS >= rows.shape[0]:
+            marks[block.size - 1, 3] = _MARKS[1, 0]
+        yield words[:block.size].view(np.uint8)[marks[:block.size].view(np.bool_)]

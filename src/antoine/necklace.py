@@ -196,19 +196,21 @@ def torus_at(n: Necklace, word: Address) -> SolidTorus:
 def child_distances(n: Necklace, points: np.ndarray, slots: np.ndarray | slice = slice(None)) -> np.ndarray:
     """(N, m) distances from each point to each child core circle, or (N, k) to the children in slots (N, k).
 
-    Component form: each centre and normal coordinate is gathered by take from a C-contiguous (3, m) array,
-    and the arithmetic is that of the vector form, so every distance has its bits: with w = p - c,
-    h = (wx nx + wz nz) + wy ny as einsum sums it, rho = sqrt((px^2 + py^2) + pz^2) of w - h n as
+    Slot-major component form: each centre and normal coordinate is gathered by take from a C-contiguous
+    (3, m) array into a (k, N) array, so every operation runs along the points, and the (N, k) result is a
+    transposed view. The arithmetic is that of the vector form, so every distance has its bits: with
+    w = p - c, h = (wx nx + wz nz) + wy ny as einsum sums it, rho = sqrt((px^2 + py^2) + pz^2) of w - h n as
     np.linalg.norm does, and hypot(rho - r, h).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(slots, slice):
         slots = np.arange(n.multiplicity)[slots][None]
+    slots = slots.T  # (k, N), or (m, 1) for a slice
     (cx, cy, cz), (nx, ny, nz) = n.child_centers.T.copy(), n.child_normals.T.copy()
     nx, ny, nz = nx.take(slots), ny.take(slots), nz.take(slots)
-    wx = pts[:, 0, None] - cx.take(slots)
-    wy = pts[:, 1, None] - cy.take(slots)
-    wz = pts[:, 2, None] - cz.take(slots)
+    wx = pts[:, 0] - cx.take(slots)
+    wy = pts[:, 1] - cy.take(slots)
+    wz = pts[:, 2] - cz.take(slots)
     h = wx * nx
     h += wz * nz
     h += wy * ny
@@ -222,7 +224,7 @@ def child_distances(n: Necklace, points: np.ndarray, slots: np.ndarray | slice =
     wx += wz
     np.sqrt(wx, out=wx)
     wx -= n.contraction
-    return np.hypot(wx, h, out=wx)
+    return np.hypot(wx, h, out=wx).T
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Oracles for the tests: mesh and OBJ checks that read back what the writers produce, and the
 reference forms and bounds that the classifier's kernels and step loop, the volume's culls, the chaos
-game and the necklace construction are held to."""
+game, the necklace construction, the mesh and face builders and the text rows are held to."""
 import math
 from pathlib import Path
 
@@ -11,7 +11,9 @@ from antoine.dynamics import (
     _stack_maps,
 )
 from antoine.errors import MultipleChildren
-from antoine.geom3 import Rotation3, Similarity3, point_circle_distance
+from antoine.exports import _BLOCK_FACES
+from antoine.floattext import _BLOCK_ROWS, _MARKS, _text_fields, _words
+from antoine.geom3 import Rotation3, Similarity3, circle_frames, point_circle_distance
 from antoine.necklace import PLANE_TILT, child_distances
 
 
@@ -85,7 +87,8 @@ def child_shell(n):
 
 
 def rebuilt_window(n, pts, tol):
-    """dynamics._bracketing_children with the window found again on every call, from the centre azimuths."""
+    """dynamics._bracketing_children row-major, as a C-contiguous (N, 2k) array, with the window found again
+    on every call, from the centre azimuths."""
     m = n.multiplicity
     phi = np.arctan2(n.child_centers[:, 1], n.child_centers[:, 0])
     order = np.argsort(phi)
@@ -189,3 +192,52 @@ def per_object_child_maps(m):
         rho_k = Rotation3.about_axis(e3, 4.0 * math.pi * k / m)
         maps.append(Similarity3(ratio, rho_k.compose(seed.rot).compose(rho_k.inverse()), rho_k.apply(seed.shift)))
     return tuple(maps)
+
+
+def broadcast_torus_meshes(centers, radii, normals, tubes, nu, nv):
+    """exports.torus_meshes' vertices built by broadcasting along the 3-wide coordinate axis, in its
+    operation order: the reference for the per-coordinate builder."""
+    u_basis, v_basis = circle_frames(normals)
+    a = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)[None, :, None]
+    b = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)[None, None, :, None]
+    radial = np.cos(a) * u_basis[:, None, :] + np.sin(a) * v_basis[:, None, :]  # (T, nu, 3)
+    ring = centers[:, None, :] + radii[:, None, None] * radial
+    verts = np.cos(b) * radial[:, :, None, :]  # (T, nu, nv, 3)
+    verts += np.sin(b) * normals[:, None, None, :]
+    verts *= tubes[:, None, None, None]
+    verts += ring[:, :, None, :]
+    return verts.reshape(-1, nu * nv, 3)
+
+
+def structured_face_bytes(stage):
+    """The face section of exports.write_ply's file, each block of tori written by one assignment of the
+    int64 index sums to the int32 field of a structured array: the reference for the per-corner writes."""
+    count, per_torus, _ = stage.verts.shape
+    per_block = max(1, _BLOCK_FACES // stage.tris.shape[0])
+    faces = np.empty((min(per_block, count), stage.tris.shape[0]), dtype=[("n", "u1"), ("idx", "<i4", (3,))])
+    faces["n"] = 3
+    blocks = []
+    for first in range(0, count, per_block):
+        block = faces[: min(per_block, count - first)]
+        block["idx"] = stage.tris + per_torus * np.arange(first, first + block.shape[0])[:, None, None]
+        blocks.append(block.tobytes())
+    return b"".join(blocks)
+
+
+def thirteen_word_text_rows(rows, sep, lead=""):
+    """floattext.text_rows' bytes from rows of 13 words, lead, x, sep, y, sep, z, '\\n', into which each
+    value's three words are copied from _text_fields: the reference for the four-word value slots."""
+    text = []
+    for first in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[first:first + _BLOCK_ROWS]
+        n = block.shape[0]
+        words, marks = np.zeros((n, 13), "<u8"), np.zeros((n, 13), "<u8")
+        for col, part in ((0, lead), (4, sep), (8, sep), (12, "\n")):
+            words[:, col] = _words(part.encode("ascii"), 1)
+            marks[:, col] = _MARKS[len(part), 0]
+        fields, field_marks = np.empty((3 * n, 3), "<u8"), np.empty((3 * n, 3), "<u8")
+        _text_fields(block.ravel(), fields, field_marks)
+        words[:, :12].reshape(n, 3, 4)[..., 1:] = fields.reshape(n, 3, 3)
+        marks[:, :12].reshape(n, 3, 4)[..., 1:] = field_marks.reshape(n, 3, 3)
+        text.append(words.view(np.uint8)[marks.view(np.bool_)].tobytes())
+    return b"".join(text)

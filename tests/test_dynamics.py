@@ -356,6 +356,66 @@ class TestHugeFinitePoints:
         assert one[0].tolist() == [EXTERIOR] and one[1].tolist() == [0]
 
 
+class TestStepZero:
+    """Step 0 of the step loop measures the distance to the parent core in component form, with the bits of
+    point_circle_distance, and decides exterior and child-shell escapes as the loop that calls it did."""
+
+    def step_zero(self, n, pts, monkeypatch):
+        """classify_points' (status, depth) at budget 3 and the step-0 distances, read where the loop compares
+        them with the child-shell bound."""
+        seen = []
+
+        class RecordingBound(float):
+            __array_ufunc__ = None  # ndarray > bound defers to bound.__lt__
+
+            def __lt__(self, d0):
+                seen.append(d0.copy())
+                return d0 > float(self)
+
+        shell = dynamics._child_shell(n)
+        monkeypatch.setattr(dynamics, "_child_shell", lambda n: RecordingBound(shell))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, depth, _ = classify_points(n, pts, 3)
+        return status, depth, np.concatenate(seen)
+
+    def assert_point_circle_distance(self, n, pts, monkeypatch):
+        status, depth, d0 = self.step_zero(n, pts, monkeypatch)
+        want = point_circle_distance(n.base_torus.core, pts)
+        assert d0.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        status_want, depth_want = np.full(len(pts), SURVIVED, np.uint8), np.full(len(pts), 3, np.int32)
+        full_state_step_loop(n, pts, 0, 3, status_want, depth_want, None)
+        assert np.array_equal(status, status_want) and np.array_equal(depth, depth_want)
+        return d0
+
+    def test_huge_signed_zero_and_axis_points(self, necklace40, monkeypatch):
+        big = [[1e154, 0.0, 0.0], [1e154, -1e154, 0.0], [-1e154, 1e154, 1e154], [0.0, 0.0, -1e154],
+               [1e300, 0.0, 0.0], [0.0, -1e300, 1.0], [0.0, 0.0, 1e300]]
+        small = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 0.2], [0.0, 0.0, -3.0], [1.0, -0.0, -0.0]]
+        d0 = self.assert_point_circle_distance(necklace40, np.array(big + small), monkeypatch)
+        # x^2 + y^2 overflows to +inf past about 1.3e154, with no warning
+        assert np.isinf(d0[[1, 2, 4, 5]]).all()
+        assert d0[[0, 3, 6]].tolist() == [1e154 - 1.0, math.hypot(1, 1e154), 1e300]
+        assert d0[7:].tolist() == [1.0, 1.0, math.hypot(1, 0.2), math.hypot(1, 3), 0.0]
+
+    def test_about_the_tube_and_shell_bounds(self, necklace40, monkeypatch):
+        n = necklace40
+        rng = np.random.default_rng(20)
+        bounds = [n.base_torus.tube + BOUNDARY_TOL, dynamics._child_shell(n)]
+        d = np.repeat([b + s * 2.0**-44 for b in bounds for s in (-1, 0, 1)], 400)
+        phi, theta = rng.uniform(0.0, 2 * math.pi, (2, d.size))
+        rho = 1.0 + d * np.cos(theta)
+        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), d * np.sin(theta)], axis=1)
+        d0 = self.assert_point_circle_distance(n, pts, monkeypatch)
+        # both sides of each bound are met
+        assert all((d0 > b).any() and (d0 <= b).any() for b in bounds)
+
+    def test_sampled_and_uniform_points(self, necklace40, monkeypatch):
+        rng = np.random.default_rng(21)
+        pts = np.concatenate([chaos_game_sample(necklace40, 5000, 20, seed=21), rng.uniform(-2, 2, (20_000, 3))])
+        self.assert_point_circle_distance(necklace40, pts, monkeypatch)
+
+
 class TestCodingPoint:
     def test_pure_tail_is_fixed_point(self, necklace40):
         assert np.allclose(
@@ -769,6 +829,32 @@ class TestChildWindow:
                 assert np.array_equal(claims, full <= n.child_tube + tol)
                 claimed += int(claims.sum())
         assert claimed > 10**5
+
+
+class TestSlotMajor:
+    """The bracketing window and the child distances are computed on (2k, N) slot-major arrays and handed on
+    as (N, 2k) transposed views, with the values of the row-major forms kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("width", [2, 4, 16, 40])
+    def test_windows_and_distances(self, necklace40, width):
+        n = necklace40
+        steps = [BOUNDARY_TOL + NOISE_FLOOR * n.expansion**k for k in range(40)] + [1.0]
+        tol = next(t for t in steps if _bracketing_children(n, np.zeros((1, 3)), t).shape[1] == width)
+        pts = window_points(n, 8000, [n.child_tube + tol], seed=width)
+        slots = _bracketing_children(n, pts, tol)
+        want = rebuilt_window(n, pts, tol)
+        assert np.array_equal(slots, want) and slots.shape == want.shape
+        assert slots.shape == ((1, 40) if width == 40 else (8000, width))
+        dist = child_distances(n, pts, slots)
+        assert dist.shape == (8000, width) and dist.T.flags.c_contiguous  # a contiguous column per slot
+        assert dist.tobytes() == vector_child_distances(n, pts, want).tobytes()
+        if width < 40:
+            assert slots.T.flags.c_contiguous
+        # one point, and the (1, m) slice of every child in any order
+        one = child_distances(n, pts[-1], slots[-1:])
+        assert one.shape == (1, width) and one.tobytes() == vector_child_distances(n, pts[-1], want[-1:]).tobytes()
+        order = np.random.default_rng(width).permutation(40)[None]
+        assert child_distances(n, pts, order).tobytes() == vector_child_distances(n, pts, order).tobytes()
 
 
 def every_child_pull_back(n, p, budget):

@@ -33,8 +33,8 @@ from antoine.geom3 import point_circle_distance
 from antoine.necklace import _rho_classes, build_necklace, torus_at
 
 from oracles import (
-    child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume, parse_obj, parent_pad,
-    rounding_margin,
+    broadcast_torus_meshes, child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume,
+    parse_obj, parent_pad, rounding_margin, structured_face_bytes, thirteen_word_text_rows,
 )
 
 
@@ -99,6 +99,30 @@ class TestTorusMesh:
     def test_resolution_is_an_integer(self, necklace16, nu, nv, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 8, got {nu if name == 'nu' else nv}"):
             mesh_stage(necklace16, 1, nu, nv)
+
+
+class TestPerCoordinateBuilders:
+    """torus_meshes and write_ply's face blocks are built a coordinate at a time, in place, with the bytes of
+    the broadcast and structured-field forms kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("count, nu, nv", [(1, 8, 8), (37, 16, 8), (5, 48, 24), (3, 9, 13)])
+    def test_vertices_equal_the_broadcast_form(self, count, nu, nv):
+        rng = np.random.default_rng(count)
+        centers, normals = rng.normal(size=(count, 3)), rng.normal(size=(count, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        radii, tubes = rng.uniform(0.01, 2.0, count), rng.uniform(0.001, 0.5, count)
+        verts, _ = torus_meshes(centers, radii, normals, tubes, nu, nv)
+        want = broadcast_torus_meshes(centers, radii, normals, tubes, nu, nv)
+        assert verts.shape == want.shape == (count, nu * nv, 3) and verts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, k, nu, nv", [(40, 2, 16, 8), (40, 1, 48, 24), (10, 1, 256, 130), (10, 0, 8, 8)])
+    def test_faces_equal_the_structured_field_blocks(self, m, k, nu, nv, tmp_path):
+        # 1600 tori in seven blocks, the last one partial; one torus of 66,560 faces per block
+        stage = mesh_stage(build_necklace(m), k, nu, nv)
+        exports.write_ply(stage, tmp_path / "s.ply")
+        header, _, body = (tmp_path / "s.ply").read_bytes().partition(b"end_header\n")
+        assert body[:stage.verts.nbytes] == stage.verts.astype("<f8").tobytes()
+        assert body[stage.verts.nbytes:] == structured_face_bytes(stage)
 
 
 class TestObjPly:
@@ -647,3 +671,25 @@ class TestTextWriter:
         exports.write_obj(stage, tmp_path / "s.obj")
         rows = [line for line in (tmp_path / "s.obj").read_text().splitlines() if line.startswith("v ")]
         assert rows == ["v %.17g %.17g %.17g" % tuple(v) for v in stage.verts.reshape(-1, 3).tolist()]
+
+
+class TestSlotRows:
+    """text_rows writes each value into a four-word slot whose last word holds sep or '\\n' + lead, with the
+    bytes of the 13-word rows kept in tests/oracles.py and of '%.17g'."""
+
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e13, 9.9999e-5]
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("sep, lead", [(" ", ""), (",", ""), (" ", "v ")])
+    def test_equal_the_thirteen_word_rows(self, rows, sep, lead):
+        assert floattext._BLOCK_ROWS == 4096
+        rng = np.random.default_rng(rows)
+        pts = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-6, 15, size=(rows, 3))
+        for c in range(3 if rows else 0):  # every special value in each column
+            pts[rng.integers(0, rows, len(self.SPECIAL)), c] = self.SPECIAL
+        for i in range(len(self.SPECIAL) if rows else 1):  # and each in every column of the last row
+            if rows:
+                pts[-1] = np.roll(self.SPECIAL, -i)[:3]
+            got = b"".join(bytes(block) for block in floattext.text_rows(pts, sep, lead))
+            assert got == thirteen_word_text_rows(pts, sep, lead)
+            assert got == "".join(lead + sep.join("%.17g" % x for x in row) + "\n" for row in pts.tolist()).encode()
