@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFit, MultipleChildren, NonInvertibleJacobian, UndefinedAtOrigin
-from .geom3 import Vec3, _check_int, fixed_points, point_rows
+from .geom3 import Vec3, _check_int, fixed_points, point_circle_distance, point_rows
 from .necklace import Address, Necklace, child_distances, is_even_square, word_map, word_maps
 
 BOUNDARY_TOL = 1e-12
@@ -94,22 +94,12 @@ def classify_points(
     return status, depth, itinerary
 
 
-def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
-    """The pullback step loop over one chunk from input index `first`: writes status, depth, itinerary
-    and, when given an (N, 3) array `last`, each point's last position in place (where it left the parent
-    or the children, where its tolerance ball covered several children, or after `budget` pullbacks).
-    Only orbit reads that position, so only orbit passes `last`."""
+def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
+    """The pullback step loop over one chunk from input index `first`: writes status, depth and itinerary
+    in place."""
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    # point_circle_distance in component form (same bits): the base core is the unit circle about e3 at the
-    # origin, so h = z and rho = sqrt(x^2 + y^2), which overflows to +inf past ~1.3e154
-    x, y, z = pts.T
-    with np.errstate(over="ignore"):
-        d0 = x * x
-        d0 += y * y
-        np.sqrt(d0, out=d0)
-        d0 -= n.base_torus.core.radius
-        np.hypot(d0, z, out=d0)
+    d0 = point_circle_distance(n.base_torus.core, pts)
     exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0
@@ -118,8 +108,6 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
     beyond = ~exterior & (d0 > _child_shell(n))
     status[beyond] = ESCAPED
     depth[beyond] = 0
-    if last is not None:
-        last[:] = pts
 
     active = np.flatnonzero(~exterior & ~beyond)
     cur = pts[active]
@@ -152,8 +140,6 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
             depth[active[fuzzy]] = budget
 
         stay = n_claims == 1
-        if last is not None:
-            last[active[~stay]] = cur[~stay]
         active = active[stay]
         cur = cur[stay]
         digits = digits[stay]
@@ -162,15 +148,12 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
         order, cur = _map_by_key(inverse, digits.astype(key_type), cur)
         active = active[order]
     # anything still active has survived the budget (the defaults already say so)
-    if last is not None:
-        last[active] = cur
 
 
 def _rounding_margin(n: Necklace) -> float:
     """1e-9 relative to the parent torus's extent: far above the rounding of any distance computed in it,
-    so a test widened by it keeps every point the unwidened test could keep."""
-    core = n.base_torus.core
-    return 1e-9 * (float(np.abs(core.center).max()) + core.radius + n.base_torus.tube)
+    so a test widened by it keeps every point the unwidened test could keep (the core is the unit circle)."""
+    return 1e-9 * (1.0 + n.base_torus.tube)
 
 
 def _child_shell(n: Necklace) -> float:
@@ -348,7 +331,7 @@ def density_report(n: Necklace, p_max: int, sample_k: int, seed: int = DEFAULT_S
     _check_int("sample_k", sample_k, p_max)
     rng = np.random.default_rng(seed)
     addresses = rng.integers(1, n.multiplicity + 1, size=(512, sample_k))
-    # the base circle is centered at the origin, so each torus center is its word map's shift
+    # the base core is centred at the origin, so each torus centre is its word map's shift
     _, _, reference = word_maps(n, addresses)
     return _one_sided_hausdorff(reference, periodic_point_cloud(n, p_max, seed=seed))
 
@@ -383,10 +366,6 @@ class ExteriorModel:
     @property
     def inner_radius(self) -> float:
         return 2.0
-
-    @property
-    def outer_radius(self) -> float:
-        return 2.0**self.degree_root
 
     @staticmethod
     def for_multiplicity(m: int) -> "ExteriorModel":
@@ -444,10 +423,10 @@ _NORM_RECORD_CAP = 1e12
 def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
 
-    Inner steps are the classifier's step loop (_classify_chunk) on one
-    row, which writes the row's last position for orbit alone. On exit (or
-    for a point already outside the parent torus) that position, where the
-    loop left it, is handed to the radial model, clamped
+    Inner steps are classify_points on the one point, with its itinerary. On
+    exit (or for a point already outside the parent torus) the point is
+    pulled back through that itinerary, one _map_by_key row per digit as
+    the step loop maps it, and handed to the radial model, clamped
     out to norm 2 if needed, and norms are recorded until they pass the
     recording cap or the next one would overflow a double. Escape is
     certified at the handoff: a norm >= 2 reaches 2^d in one model step, and
@@ -461,10 +440,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
         raise ValueError(f"point norm must be a finite double, got {p}")
     if p.shape != (3,):
         raise ValueError(f"a point must have shape (3,), not {p.shape}")
-    status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, max_iter, dtype=np.int32)
-    digits, last = np.zeros((1, max_iter), dtype=np.int16), np.empty((1, 3))
-    _classify_chunk(n, p[None], 0, max_iter, status, depth, digits, last)
-    x = last[0]
+    status, depth, digits = classify_points(n, p, max_iter, max_iter)
     itinerary = tuple(int(d) for d in digits[0] if d)
     exit_kind = _ESCAPE_KINDS[int(status[0])]
     exit_depth = int(depth[0]) if exit_kind is EscapeKind.ESCAPED else None
@@ -475,6 +451,10 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
             escape_certified=False, model_degree_root=model.degree_root,
         )
 
+    inverse, x = _stack_maps(n.inverse_maps), p[None]
+    for d in itinerary:
+        _, x = _map_by_key(inverse, np.array([d - 1]), x)
+    x = x[0]
     # hand off to the exterior model, pushing out to its inner sphere if needed
     norm = float(np.linalg.norm(x))
     clamped = False

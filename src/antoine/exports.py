@@ -229,22 +229,18 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
     nx, ny, nz = dims
     if max(dims) > MAX_GRID:
         raise ValueError(f"dims are capped at {MAX_GRID} per axis")
-    core = n.base_torus.core
     margin = _rounding_margin(n)
     pad = n.base_torus.tube + BOUNDARY_TOL + margin
-    # the base circle is the unit circle about e3 at the origin: the box is R + pad across, pad high
-    reach = (core.radius + pad, core.radius + pad, pad)
+    # the base core is the unit circle about e3 at the origin (see Necklace): the box is 1 + pad across, pad high
     axes = _voxel_axes(dims, lo, hi)
     xs, ys, zs = (
-        slice(np.searchsorted(a, c - r), np.searchsorted(a, c + r, "right"))
-        for a, c, r in zip(axes, core.center, reach)
+        slice(np.searchsorted(a, -r), np.searchsorted(a, r, "right")) for a, r in zip(axes, (1.0 + pad, 1.0 + pad, pad))
     )
     x, y, z = axes[0][xs], axes[1][ys], axes[2][zs]
-    cx, cy, cz = core.center
-    ring = np.abs(np.hypot(x - cx, (y - cy)[:, None]) - core.radius)  # (box ny, box nx)
+    ring = np.abs(np.hypot(x, y[:, None]) - 1.0)  # (box ny, box nx)
 
     def half_widths(radius, widen):  # per box z-layer, of the annulus within radius of the core
-        return (np.sqrt(np.maximum(radius * radius - (z - cz) ** 2, 0.0)) + widen)[:, None, None]
+        return (np.sqrt(np.maximum(radius * radius - z**2, 0.0)) + widen)[:, None, None]
 
     annulus = half_widths(pad, 1e-9)  # past it a voxel is exterior
     # past the classifier's child shell and short of the parent tube, a voxel escapes at depth 0
@@ -277,11 +273,11 @@ def classify_volume(
 ) -> VolumeGrid:
     """Escape depth of every voxel center; deterministic for identical arguments.
 
-    Only voxels in the annulus |hypot(x - cx, y - cy) - R| <= sqrt(pad^2 - (z - cz)^2) + 1e-9 about the
-    parent core are coded, with pad = tube + BOUNDARY_TOL + a 1e-9 relative rounding margin: outside it
-    the exterior test hypot(rho - R, h) > tube + BOUNDARY_TOL holds. Of those, a voxel past the child shell
-    by the same test, with S (the classifier's child-shell bound, which includes the margin) for pad, and
-    short of the parent tube, |hypot(x - cx, y - cy) - R| < sqrt(T^2 - (z - cz)^2) - 1e-9 with
+    Only voxels in the annulus |hypot(x, y) - 1| <= sqrt(pad^2 - z^2) + 1e-9 about the parent core (the unit
+    circle about e3 at the origin) are coded, with pad = tube + BOUNDARY_TOL + a 1e-9 relative rounding
+    margin: outside it the exterior test hypot(rho - 1, h) > tube + BOUNDARY_TOL holds. Of those, a voxel
+    past the child shell by the same test, with S (the classifier's child-shell bound, which includes the
+    margin) for pad, and short of the parent tube, |hypot(x, y) - 1| < sqrt(T^2 - z^2) - 1e-9 with
     T = tube + BOUNDARY_TOL less the margin, is coded as escaped at depth 0, as the classifier would code it;
     only the others are classified. The annulus is found within the parent torus's axis-aligned box, and the
     classified centres are gathered from the full grid's axes (same bits). MultipleChildren names the
@@ -307,12 +303,6 @@ def write_volume(grid: VolumeGrid, path: str | Path, m: int, budget: int) -> Non
     """Raw little-endian uint16 voxels plus a JSON sidecar at path + '.json'."""
     Path(path).write_bytes(grid.values.astype("<u2", copy=False))
     _write_sidecar(path, grid.dims, grid.bbox_min, grid.bbox_max, m, budget)
-
-
-def load_volume(path: str | Path) -> VolumeGrid:
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    values = np.frombuffer(Path(path).read_bytes(), dtype="<u2")
-    return VolumeGrid(tuple(sidecar["dims"]), sidecar["bbox"][0], sidecar["bbox"][1], values)
 
 
 def export_volume(

@@ -246,20 +246,41 @@ class SolidTorus:
         return SolidTorus(self.core.transform(s), s.scale * self.tube)
 
 
-def point_circle_distance(c: Circle3, p: Vec3):
-    """Euclidean distance from point(s) p to the circle as a point set.
+def _circle_distance(wx, wy, wz, nx, ny, nz, radius: float) -> np.ndarray:
+    """The distance from points to a circle, from their offsets (wx, wy, wz) from its centre, its unit normal
+    (nx, ny, nz) and its radius: the package's one point-to-circle kernel. The arguments broadcast; the
+    offsets are float arrays of the result's shape, which it works in: it returns wx and overwrites wy, wz.
 
-    Analytic: project into the circle plane; for a point on the axis the
-    nearest circle points are all at sqrt(radius^2 + height^2), which the
-    formula covers with in-plane radius 0.
+    Fixed-order component form: the height h = (wx nx + wz nz) + wy ny, the in-plane length
+    rho = sqrt((ux^2 + uy^2) + uz^2) of u = w - h n, and hypot(rho - radius, h). A point on the axis has
+    rho = 0 and is at sqrt(radius^2 + h^2) from every circle point. An offset past ~1.3e154 squares to
+    +inf, and the distance is +inf, with no warning.
     """
-    w = np.asarray(p, dtype=float) - c.center
-    h = w @ c.normal
-    w_perp = w - np.multiply.outer(h, c.normal)
-    with np.errstate(over="ignore"):  # an in-plane offset beyond ~1.3e154 squares to +inf: rho = +inf
-        rho = np.linalg.norm(w_perp, axis=-1)
-    d = np.hypot(rho - c.radius, h)
-    return float(d) if d.ndim == 0 else d
+    with np.errstate(over="ignore"):
+        h = wx * nx
+        h += wz * nz
+        h += wy * ny
+        wx -= h * nx
+        wy -= h * ny
+        wz -= h * nz
+        wx *= wx
+        wy *= wy
+        wz *= wz
+        wx += wy
+        wx += wz
+        np.sqrt(wx, out=wx)
+        wx -= radius
+        return np.hypot(wx, h, out=wx)
+
+
+def point_circle_distance(c: Circle3, p: Vec3):
+    """Euclidean distance from point(s) p, shape (..., 3), to the circle as a point set (see _circle_distance);
+    a float for one point."""
+    pts = np.asarray(p, dtype=float)
+    rows = pts.reshape(-1, 3)
+    (cx, cy, cz), (nx, ny, nz) = c.center.tolist(), c.normal.tolist()
+    d = _circle_distance(rows[:, 0] - cx, rows[:, 1] - cy, rows[:, 2] - cz, nx, ny, nz, c.radius)
+    return float(d[0]) if pts.ndim == 1 else d.reshape(pts.shape[:-1])
 
 
 def circle_circle_distance(a: Circle3, b: Circle3, grid_n: int = 512) -> float:
@@ -272,8 +293,7 @@ def circle_circle_distance(a: Circle3, b: Circle3, grid_n: int = 512) -> float:
     bounds is returned. There is no closed form for the exact minimum;
     a sound lower bound is what disjointness certificates need.
     """
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n}")
+    _check_int("grid_n", grid_n, 8)
     step = 2.0 * math.pi / grid_n
     angles = np.arange(grid_n) * step
     return max(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3
+from .geom3 import Circle3, _check_int
 from .necklace import Necklace, _rho_classes
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,7 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | 
     scratch array whose contents are ignored (allocated when None): fresh
     grids cost more in page faults than in arithmetic, so callers reuse one.
     """
-    if quad_n < 16:
-        raise ValueError(f"quad_n must be >= 16, got {quad_n}")
+    _check_int("quad_n", quad_n, 16)
     if work is None:
         work = np.empty((3, quad_n, quad_n))
     elif work.shape != (3, quad_n, quad_n) or work.dtype != np.float64 or not work.flags.c_contiguous:
@@ -316,8 +315,8 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix
     slots (children 1 and 2, the first child of every representative) are
     built once; each pair builds only its second polygon.
     """
-    if poly_n < 64 or quad_n < 16:  # checked here, as the Gauss workspace is allocated before any pair
-        raise ValueError(f"poly_n must be >= 64 and quad_n >= 16, got {poly_n} and {quad_n}")
+    _check_int("poly_n", poly_n, 64)  # both checked here, as the Gauss workspace is allocated before any pair
+    _check_int("quad_n", quad_n, 16)
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), reps, classes = _rho_classes(m)

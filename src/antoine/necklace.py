@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidMultiplicity
 from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import _as_readonly, _check_int, project_rotations
+from .geom3 import _as_readonly, _check_int, _circle_distance, project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -55,12 +55,22 @@ def two_slot_rotation(m: int) -> Rotation3:
 
 @dataclass(frozen=True, eq=False)
 class Necklace:
-    """Immutable stage-0/stage-1 data of the construction; each child is stored once, as its map."""
+    """Immutable stage-0/stage-1 data of the construction; each child is stored once, as its map. The base
+    core is the unit circle about e3 at the origin (ValueError otherwise), as the classifier, the volume and
+    the meshes assume; only its tube may vary."""
 
     multiplicity: int
     base_torus: SolidTorus
     child_maps: tuple[Similarity3, ...]
     child_tube: float
+
+    def __post_init__(self):
+        core = self.base_torus.core
+        if core.radius != 1.0 or core.center.any() or core.normal.tolist() != [0.0, 0.0, 1.0]:
+            raise ValueError(
+                f"the base core must be the unit circle about e3 at the origin, got centre {core.center.tolist()}, "
+                f"radius {core.radius} and normal {core.normal.tolist()}"
+            )
 
     @cached_property
     def child_circles(self) -> tuple[Circle3, ...]:
@@ -196,35 +206,19 @@ def torus_at(n: Necklace, word: Address) -> SolidTorus:
 def child_distances(n: Necklace, points: np.ndarray, slots: np.ndarray | slice = slice(None)) -> np.ndarray:
     """(N, m) distances from each point to each child core circle, or (N, k) to the children in slots (N, k).
 
-    Slot-major component form: each centre and normal coordinate is gathered by take from a C-contiguous
-    (3, m) array into a (k, N) array, so every operation runs along the points, and the (N, k) result is a
-    transposed view. The arithmetic is that of the vector form, so every distance has its bits: with
-    w = p - c, h = (wx nx + wz nz) + wy ny as einsum sums it, rho = sqrt((px^2 + py^2) + pz^2) of w - h n as
-    np.linalg.norm does, and hypot(rho - r, h).
+    Slot-major: each centre and normal coordinate is gathered by take from a C-contiguous (3, m) array into
+    a (k, N) array, so every operation of geom3._circle_distance runs along the points, and the (N, k)
+    result is a transposed view.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(slots, slice):
         slots = np.arange(n.multiplicity)[slots][None]
     slots = slots.T  # (k, N), or (m, 1) for a slice
     (cx, cy, cz), (nx, ny, nz) = n.child_centers.T.copy(), n.child_normals.T.copy()
-    nx, ny, nz = nx.take(slots), ny.take(slots), nz.take(slots)
     wx = pts[:, 0] - cx.take(slots)
     wy = pts[:, 1] - cy.take(slots)
     wz = pts[:, 2] - cz.take(slots)
-    h = wx * nx
-    h += wz * nz
-    h += wy * ny
-    wx -= h * nx  # w - h n, then its squared norm, in place
-    wy -= h * ny
-    wz -= h * nz
-    wx *= wx
-    wy *= wy
-    wz *= wz
-    wx += wy
-    wx += wz
-    np.sqrt(wx, out=wx)
-    wx -= n.contraction
-    return np.hypot(wx, h, out=wx).T
+    return _circle_distance(wx, wy, wz, nx.take(slots), ny.take(slots), nz.take(slots), n.contraction).T
 
 
 @dataclass(frozen=True)

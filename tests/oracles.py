@@ -1,6 +1,7 @@
-"""Oracles for the tests: mesh and OBJ checks that read back what the writers produce, and the
-reference forms and bounds that the classifier's kernels and step loop, the volume's culls, the chaos
-game, the necklace construction, the mesh and face builders and the text rows are held to."""
+"""Oracles for the tests: mesh, OBJ and volume readers that read back what the writers produce, and the
+reference forms and bounds that the distance kernel, the classifier's step loop, the volume's culls, the
+chaos game, the necklace construction, the mesh and face builders and the text rows are held to."""
+import json
 import math
 from pathlib import Path
 
@@ -11,9 +12,9 @@ from antoine.dynamics import (
     _stack_maps,
 )
 from antoine.errors import MultipleChildren
-from antoine.exports import _BLOCK_FACES
+from antoine.exports import _BLOCK_FACES, VolumeGrid
 from antoine.floattext import _BLOCK_ROWS, _MARKS, _text_fields, _words
-from antoine.geom3 import Rotation3, Similarity3, circle_frames, point_circle_distance
+from antoine.geom3 import Rotation3, Similarity3, circle_frames
 from antoine.necklace import PLANE_TILT, child_distances
 
 
@@ -56,6 +57,25 @@ def parse_obj(path) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.array(v), np.array(f, dtype=int)) for v, f in objects]
 
 
+def load_volume(path) -> VolumeGrid:
+    """Read back a volume that exports.write_volume or export_volume wrote, from its .vol and sidecar."""
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    values = np.frombuffer(Path(path).read_bytes(), dtype="<u2")
+    return VolumeGrid(tuple(sidecar["dims"]), sidecar["bbox"][0], sidecar["bbox"][1], values)
+
+
+def vector_point_circle_distance(c, p):
+    """geom3.point_circle_distance in vector form: the height as one BLAS dot w @ normal and the in-plane
+    length by np.linalg.norm. On the base core (centre 0, normal e3) it has the component kernel's bits."""
+    w = np.asarray(p, dtype=float) - c.center
+    h = w @ c.normal
+    w_perp = w - np.multiply.outer(h, c.normal)
+    with np.errstate(over="ignore"):  # an in-plane offset beyond ~1.3e154 squares to +inf: rho = +inf
+        rho = np.linalg.norm(w_perp, axis=-1)
+    d = np.hypot(rho - c.radius, h)
+    return float(d) if d.ndim == 0 else d
+
+
 def vector_child_distances(n, points, slots=slice(None)):
     """necklace.child_distances in vector form: (N, k, 3) differences, an einsum for the heights and
     np.linalg.norm for the radial lengths. The component-form kernel keeps these bits."""
@@ -82,7 +102,7 @@ def parent_pad(n):
 def child_shell(n):
     """max_j dist(c_j, core) + r + child_tube + tol_0 + the rounding margin: past it no child claims a point."""
     t = n.base_torus
-    reach = point_circle_distance(t.core, n.child_centers).max() + n.contraction + n.child_tube
+    reach = vector_point_circle_distance(t.core, n.child_centers).max() + n.contraction + n.child_tube
     return reach + BOUNDARY_TOL + NOISE_FLOOR + rounding_margin(n)
 
 
@@ -110,7 +130,7 @@ def full_state_step_loop(n, pts, first, budget, status, depth, itinerary):
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     last = np.array(pts, dtype=float)
-    d0 = point_circle_distance(n.base_torus.core, pts)
+    d0 = vector_point_circle_distance(n.base_torus.core, pts)
     exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0

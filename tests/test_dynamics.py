@@ -45,7 +45,10 @@ from antoine.necklace import (
 )
 
 from conftest import torus_membership
-from oracles import child_shell, full_state_step_loop, level_loop_chaos_game, rebuilt_window, vector_child_distances
+from oracles import (
+    child_shell, full_state_step_loop, level_loop_chaos_game, rebuilt_window, vector_child_distances,
+    vector_point_circle_distance,
+)
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 vectors = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -58,10 +61,10 @@ def one_step(n, p):
 
 
 def chunk_pull_back(n, p, budget):
-    """dynamics._classify_chunk on one row: (status, depth, digits, last position)."""
+    """The oracle step loop on one row: (status, depth, digits, last position)."""
     status, depth = np.full(1, SURVIVED, dtype=np.uint8), np.full(1, budget, dtype=np.int32)
-    itinerary, last = np.zeros((1, budget), dtype=np.int16), np.empty((1, 3))
-    dynamics._classify_chunk(n, np.asarray(p, dtype=float)[None], 0, budget, status, depth, itinerary, last)
+    itinerary = np.zeros((1, budget), dtype=np.int16)
+    last = full_state_step_loop(n, np.asarray(p, dtype=float)[None], 0, budget, status, depth, itinerary)
     return int(status[0]), int(depth[0]), tuple(int(d) for d in itinerary[0] if d), last[0]
 
 
@@ -357,8 +360,9 @@ class TestHugeFinitePoints:
 
 
 class TestStepZero:
-    """Step 0 of the step loop measures the distance to the parent core in component form, with the bits of
-    point_circle_distance, and decides exterior and child-shell escapes as the loop that calls it did."""
+    """Step 0 of the step loop measures the distance to the parent core by point_circle_distance, whose
+    component kernel has the bits of the vector form there (tests/oracles.py), and decides exterior and
+    child-shell escapes as the loop that calls it did."""
 
     def step_zero(self, n, pts, monkeypatch):
         """classify_points' (status, depth) at budget 3 and the step-0 distances, read where the loop compares
@@ -381,8 +385,10 @@ class TestStepZero:
 
     def assert_point_circle_distance(self, n, pts, monkeypatch):
         status, depth, d0 = self.step_zero(n, pts, monkeypatch)
-        want = point_circle_distance(n.base_torus.core, pts)
+        with np.errstate(over="ignore"):  # the vector form warns where a square overflows
+            want = vector_point_circle_distance(n.base_torus.core, pts)
         assert d0.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert point_circle_distance(n.base_torus.core, pts).tobytes() == want.tobytes()
         status_want, depth_want = np.full(len(pts), SURVIVED, np.uint8), np.full(len(pts), 3, np.int32)
         full_state_step_loop(n, pts, 0, 3, status_want, depth_want, None)
         assert np.array_equal(status, status_want) and np.array_equal(depth, depth_want)
@@ -550,9 +556,6 @@ class TestModelMaps:
             ExteriorModel(1)
         assert ExteriorModel.for_multiplicity(16).degree_root == 4
         assert ExteriorModel.for_multiplicity(40).degree_root == 2
-        assert ExteriorModel(3).outer_radius == 8.0
-        # the escape radius 2^d stays a finite double
-        assert ExteriorModel(MAX_DEGREE_ROOT).outer_radius == 2.0**1023
         with pytest.raises(ValueError):
             ExteriorModel(MAX_DEGREE_ROOT + 1)
 
@@ -1013,11 +1016,9 @@ class TestChaosTable:
         assert np.array_equal(got, level_loop_chaos_game(n, count, depth, seed=m + count))
 
 
-def full_state_chunk(n, pts, first, budget, status, depth, itinerary, last=None):
-    """The oracle step loop in _classify_chunk's signature: it keeps every row's last position either way."""
-    kept = full_state_step_loop(n, pts, first, budget, status, depth, itinerary)
-    if last is not None:
-        last[:] = kept
+def full_state_chunk(n, pts, first, budget, status, depth, itinerary):
+    """The oracle step loop in _classify_chunk's signature."""
+    full_state_step_loop(n, pts, first, budget, status, depth, itinerary)
 
 
 def classify_both(n, pts, budget, digits, monkeypatch):
@@ -1088,7 +1089,8 @@ class TestStepLoopBookkeeping:
             classify_points(n, pts, DEFAULT_BUDGET)
         assert got.value.index == want.value.index > 2 * _CHUNK  # raised in the third chunk
 
-    def test_orbit_records(self, necklace40, monkeypatch):
+    def test_orbit_records(self, necklace40):
+        # orbit maps its point through its itinerary to where the loop that kept every position left it
         n = necklace40
         pts = np.concatenate([
             mixed_points(n, 43),
@@ -1096,11 +1098,17 @@ class TestStepLoopBookkeeping:
             [[0.9582351218204458, 0.455377323371077, -0.06656957632023612], [3.0, 0.0, 0.0]],
         ])
         models = [ExteriorModel(2), ExteriorModel(5)]
-        got = [orbit(n, models[i % 2], p, 20).to_json_dict() for i, p in enumerate(pts)]
-        monkeypatch.setattr(dynamics, "_classify_chunk", full_state_chunk)
-        want = [orbit(n, models[i % 2], p, 20).to_json_dict() for i, p in enumerate(pts)]
-        assert {r["exit"] for r in got} == {"exterior", "escaped", "survived"}
-        assert got == want
+        records = [orbit(n, models[i % 2], p, 20) for i, p in enumerate(pts)]
+        assert {r.exit for r in records} == set(EscapeKind)
+        kinds = {EXTERIOR: EscapeKind.EXTERIOR, ESCAPED: EscapeKind.ESCAPED, SURVIVED: EscapeKind.SURVIVED}
+        for p, rec in zip(pts, records):
+            status, depth, digits, last = chunk_pull_back(n, p, 20)
+            want_depth = depth if status == ESCAPED else None
+            assert (rec.exit, rec.exit_depth, rec.itinerary) == (kinds[status], want_depth, digits)
+            if rec.exit is not EscapeKind.SURVIVED:
+                norm = float(np.linalg.norm(last))
+                want = last if norm >= 2.0 else 2.0 * (last / norm)  # pushed out to the model's inner sphere
+                assert rec.handoff.tobytes() == want.tobytes() and rec.handoff_clamped == (norm < 2.0)
 
     def test_replaced_copy_finds_its_own_windows(self, monkeypatch):
         n = build_necklace(40)

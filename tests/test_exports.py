@@ -23,7 +23,6 @@ from antoine.exports import (
     export_mesh,
     export_points,
     export_volume,
-    load_volume,
     mesh_stage,
     torus_meshes,
     voxel_centers,
@@ -34,7 +33,7 @@ from antoine.necklace import _rho_classes, build_necklace, torus_at
 
 from oracles import (
     broadcast_torus_meshes, child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume,
-    parse_obj, parent_pad, rounding_margin, structured_face_bytes, thirteen_word_text_rows,
+    load_volume, parse_obj, parent_pad, rounding_margin, structured_face_bytes, thirteen_word_text_rows,
 )
 
 

@@ -21,6 +21,7 @@ from antoine.geom3 import (
 from antoine.necklace import build_necklace
 
 from conftest import torus_membership
+from oracles import vector_point_circle_distance
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -216,6 +217,39 @@ class TestPointCircleDistance:
         assert d[0] == d[1] == math.inf
         assert d[2] == point_circle_distance(self.unit, np.array([2.0, 0.0, 1.0]))
 
+    def test_tilted_circle_far_point_is_infinitely_far_without_a_warning(self):
+        c = Circle3(np.array([0.5, -2.0, 1.0]), 0.3, np.array([1.0, 2.0, -2.0]))
+        pts = np.array([[1e200, 0.0, 0.0], [-3e199, 1e200, 5e199], [0.0, 0.0, -1e200], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = point_circle_distance(c, pts)
+        assert d[:3].tolist() == [math.inf] * 3
+        assert d[3] == point_circle_distance(c, pts[3]) == pytest.approx(vector_point_circle_distance(c, pts[3]))
+
+    def test_tilted_circles_within_rounding_of_the_vector_form(self):
+        # the component kernel and the vector form (one BLAS dot, np.linalg.norm) each round a few ulps of
+        # |p - c| + r away from the exact distance; 8 ulps bounds their gap, also where rho - r cancels
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            c = Circle3(scale * rng.normal(size=3), scale * rng.uniform(0.1, 3.0), rng.normal(size=3))
+            off = scale * rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, (500, 1))
+            near = c.sample(500) + scale * 1e-9 * rng.normal(size=(500, 3))
+            pts = np.concatenate([c.center + off, near])
+            got, want = point_circle_distance(c, pts), vector_point_circle_distance(c, pts)
+            bound = 8.0 * eps * (np.linalg.norm(pts - c.center, axis=1) + c.radius)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_shapes(self):
+        c = Circle3(np.array([0.1, 0.2, 0.3]), 0.7, np.array([1.0, -1.0, 0.5]))
+        pts = np.random.default_rng(6).normal(size=(2, 4, 3))
+        d = point_circle_distance(c, pts)
+        assert d.shape == (2, 4) and d.tobytes() == point_circle_distance(c, pts.reshape(-1, 3)).tobytes()
+        one = point_circle_distance(c, pts[1, 2])
+        assert type(one) is float and one == d[1, 2]
+        assert point_circle_distance(c, np.empty((0, 3))).shape == (0,)
+
 
 class TestUnitRows:
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
@@ -256,6 +290,12 @@ class TestTorusContains:
 
 
 class TestCircleCircleDistance:
+    @pytest.mark.parametrize("grid_n", [7, 64.0, 511.5, True])
+    def test_grid_must_be_an_integer_of_8_or_more(self, grid_n):
+        a, b = Circle3(np.zeros(3), 1.0, E3), Circle3(np.array([0.0, 0.0, 3.0]), 1.0, E3)
+        with pytest.raises(ValueError, match=r"^grid_n must be an integer >= 8, "):
+            circle_circle_distance(a, b, grid_n)
+
     def test_coaxial(self):
         a = Circle3(np.zeros(3), 1.0, E3)
         b = Circle3(np.array([0.0, 0.0, 3.0]), 1.0, E3)

@@ -93,6 +93,11 @@ class TestGaussLinking:
         with pytest.raises(ValueError):
             gauss_linking(HOPF_A, HOPF_B, 8)
 
+    @pytest.mark.parametrize("quad_n", [64.0, 64.5, True, np.float64(64.0)])
+    def test_non_integer_grid_rejected(self, quad_n):
+        with pytest.raises(ValueError, match=r"^quad_n must be an integer >= 16, "):
+            gauss_linking(HOPF_A, HOPF_B, quad_n)
+
     def test_error_decays_fast(self):
         # smooth disjoint curves: at least quadratic decay (it is spectral)
         ns = [16, 20, 24, 28, 32]
@@ -248,9 +253,12 @@ class TestLinkMatrix:
         assert np.array_equal(got.entries, want.entries)
         assert got.max_gauss_gap == want.max_gauss_gap
 
-    @pytest.mark.parametrize("sizes", [{"poly_n": 32}, {"quad_n": 8}, {"quad_n": -1}])
-    def test_small_grids_rejected_before_any_pair(self, necklace16, sizes):
-        with pytest.raises(ValueError, match="poly_n must be >= 64 and quad_n >= 16"):
+    @pytest.mark.parametrize("sizes", [{"poly_n": 32}, {"quad_n": 8}, {"quad_n": -1}, {"poly_n": 64.5},
+                                       {"quad_n": 64.0}, {"poly_n": True}])
+    def test_small_grids_rejected_before_any_pair(self, necklace16, sizes, monkeypatch):
+        monkeypatch.setattr(antoine.linking, "polygonal_linking", None)  # a pair measured first raises TypeError
+        (name,) = sizes
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {dict(poly_n=64, quad_n=16)[name]}, "):
             link_matrix(necklace16, **sizes)
 
     def test_seed_polygons_built_once(self, necklace40, monkeypatch):

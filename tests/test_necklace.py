@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from antoine import geom3, linking
 from antoine.errors import InvalidMultiplicity
-from antoine.geom3 import Rotation3, Similarity3, circle_circle_distance, point_circle_distance
+from antoine.geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
 from antoine.necklace import (
     GAUSS_TOL,
@@ -41,6 +42,21 @@ class TestBuild:
     def test_invalid_multiplicity(self, bad):
         with pytest.raises(InvalidMultiplicity):
             build_necklace(bad)
+
+    @pytest.mark.parametrize("core", [
+        Circle3((0.0, 0.0, 0.5), 1.0, (0.0, 0.0, 1.0)),  # moved up the axis
+        Circle3((0.0, 0.0, 0.0), 1.5, (0.0, 0.0, 1.0)),
+        Circle3((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, -1.0)),
+        Circle3((0.0, 0.0, 0.0), 1.0, (0.0, 1e-9, 1.0)),
+    ])
+    def test_base_core_other_than_the_unit_circle_about_e3_rejected(self, necklace40, core):
+        # the classifier, the volume cull and mesh_stage all put the parent core there
+        with pytest.raises(ValueError, match="base core must be the unit circle about e3 at the origin"):
+            dataclasses.replace(necklace40, base_torus=SolidTorus(core, 0.2))
+
+    def test_only_the_tube_may_change(self, necklace40):
+        n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, 0.25))
+        assert n.base_torus.tube == 0.25 and n.child_reach == necklace40.child_reach
 
     def test_m_star_not_even_square(self, necklace40):
         assert not necklace40.is_even_square
@@ -139,6 +155,11 @@ class TestValidate:
             "maps_onto_circles",
         ]
         assert all(c.margin > 0 for c in geometry_report40.checks)
+
+    @pytest.mark.parametrize("sizes", [{"clearance_grid": 511.5}, {"clearance_grid": 512.0}, {"clearance_grid": 4}])
+    def test_non_integer_or_small_clearance_grid_rejected(self, necklace40, sizes):
+        with pytest.raises(ValueError, match=r"^grid_n must be an integer >= 8, "):
+            validate_necklace(necklace40, check_linking=False, **sizes)
 
     def test_symmetry_margins_tight(self, geometry_report40):
         by_name = {c.name: c for c in geometry_report40.checks}
@@ -494,3 +515,13 @@ class TestChildDistances:
             got, want = child_distances(n, pts), vector_child_distances(n, pts)  # the default slice: all m
             assert got.shape == (count, m) and got.tobytes() == want.tobytes()
             assert child_distances(n, pts[0]).tobytes() == vector_child_distances(n, pts[0]).tobytes()
+
+    def test_huge_signed_zero_and_axis_points_bit_for_bit(self, necklace40):
+        pts = np.array([[1e154, 0.0, 0.0], [-1e154, 1e154, 1e154], [1e300, 0.0, 0.0], [0.0, 0.0, -1e300],
+                        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.2], [1.0, -0.0, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = child_distances(necklace40, pts)
+        with np.errstate(over="ignore"):  # the vector form warns where a square overflows
+            want = vector_child_distances(necklace40, pts)
+        assert got.tobytes() == want.tobytes() and np.isinf(got[2:4]).all()
