@@ -193,34 +193,35 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
     return order.take(first + np.arange(2 * k)[:, None], mode="wrap").T
 
 
-def _stack_maps(maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scales (k,), transposed rotations (k, 3, 3) and shifts (k, 3) of k similarities, for _map_by_key; each
-    R.T is C-contiguous, so a block's product is the matmul whose rounding equals a per-row product's."""
-    return (
-        np.array([f.scale for f in maps]),
-        np.array([f.rot.matrix.T for f in maps]),
-        np.array([f.shift for f in maps]),
-    )
+def _stack_maps(maps) -> tuple[float, np.ndarray, np.ndarray]:
+    """The one ratio, transposed rotations (k, 3, 3) and shifts (k, 3) of k similarities, for _map_by_key; each
+    R.T is C-contiguous, so a block's product is the matmul whose rounding equals a per-row product's. Raises
+    ValueError unless every map has the same ratio."""
+    if len(ratios := {f.scale for f in maps}) != 1:
+        raise ValueError(f"the maps must share one ratio, got {sorted(ratios)}")
+    return ratios.pop(), np.array([f.rot.matrix.T for f in maps]), np.array([f.shift for f in maps])
 
 
 def _map_by_key(stacked, keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of x in stable key order, each mapped by its key's map of _stack_maps' arrays: (order, mapped),
-    mapped[i] = scale * (x[order[i]] @ R.T) + shift for the map keys[order[i]]. Each key's rows form one
-    contiguous block, mapped in place by one (k, 3) @ (3, 3) matmul and one scale, and one add applies every
-    block's shift. That matmul rounds each row as a one-row product with the same C-contiguous R.T does, so a
-    row's bits depend neither on its block nor on the order. Keys in an unsigned type of 16 bits or fewer, as
-    np.min_scalar_type(m) gives for m < 65536, sort by radix."""
-    scales, rts, shifts = stacked
+    mapped[i] = ratio * (x[order[i]] @ R.T) + shift for the map keys[order[i]]. Each key's rows form one
+    contiguous block, whose (k, 3) @ (3, 3) product is written into a second buffer; then one multiply applies
+    the ratio and one add every block's shift. On OpenBLAS's SkylakeX kernel, which recorded the pinned bytes,
+    that product rounds each row as a one-row product with the same C-contiguous R.T does, so a row's bits
+    depend neither on its block nor on the order; its Haswell kernel rounds a row differently for different
+    block sizes. Keys in an unsigned type of 16 bits or fewer, as np.min_scalar_type(m) gives for m < 65536,
+    sort by radix."""
+    ratio, rts, shifts = stacked
     order = np.argsort(keys, kind="stable")
-    mapped = x.take(order, axis=0)
-    counts = np.bincount(keys, minlength=len(scales))
+    rows = x.take(order, axis=0)
+    mapped = np.empty_like(rows)
+    counts = np.bincount(keys, minlength=len(rts))
     lo = 0
     for d, hi in enumerate(counts.cumsum().tolist()):
         if hi > lo:
-            blk = mapped[lo:hi]
-            np.matmul(blk, rts[d], out=blk)
-            blk *= scales[d]
+            np.dot(rows[lo:hi], rts[d], out=mapped[lo:hi])
         lo = hi
+    mapped *= ratio
     mapped += np.repeat(shifts, counts, axis=0)  # each block's shift, in one add
     return order, mapped
 
@@ -591,7 +592,7 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
         inner += 1
     out = np.empty((count, 3))
     for lo in range(0, count, _CHUNK):
-        digits = rng.integers(1, m + 1, size=(min(_CHUNK, count - lo), depth))
+        digits = rng.integers(1, m + 1, size=(min(_CHUNK, count - lo), depth), dtype=np.int32)
         keys = digits.T.astype(key_type, order="C")  # (depth, rows): a level is a row
         del digits
         keys -= 1
@@ -600,6 +601,8 @@ def chaos_game_sample(n: Necklace, count: int, depth: int, seed: int = DEFAULT_S
         for level in keys[depth - inner - 1::-1]:
             order, x = _map_by_key(maps, level.take(perm), x)
             perm = perm.take(order)
-        out[lo + perm] = x
-        del keys, level, order, perm, x  # so that the next block's draw is the only one held
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(perm.size)  # the inverse permutation: row i's point is x[rank[i]]
+        x.take(rank, axis=0, out=out[lo:lo + perm.size])
+        del keys, level, order, perm, rank, x  # so that the next block's draw is the only one held
     return out

@@ -25,12 +25,12 @@ def _words(text: bytes, count: int) -> list[int]:
     return [int.from_bytes(text.ljust(8 * count, b"\0")[i:i + 8], "little") for i in range(0, 8 * count, 8)]
 
 
-# _MARKS[c]: three words whose first c bytes are 0x01, the byte mask of a c-byte text
-_MARKS = np.array([_words(b"\1" * c, 3) for c in range(25)], dtype="<u8")
+# _MARKS[:, c]: three words whose first c bytes are 0x01, the byte mask of a c-byte text
+_MARKS = np.array([_words(b"\1" * c, 3) for c in range(25)], dtype="<u8").T.copy()
 
 
 def _layout_table() -> np.ndarray:
-    """Per decimal exponent X = -4..13 (row X + 4), the words that lay out fixed notation: a shift of
+    """Per decimal exponent X = -4..13 (column X + 4), the words that lay out fixed notation: a shift of
     8t bits for the t = max(-X, 0) zeros after '0.', 32 - 8t, the '-' and zeros in front, the two low
     words of a mask of the bytes before the '.' at byte p, and the '.' itself."""
     rows = []
@@ -39,7 +39,7 @@ def _layout_table() -> np.ndarray:
         p = 2 if x < 0 else x + 2
         front, low, dot = _words(b"-" + b"0" * t, 1), _words(b"\xff" * p, 2), _words(b"\0" * p + b".", 2)
         rows.append([8 * t, 32 - 8 * t, *front, *low, *dot])
-    return np.array(rows, dtype=_U)
+    return np.array(rows, dtype=_U).T.copy()
 
 
 _LAYOUT = _layout_table()
@@ -109,7 +109,7 @@ def _text_fields(v: np.ndarray, words: np.ndarray, marks: np.ndarray) -> None:
     last = np.where(tail_bytes > 0, 8 + tail_bytes, head_bytes)
     head |= _ASCII_ZEROS
     tail |= _ASCII_ZEROS
-    shift, back, front, m0, m1, dot0, dot1 = _LAYOUT.take(e + 4, axis=0).T
+    shift, back, front, m0, m1, dot0, dot1 = _LAYOUT.take(e + 4, axis=1)
     # '-', then the 17 digits from byte 1 ...
     w0 = ((leading.astype(_U) | _U(0x30)) << _U(8)) | (head << _U(16))
     w1 = (head >> _U(48)) | (tail << _U(16))
@@ -125,13 +125,15 @@ def _text_fields(v: np.ndarray, words: np.ndarray, marks: np.ndarray) -> None:
     words[:, 2] = (w2 << _U(8)) | (h1 >> _U(56))
     # the text ends after the last nonzero digit, or after the units digit when no fraction digit is
     # nonzero; byte 0 holds '-' for negative values only
-    marks[:] = _MARKS.take(np.where(last > e, last + 3 + np.maximum(-e, 0), e + 2), axis=0)
+    size = np.where(last > e, last + 3 + np.maximum(-e, 0), e + 2)
+    for j in range(3):
+        marks[:, j] = _MARKS[j].take(size)
     marks[:, 0] &= ~(fast & (v > 0)).astype(_U)
     for k in np.flatnonzero(~fast).tolist():
         text = b"%.17g" % float(v[k])
         words[k] = 0
         words[k].view(np.uint8)[: len(text)] = np.frombuffer(text, np.uint8)
-        marks[k] = _MARKS[len(text)]
+        marks[k] = _MARKS[:, len(text)]
 
 
 def text_rows(rows: np.ndarray, sep: str, lead: str = "") -> Iterator[np.ndarray]:
@@ -148,11 +150,11 @@ def text_rows(rows: np.ndarray, sep: str, lead: str = "") -> Iterator[np.ndarray
     words, marks = np.empty((3 * count, 4), "<u8"), np.empty((3 * count, 4), "<u8")
     ends = [text.encode("ascii") for text in (sep, sep, "\n" + lead)]
     words.reshape(count, 3, 4)[..., 3] = [_words(text, 1)[0] for text in ends]
-    marks.reshape(count, 3, 4)[..., 3] = [_MARKS[len(text), 0] for text in ends]
+    marks.reshape(count, 3, 4)[..., 3] = [_MARKS[0, len(text)] for text in ends]
     yield np.frombuffer(lead.encode("ascii"), np.uint8)
     for first in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS].ravel()
         _text_fields(block, words[:block.size, :3], marks[:block.size, :3])
         if first + _BLOCK_ROWS >= rows.shape[0]:
-            marks[block.size - 1, 3] = _MARKS[1, 0]
+            marks[block.size - 1, 3] = _MARKS[0, 1]
         yield words[:block.size].view(np.uint8)[marks[:block.size].view(np.bool_)]

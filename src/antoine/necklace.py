@@ -56,8 +56,8 @@ def two_slot_rotation(m: int) -> Rotation3:
 @dataclass(frozen=True, eq=False)
 class Necklace:
     """Immutable stage-0/stage-1 data of the construction; each child is stored once, as its map. The base
-    core is the unit circle about e3 at the origin (ValueError otherwise), as the classifier, the volume and
-    the meshes assume; only its tube may vary."""
+    core is the unit circle about e3 at the origin and every child map's ratio is exactly 4/m (ValueError
+    otherwise), as the classifier, the volume, the meshes and the word maps assume; only the tubes may vary."""
 
     multiplicity: int
     base_torus: SolidTorus
@@ -71,6 +71,8 @@ class Necklace:
                 f"the base core must be the unit circle about e3 at the origin, got centre {core.center.tolist()}, "
                 f"radius {core.radius} and normal {core.normal.tolist()}"
             )
+        if (ratios := {f.scale for f in self.child_maps}) != {self.contraction}:
+            raise ValueError(f"every child map's ratio must be 4/m = {self.contraction}, got {sorted(ratios)}")
 
     @cached_property
     def child_circles(self) -> tuple[Circle3, ...]:

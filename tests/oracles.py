@@ -1,6 +1,7 @@
 """Oracles for the tests: mesh, OBJ and volume readers that read back what the writers produce, and the
 reference forms and bounds that the distance kernel, the classifier's step loop, the volume's culls, the
-chaos game, the necklace construction, the mesh and face builders and the text rows are held to."""
+chaos game and its map kernel, the necklace construction, the mesh and face builders and the text rows and
+fields are held to."""
 import json
 import math
 from pathlib import Path
@@ -13,7 +14,9 @@ from antoine.dynamics import (
 )
 from antoine.errors import MultipleChildren
 from antoine.exports import _BLOCK_FACES, VolumeGrid
-from antoine.floattext import _BLOCK_ROWS, _MARKS, _text_fields, _words
+from antoine.floattext import (
+    _ASCII_ZEROS, _BLOCK_ROWS, _LAYOUT, _MARKS, _U, _digit_bytes, _round17, _text_fields, _words,
+)
 from antoine.geom3 import Rotation3, Similarity3, circle_frames
 from antoine.necklace import PLANE_TILT, child_distances
 
@@ -171,6 +174,25 @@ def full_state_step_loop(n, pts, first, budget, status, depth, itinerary):
     return last
 
 
+def in_place_map_by_key(stacked, keys, x):
+    """dynamics._map_by_key as it mapped each key's block in place, by one (k, 3) @ (3, 3) matmul into the
+    block itself and one scale per block, before one np.repeat add of every shift: the reference for the
+    kernel that writes the products into a second buffer and scales them all at once."""
+    ratio, rts, shifts = stacked
+    order = np.argsort(keys, kind="stable")
+    mapped = x.take(order, axis=0)
+    counts = np.bincount(keys, minlength=len(rts))
+    lo = 0
+    for d, hi in enumerate(counts.cumsum().tolist()):
+        if hi > lo:
+            blk = mapped[lo:hi]
+            np.matmul(blk, rts[d], out=blk)
+            blk *= ratio
+        lo = hi
+    mapped += np.repeat(shifts, counts, axis=0)
+    return order, mapped
+
+
 def level_loop_chaos_game(n, count, depth, seed):
     """dynamics.chaos_game_sample with every row started at the basepoint and all depth levels mapped by
     _map_by_key, in blocks of _CHUNK rows: the reference for the innermost-level table."""
@@ -254,10 +276,47 @@ def thirteen_word_text_rows(rows, sep, lead=""):
         words, marks = np.zeros((n, 13), "<u8"), np.zeros((n, 13), "<u8")
         for col, part in ((0, lead), (4, sep), (8, sep), (12, "\n")):
             words[:, col] = _words(part.encode("ascii"), 1)
-            marks[:, col] = _MARKS[len(part), 0]
+            marks[:, col] = _MARKS[0, len(part)]
         fields, field_marks = np.empty((3 * n, 3), "<u8"), np.empty((3 * n, 3), "<u8")
         _text_fields(block.ravel(), fields, field_marks)
         words[:, :12].reshape(n, 3, 4)[..., 1:] = fields.reshape(n, 3, 3)
         marks[:, :12].reshape(n, 3, 4)[..., 1:] = field_marks.reshape(n, 3, 3)
         text.append(words.view(np.uint8)[marks.view(np.bool_)].tobytes())
     return b"".join(text)
+
+
+_LAYOUT_ROWS, _MARK_ROWS = _LAYOUT.T.copy(), _MARKS.T.copy()  # a row per exponent, a row per text length
+
+
+def row_gather_text_fields(v, words, marks):
+    """floattext._text_fields as it gathered its layout table as (18, 7) rows and its marks as (25, 3) rows,
+    one row per value: the reference for the column gathers."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e13)
+    d, e = _round17(np.where(fast, a, 1.0))
+    q = d // 10**8
+    tail = _digit_bytes((d - q * 10**8).astype(_U))
+    leading = q // 10**8
+    head = _digit_bytes((q - leading * 10**8).astype(_U))
+    tail_bytes, head_bytes = ((np.frexp(w.astype(float))[1] + 7) >> 3 for w in (tail, head))
+    last = np.where(tail_bytes > 0, 8 + tail_bytes, head_bytes)
+    head |= _ASCII_ZEROS
+    tail |= _ASCII_ZEROS
+    shift, back, front, m0, m1, dot0, dot1 = _LAYOUT_ROWS.take(e + 4, axis=0).T
+    w0 = ((leading.astype(_U) | _U(0x30)) << _U(8)) | (head << _U(16))
+    w1 = (head >> _U(48)) | (tail << _U(16))
+    w2 = tail >> _U(48)
+    w2 = (w2 << shift) | ((w1 >> _U(32)) >> back)
+    w1 = (w1 << shift) | ((w0 >> _U(32)) >> back)
+    w0 = (w0 << shift) | front
+    h0, h1 = w0 & ~m0, w1 & ~m1
+    words[:, 0] = (w0 & m0) | (h0 << _U(8)) | dot0
+    words[:, 1] = (w1 & m1) | (h1 << _U(8)) | (h0 >> _U(56)) | dot1
+    words[:, 2] = (w2 << _U(8)) | (h1 >> _U(56))
+    marks[:] = _MARK_ROWS.take(np.where(last > e, last + 3 + np.maximum(-e, 0), e + 2), axis=0)
+    marks[:, 0] &= ~(fast & (v > 0)).astype(_U)
+    for k in np.flatnonzero(~fast).tolist():
+        text = b"%.17g" % float(v[k])
+        words[k] = 0
+        words[k].view(np.uint8)[: len(text)] = np.frombuffer(text, np.uint8)
+        marks[k] = _MARK_ROWS[len(text)]

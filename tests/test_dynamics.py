@@ -39,15 +39,15 @@ from antoine.dynamics import (
     winding_map,
 )
 from antoine.exports import DEFAULT_BBOX, voxel_centers
-from antoine.geom3 import circle_frames, fixed_points, point_circle_distance
+from antoine.geom3 import Similarity3, circle_frames, fixed_points, point_circle_distance
 from antoine.necklace import (
     build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map, word_maps,
 )
 
 from conftest import torus_membership
 from oracles import (
-    child_shell, full_state_step_loop, level_loop_chaos_game, rebuilt_window, vector_child_distances,
-    vector_point_circle_distance,
+    child_shell, full_state_step_loop, in_place_map_by_key, level_loop_chaos_game, rebuilt_window,
+    vector_child_distances, vector_point_circle_distance,
 )
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -961,23 +961,28 @@ def mask_loop_chaos_game(n, count, depth, seed):
 
 
 def gathered_apply(stacked, keys, x):
-    """Row i of x mapped by map keys[i], with each row's scale, R.T and shift gathered and one (1, 3) @ (3, 3)
-    product per row: the reference for _map_by_key."""
-    scales, rts, shifts = stacked
-    return scales[keys][:, None] * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
+    """Row i of x mapped by map keys[i], with each row's R.T and shift gathered and one (1, 3) @ (3, 3)
+    product per row, times the one ratio: the reference for _map_by_key."""
+    ratio, rts, shifts = stacked
+    return ratio * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
 
 
 def synthetic_maps(k, seed):
-    """_stack_maps' arrays for k random similarities: scales in [0.05, 20), random orthogonal R.T, shifts."""
+    """_stack_maps' arrays for k random similarities of one ratio: a ratio in [0.05, 20), random orthogonal
+    R.T, shifts."""
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
-    return rng.uniform(0.05, 20.0, k), np.ascontiguousarray(q), rng.normal(size=(k, 3))
+    return rng.uniform(0.05, 20.0), np.ascontiguousarray(q), rng.normal(size=(k, 3))
 
 
 def assert_map_by_key_is_gathered(stacked, keys, x):
+    """_map_by_key equals the per-row gathered product, and the kernel that mapped each block in place, bit
+    for bit."""
     order, mapped = dynamics._map_by_key(stacked, keys, x)
     assert np.array_equal(order, np.argsort(keys, kind="stable"))
     assert np.array_equal(mapped, gathered_apply(stacked, keys, x)[order])
+    want_order, want = in_place_map_by_key(stacked, keys, x)
+    assert np.array_equal(order, want_order) and np.array_equal(mapped, want)
 
 
 class TestChaosTable:
@@ -1131,7 +1136,8 @@ class TestGroupedApply:
         "m,seed,count,depth",
         [pytest.param(m, seed, 20_000, 20, id=f"{m}-{seed}") for m, seed in ((16, 1), (40, 2), (40, 3))]
         + [(40, 11, count, depth) for count in (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5) for depth in (9, 13)]
-        + [pytest.param(300, 4, 3000, 9, id="300-one-row-digits")],  # some digit claims one row at some level
+        + [pytest.param(300, 4, 3000, 9, id="300-one-row-digits")]  # some digit claims one row at some level
+        + [pytest.param(40, 3, _CHUNK + 1, 20, id="40-one-row-block")],  # the last block's levels map one row
     )
     def test_chaos_game_equals_mask_loop(self, m, seed, count, depth):
         n = build_necklace(m)
@@ -1139,9 +1145,17 @@ class TestGroupedApply:
         assert got.shape == (count, 3)
         assert np.array_equal(got, mask_loop_chaos_game(n, count, depth, seed))
 
+    @pytest.mark.parametrize("m", [10, 40, 300, 70_000])
+    def test_int32_draws_are_the_int64_stream(self, m):
+        # chaos_game_sample draws its digits as int32, which gives the generator's int64 stream
+        size = (_CHUNK + 1, 20)
+        narrow, wide = (np.random.default_rng(m).integers(1, m + 1, size, dtype=t) for t in (np.int32, np.int64))
+        assert narrow.dtype == np.int32 and np.array_equal(narrow, wide)
+
 
 class TestMapByKey:
-    """_map_by_key equals the per-row gathered product bit for bit, in stable key order."""
+    """_map_by_key equals the per-row gathered product and the in-place per-block kernel bit for bit, in
+    stable key order."""
 
     @pytest.fixture(scope="class")
     def maps40(self, necklace40):
@@ -1174,6 +1188,21 @@ class TestMapByKey:
     def test_no_rows(self, maps40):
         order, mapped = dynamics._map_by_key(maps40[0], np.empty(0, dtype=np.uint8), np.empty((0, 3)))
         assert order.shape == (0,) and mapped.shape == (0, 3)
+        assert_map_by_key_is_gathered(maps40[1], np.empty(0, dtype=np.uint8), np.empty((0, 3)))
+
+    def test_one_row_call(self, maps40):
+        # orbit maps its one point a digit at a time, with int64 keys
+        for stacked in maps40:
+            for d in (0, 17, 39):
+                assert_map_by_key_is_gathered(stacked, np.array([d]), self.rows(1, d))
+
+    def test_mixed_ratios_rejected(self, necklace40):
+        s = necklace40.child_maps[3]
+        maps = necklace40.child_maps[:3] + (Similarity3(0.09, s.rot, s.shift),) + necklace40.child_maps[4:]
+        with pytest.raises(ValueError, match=re.escape("the maps must share one ratio, got [0.09, 0.1]")):
+            dynamics._stack_maps(maps)
+        assert dynamics._stack_maps(necklace40.child_maps)[0] == 0.1
+        assert dynamics._stack_maps(necklace40.inverse_maps)[0] == necklace40.inverse_maps[0].scale
 
     def test_uint16_keys(self):
         n = build_necklace(300)

@@ -33,7 +33,8 @@ from antoine.necklace import _rho_classes, build_necklace, torus_at
 
 from oracles import (
     broadcast_torus_meshes, child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume,
-    load_volume, parse_obj, parent_pad, rounding_margin, structured_face_bytes, thirteen_word_text_rows,
+    load_volume, parse_obj, parent_pad, row_gather_text_fields, rounding_margin, structured_face_bytes,
+    thirteen_word_text_rows,
 )
 
 
@@ -692,3 +693,42 @@ class TestSlotRows:
             got = b"".join(bytes(block) for block in floattext.text_rows(pts, sep, lead))
             assert got == thirteen_word_text_rows(pts, sep, lead)
             assert got == "".join(lead + sep.join("%.17g" % x for x in row) + "\n" for row in pts.tolist()).encode()
+
+
+def assert_fields_equal_row_gathers(v):
+    """_text_fields writes the words and marks of the row-gather oracle, bit for bit, into slots of four words
+    as text_rows hands them on."""
+    got = np.full((2, v.size, 4), 7, "<u8")  # words, marks
+    want = got.copy()
+    floattext._text_fields(v, got[0, :, :3], got[1, :, :3])
+    row_gather_text_fields(v, want[0, :, :3], want[1, :, :3])
+    assert np.array_equal(got, want)
+
+
+class TestFieldColumns:
+    """_text_fields gathers its layout and mark tables along their contiguous axis, with the words and marks
+    of the row gathers kept in tests/oracles.py."""
+
+    def test_every_exponent(self):
+        # each decimal exponent of the fixed layout: each power of ten and the doubles on either side of it,
+        # and random mantissas, of either sign. The table's last column, 13, is reached by no double below
+        # 1e13, the largest of which '%.17g' writes as 9999999999999.998
+        rng = np.random.default_rng(31)
+        decades = 10.0 ** np.arange(-4, 14)
+        v = np.concatenate([
+            decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+            (rng.uniform(1.0, 10.0, (200, 1)) * decades).ravel(),
+        ])
+        v = np.concatenate([v, -v])
+        _, e = floattext._round17(np.abs(v[(np.abs(v) >= 1e-4) & (np.abs(v) < 1e13)]))
+        assert set(e.tolist()) == set(range(-4, 13))
+        assert_fields_equal_row_gathers(v)
+
+    def test_special_values(self):
+        assert_fields_equal_row_gathers(np.array(TestSlotRows.SPECIAL + [-x for x in TestSlotRows.SPECIAL]))
+
+    def test_chaos_game_rows(self, necklace40):
+        assert_fields_equal_row_gathers(chaos_game_sample(necklace40, 100_000, 20, seed=37).ravel())
+
+    def test_no_values(self):
+        assert_fields_equal_row_gathers(np.empty(0))

@@ -80,10 +80,12 @@ class TestGaussLinking:
             gauss_linking(HOPF_A, close, 64)
 
     def test_pair_closer_than_half_a_sample_spacing_named_by_link_matrix(self):
-        # children 1 and 2 of an m = 10 necklace moved onto that pair: pair (1, 2) is measured first
+        # children 1 and 2 of an m = 10 necklace moved onto that pair, scaled by the ratio 4/m every child map
+        # has: pair (1, 2) is measured first
         n = build_necklace(10)
-        unit = Similarity3(1.0, Rotation3(np.eye(3)), np.zeros(3))
-        near = Similarity3(1.0, Rotation3.aligning(E3, np.array([0.0, 1.0, 0.0])), np.array([2.0 + 1e-5, 0.0, 0.0]))
+        r = n.contraction
+        unit = Similarity3(r, Rotation3(np.eye(3)), np.zeros(3))
+        near = Similarity3(r, Rotation3.aligning(E3, np.array([0.0, 1.0, 0.0])), np.array([r * (2.0 + 1e-5), 0.0, 0.0]))
         n = dataclasses.replace(n, child_maps=(unit, near, *n.child_maps[2:]))
         with pytest.raises(LinkBackendError, match=re.escape("child pair (1, 2)")) as info:
             link_matrix(n, quad_n=64)

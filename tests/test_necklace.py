@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestBuild:
         # the classifier, the volume cull and mesh_stage all put the parent core there
         with pytest.raises(ValueError, match="base core must be the unit circle about e3 at the origin"):
             dataclasses.replace(necklace40, base_torus=SolidTorus(core, 0.2))
+
+    @pytest.mark.parametrize("scale", [0.09, 0.1 * (1 + 2**-52), 1.0])
+    def test_child_map_ratio_other_than_four_over_m_rejected(self, necklace40, scale):
+        # word_maps, child_distances, the step loop's window and child_reach all read the ratio as 4/m
+        s = necklace40.child_maps[6]
+        maps = necklace40.child_maps[:6] + (Similarity3(scale, s.rot, s.shift),) + necklace40.child_maps[7:]
+        with pytest.raises(ValueError, match=re.escape(f"ratio must be 4/m = 0.1, got {sorted([0.1, scale])}")):
+            dataclasses.replace(necklace40, child_maps=maps)
 
     def test_only_the_tube_may_change(self, necklace40):
         n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, 0.25))
