@@ -143,7 +143,6 @@ def full_state_step_loop(n, pts, first, budget, status, depth, itinerary):
     active = np.flatnonzero(~exterior & ~beyond)
     cur = last[active]
     inverse = _stack_maps(n.inverse_maps)
-    key_type = np.min_scalar_type(n.multiplicity)
     for k in range(budget):
         if active.size == 0:
             break
@@ -168,29 +167,29 @@ def full_state_step_loop(n, pts, first, budget, status, depth, itinerary):
         digits = (claims * slots).sum(axis=1)[stay]
         if itinerary is not None and k < itinerary.shape[1]:
             itinerary[active, k] = digits + 1
-        order, cur = _map_by_key(inverse, digits.astype(key_type), cur)
-        active = active[order]
+        cur = _map_by_key(inverse, digits, cur.T).T
     last[active] = cur
     return last
 
 
-def in_place_map_by_key(stacked, keys, x):
-    """dynamics._map_by_key as it mapped each key's block in place, by one (k, 3) @ (3, 3) matmul into the
-    block itself and one scale per block, before one np.repeat add of every shift: the reference for the
-    kernel that writes the products into a second buffer and scales them all at once."""
-    ratio, rts, shifts = stacked
-    order = np.argsort(keys, kind="stable")
-    mapped = x.take(order, axis=0)
-    counts = np.bincount(keys, minlength=len(rts))
-    lo = 0
-    for d, hi in enumerate(counts.cumsum().tolist()):
-        if hi > lo:
-            blk = mapped[lo:hi]
-            np.matmul(blk, rts[d], out=blk)
-            blk *= ratio
-        lo = hi
-    mapped += np.repeat(shifts, counts, axis=0)
-    return order, mapped
+def scalar_map_by_key(ratio, rots, shifts, keys, x):
+    """dynamics._map_by_key in Python floats, one row and one coordinate at a time: column k of the (3, N) rows
+    x mapped by rotation rots[keys[k]] (3 x 3), shift shifts[keys[k]] and the one ratio, as
+    ((x0 R[i, 0] + x1 R[i, 1]) + x2 R[i, 2]) ratio + s_i. No numpy arithmetic: the reference for the
+    kernel's operation order."""
+    rots, shifts = np.asarray(rots).tolist(), np.asarray(shifts).tolist()
+    out = []
+    for key, x0, x1, x2 in zip(np.asarray(keys).tolist(), *np.asarray(x).tolist()):
+        r, s = rots[key], shifts[key]
+        out.append([((x0 * r[i][0] + x1 * r[i][1]) + x2 * r[i][2]) * ratio + s[i] for i in range(3)])
+    return np.array(out, dtype=float).reshape(-1, 3).T
+
+
+def fixed_order_apply(f, p):
+    """The similarity f applied to points (..., 3) in _map_by_key's order, by numpy on the 3-wide axis:
+    ((p0 R[:, 0] + p1 R[:, 1]) + p2 R[:, 2]) scale + shift."""
+    r = f.rot.matrix
+    return (p[..., :1] * r[:, 0] + p[..., 1:2] * r[:, 1] + p[..., 2:] * r[:, 2]) * f.scale + f.shift
 
 
 def level_loop_chaos_game(n, count, depth, seed):
@@ -202,13 +201,10 @@ def level_loop_chaos_game(n, count, depth, seed):
     out = np.empty((count, 3))
     for lo in range(0, count, _CHUNK):
         digits = rng.integers(1, n.multiplicity + 1, size=(min(_CHUNK, count - lo), depth))
-        keys = digits.T.astype(np.min_scalar_type(n.multiplicity), order="C") - 1
-        perm = np.arange(keys.shape[1])
-        x = np.tile(base, (keys.shape[1], 1))
-        for level in keys[::-1]:
-            order, x = _map_by_key(maps, level.take(perm), x)
-            perm = perm.take(order)
-        out[lo + perm] = x
+        x = np.tile(base[:, None], digits.shape[0])
+        for level in digits.T[::-1] - 1:
+            x = _map_by_key(maps, level, x)
+        out[lo:lo + digits.shape[0]] = x.T
     return out
 
 

@@ -46,8 +46,8 @@ from antoine.necklace import (
 
 from conftest import torus_membership
 from oracles import (
-    child_shell, full_state_step_loop, in_place_map_by_key, level_loop_chaos_game, rebuilt_window,
-    vector_child_distances, vector_point_circle_distance,
+    child_shell, fixed_order_apply, full_state_step_loop, level_loop_chaos_game, rebuilt_window,
+    scalar_map_by_key, vector_child_distances, vector_point_circle_distance,
 )
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -161,7 +161,7 @@ class TestOneStepLoop:
         for p, s, digits in zip(pts, status, itinerary):
             got = chunk_pull_back(necklace40, p, 1)
             assert got[:3] == (int(s), int(s == SURVIVED), tuple(int(d) for d in digits if d))
-            want = necklace40.inverse_maps[digits[0] - 1].apply(p) if s == SURVIVED else p
+            want = fixed_order_apply(necklace40.inverse_maps[digits[0] - 1], p) if s == SURVIVED else p
             assert np.array_equal(got[3], want)
 
 
@@ -876,7 +876,7 @@ def every_child_pull_back(n, p, budget):
                 raise MultipleChildren(0)
             return SURVIVED, budget, tuple(digits), x
         digits.append(int(claims[0]) + 1)
-        x = n.inverse_maps[claims[0]].apply(x)
+        x = fixed_order_apply(n.inverse_maps[claims[0]], x)
     return SURVIVED, budget, tuple(digits), x
 
 
@@ -947,42 +947,41 @@ class TestChildShell:
 
 def mask_loop_chaos_game(n, count, depth, seed):
     """chaos_game_sample with one boolean mask per digit and level, each digit's rows mapped as one block by
-    scale * (x @ R.T) + shift against a C-contiguous R.T: the reference. (Similarity3.apply multiplies by the
-    F-ordered view matrix.T, which on a one-row block takes a gemv kernel that rounds differently.)"""
+    fixed_order_apply of its Similarity3: the reference."""
     digits = np.random.default_rng(seed).integers(1, n.multiplicity + 1, size=(count, depth))
     x = np.tile(n.base_torus.core.point_at(0.0), (count, 1))
     for level in range(depth - 1, -1, -1):
         col = digits[:, level]
         for j in np.unique(col):
             sel = col == j
-            f = n.child_maps[j - 1]
-            x[sel] = f.scale * (x[sel] @ np.ascontiguousarray(f.rot.matrix.T)) + f.shift
+            x[sel] = fixed_order_apply(n.child_maps[j - 1], x[sel])
     return x
 
 
-def gathered_apply(stacked, keys, x):
-    """Row i of x mapped by map keys[i], with each row's R.T and shift gathered and one (1, 3) @ (3, 3)
-    product per row, times the one ratio: the reference for _map_by_key."""
-    ratio, rts, shifts = stacked
-    return ratio * (x[:, None, :] @ rts[keys])[:, 0] + shifts[keys]
+def map_arrays(maps):
+    """The one ratio, the (k, 3, 3) rotation matrices and the (k, 3) shifts of k similarities."""
+    return maps[0].scale, np.array([f.rot.matrix for f in maps]), np.array([f.shift for f in maps])
 
 
 def synthetic_maps(k, seed):
-    """_stack_maps' arrays for k random similarities of one ratio: a ratio in [0.05, 20), random orthogonal
-    R.T, shifts."""
+    """map_arrays for k random similarities of one ratio: a ratio in [0.05, 20), random orthogonal matrices,
+    shifts."""
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.normal(size=(k, 3, 3)))[0]
-    return rng.uniform(0.05, 20.0), np.ascontiguousarray(q), rng.normal(size=(k, 3))
+    return rng.uniform(0.05, 20.0), q, rng.normal(size=(k, 3))
 
 
-def assert_map_by_key_is_gathered(stacked, keys, x):
-    """_map_by_key equals the per-row gathered product, and the kernel that mapped each block in place, bit
-    for bit."""
-    order, mapped = dynamics._map_by_key(stacked, keys, x)
-    assert np.array_equal(order, np.argsort(keys, kind="stable"))
-    assert np.array_equal(mapped, gathered_apply(stacked, keys, x)[order])
-    want_order, want = in_place_map_by_key(stacked, keys, x)
-    assert np.array_equal(order, want_order) and np.array_equal(mapped, want)
+def map_table(ratio, rots, shifts):
+    """_stack_maps' (ratio, table) from map_arrays: the rotation entries row-major, then the shifts, as the
+    rows of a C-contiguous (12, k) array."""
+    return ratio, np.ascontiguousarray(np.concatenate([rots.reshape(-1, 9), shifts], axis=1).T)
+
+
+def assert_map_by_key_is_scalar(arrays, keys, x):
+    """_map_by_key on the (3, N) rows x equals the Python-float oracle bit for bit, in the order it got them."""
+    mapped = dynamics._map_by_key(map_table(*arrays), keys, x)
+    assert mapped.shape == x.shape and mapped.dtype == np.float64
+    assert np.array_equal(mapped, scalar_map_by_key(*arrays, keys, x))
 
 
 class TestChaosTable:
@@ -1083,6 +1082,16 @@ class TestStepLoopBookkeeping:
         monkeypatch.setattr(dynamics, "_bracketing_children", lambda n, pts, tol: np.arange(n.multiplicity)[None])
         assert_same_classification(*classify_both(n, mixed_points(n, m), 12, 12, monkeypatch))
 
+    @pytest.mark.parametrize("m", [40, 64])
+    def test_shuffled_input(self, m):
+        # the step loop maps its rows in the order it got them: shuffling the points shuffles every label
+        n = build_necklace(m)
+        pts = np.concatenate([mixed_points(n, m + 1), chaos_game_sample(n, 3000, 20, seed=m + 2)])
+        shuffle = np.random.default_rng(m + 3).permutation(pts.shape[0])
+        want = [a[shuffle] for a in classify_points(n, pts, DEFAULT_BUDGET, 12)]
+        assert set(want[0].tolist()) == {EXTERIOR, ESCAPED, SURVIVED}
+        assert_same_classification(classify_points(n, pts[shuffle], DEFAULT_BUDGET, 12), want)
+
     @pytest.mark.parametrize("m", [10, 16])
     def test_multiple_children_names_the_same_index(self, m, monkeypatch):
         n = build_necklace(m)
@@ -1154,47 +1163,53 @@ class TestGroupedApply:
 
 
 class TestMapByKey:
-    """_map_by_key equals the per-row gathered product and the in-place per-block kernel bit for bit, in
-    stable key order."""
+    """_map_by_key equals the Python-float oracle bit for bit, row for row in the order it got them."""
 
     @pytest.fixture(scope="class")
     def maps40(self, necklace40):
-        return dynamics._stack_maps(necklace40.inverse_maps), dynamics._stack_maps(necklace40.child_maps)
+        return map_arrays(necklace40.inverse_maps), map_arrays(necklace40.child_maps)
 
     @staticmethod
     def rows(count, seed):
-        return np.random.default_rng(seed).normal(size=(count, 3))
+        return np.random.default_rng(seed).normal(size=(3, count))
+
+    def test_table(self, necklace40):
+        for maps in (necklace40.inverse_maps, necklace40.child_maps):
+            ratio, table = dynamics._stack_maps(maps)
+            want_ratio, want_table = map_table(*map_arrays(maps))
+            assert ratio == want_ratio and table.flags.c_contiguous and table.shape == (12, 40)
+            assert np.array_equal(table, want_table)
+            assert table[5, 7] == maps[7].rot.matrix[1, 2] and table[11, 7] == maps[7].shift[2]
 
     def test_absent_keys(self, maps40):
         keys = np.random.default_rng(1).choice([0, 3, 17, 39], 5000).astype(np.uint8)
-        for stacked in maps40:
-            assert_map_by_key_is_gathered(stacked, keys, self.rows(5000, 2))
+        for arrays in maps40:
+            assert_map_by_key_is_scalar(arrays, keys, self.rows(5000, 2))
 
     def test_one_row_keys(self, maps40):
         keys = np.random.default_rng(3).permutation(np.repeat(np.arange(40), [1, 300] * 20)).astype(np.uint8)
-        for stacked in maps40:
-            assert_map_by_key_is_gathered(stacked, keys, self.rows(keys.size, 4))
+        for arrays in maps40:
+            assert_map_by_key_is_scalar(arrays, keys, self.rows(keys.size, 4))
 
     def test_every_row_one_key(self, maps40):
-        for stacked in maps40:
-            assert_map_by_key_is_gathered(stacked, np.full(3000, 11, dtype=np.uint8), self.rows(3000, 5))
+        for arrays in maps40:
+            assert_map_by_key_is_scalar(arrays, np.full(3000, 11, dtype=np.uint8), self.rows(3000, 5))
 
     def test_block_sizes(self):
-        # one block each of 1..39, 64, 100, 257 and 1000 rows
+        # keys that claim 1..39, 64, 100, 257 and 1000 rows each
         sizes = [*range(1, 40), 64, 100, 257, 1000]
         keys = np.random.default_rng(6).permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(np.uint8)
-        assert_map_by_key_is_gathered(synthetic_maps(len(sizes), 7), keys, self.rows(keys.size, 8))
+        assert_map_by_key_is_scalar(synthetic_maps(len(sizes), 7), keys, self.rows(keys.size, 8))
 
     def test_no_rows(self, maps40):
-        order, mapped = dynamics._map_by_key(maps40[0], np.empty(0, dtype=np.uint8), np.empty((0, 3)))
-        assert order.shape == (0,) and mapped.shape == (0, 3)
-        assert_map_by_key_is_gathered(maps40[1], np.empty(0, dtype=np.uint8), np.empty((0, 3)))
+        for arrays in maps40:
+            assert_map_by_key_is_scalar(arrays, np.empty(0, dtype=np.uint8), np.empty((3, 0)))
 
     def test_one_row_call(self, maps40):
         # orbit maps its one point a digit at a time, with int64 keys
-        for stacked in maps40:
+        for arrays in maps40:
             for d in (0, 17, 39):
-                assert_map_by_key_is_gathered(stacked, np.array([d]), self.rows(1, d))
+                assert_map_by_key_is_scalar(arrays, np.array([d]), self.rows(1, d))
 
     def test_mixed_ratios_rejected(self, necklace40):
         s = necklace40.child_maps[3]
@@ -1209,16 +1224,16 @@ class TestMapByKey:
         keys = np.random.default_rng(9).integers(0, 300, 20_000).astype(np.min_scalar_type(300))
         assert keys.dtype == np.uint16
         for maps in (n.inverse_maps, n.child_maps):
-            assert_map_by_key_is_gathered(dynamics._stack_maps(maps), keys, self.rows(20_000, 10))
+            assert_map_by_key_is_scalar(map_arrays(maps), keys, self.rows(20_000, 10))
 
     def test_uint32_keys(self):
         keys = np.random.default_rng(11).integers(0, 70_000, 100_000).astype(np.min_scalar_type(70_000))
         assert keys.dtype == np.uint32
-        assert_map_by_key_is_gathered(synthetic_maps(70_000, 12), keys, self.rows(100_000, 13))
+        assert_map_by_key_is_scalar(synthetic_maps(70_000, 12), keys, self.rows(100_000, 13))
 
     def test_multiple_children_names_the_lower_index(self, necklace16):
         # p lies on child 1's core and in child 2's tube; pushed into children 10 and 3 it is in one child at
-        # step 0, and sorting by digit puts input row 1 first, so both rows are fuzzy at step 1 in the order 1, 0
+        # step 0, and both rows are fuzzy at step 1: the error names the lower input index
         a, b = necklace16.child_circles[0], necklace16.child_circles[1]
         pa = a.sample(4096)
         p = pa[int(np.argmin(point_circle_distance(b, pa)))]
