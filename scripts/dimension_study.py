@@ -40,8 +40,6 @@ def main() -> int:
         for depth in (4, 6, 8):
             for k_hi in (2, 3):
                 scales = [stage_summary(n, k).max_diameter for k in range(1, k_hi + 1)]
-                if len(scales) < 2:
-                    continue
                 pts = stage_points(n, count, depth, rng)
                 slope = box_dimension_estimate(pts, scales)
                 rel = abs(slope - target) / target

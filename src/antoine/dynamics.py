@@ -192,11 +192,9 @@ def _bracketing_children(n: Necklace, pts: np.ndarray, tol: float) -> np.ndarray
 
 
 def _stack_maps(maps) -> tuple[float, np.ndarray]:
-    """The one ratio of m similarities and their C-contiguous (12, m) table for _map_by_key: row 3i + j holds
-    the rotation entries R[i, j], rows 9..11 the shifts. Raises ValueError unless the maps share one ratio."""
-    if len(ratios := {f.scale for f in maps}) != 1:
-        raise ValueError(f"the maps must share one ratio, got {sorted(ratios)}")
-    return ratios.pop(), np.array([[*f.rot.matrix.ravel(), *f.shift] for f in maps]).T.copy()
+    """The ratio of a Necklace's child or inverse maps, which share one (see Necklace), and their C-contiguous
+    (12, m) table for _map_by_key: row 3i + j holds the rotation entries R[i, j], rows 9..11 the shifts."""
+    return maps[0].scale, np.array([[*f.rot.matrix.ravel(), *f.shift] for f in maps]).T.copy()
 
 
 def _map_by_key(stacked, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,14 +282,17 @@ def _period_words(m: int, p: int, cap: int, rng: np.random.Generator) -> np.ndar
     return rng.integers(1, m + 1, size=(cap, p))
 
 
-def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray, chunk: int = 64) -> float:
-    """sup over reference points of the distance to the target set."""
-    worst = 0.0
-    for lo in range(0, reference.shape[0], chunk):
-        block = reference[lo : lo + chunk]
-        d = np.linalg.norm(block[:, None, :] - target[None, :, :], axis=2)
-        worst = max(worst, float(d.min(axis=1).max()))
-    return worst
+def _one_sided_hausdorff(reference: np.ndarray, target: np.ndarray) -> float:
+    """sup over reference points of the distance to the target set, from squared distances (dx^2 + dy^2) + dz^2
+    (np.linalg.norm's sum) in target blocks that keep each temporary to 2^16 reference-target pairs."""
+    step, (tx, ty, tz) = max(1, (1 << 16) // max(1, reference.shape[0])), target.T.copy()
+    (rx, ry, rz), least = reference.T[:, :, None], np.full(reference.shape[0], np.inf)
+    for lo in range(0, tx.size, step):
+        d2 = np.square(rx - tx[lo : lo + step])
+        d2 += np.square(ry - ty[lo : lo + step])
+        d2 += np.square(rz - tz[lo : lo + step])
+        np.minimum(least, d2.min(axis=1), out=least)
+    return math.sqrt(np.max(least, initial=0.0))
 
 
 def periodic_point_cloud(n: Necklace, p_max: int, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -299,11 +300,10 @@ def periodic_point_cloud(n: Necklace, p_max: int, seed: int = DEFAULT_SEED) -> n
     orbit), as an (N, 3) array; a seeded sample of 200,000 words stands in for a period with more.
     Raises ValueError unless p_max is an integer >= 1."""
     _check_int("p_max", p_max, 1)
-    # seed derived per period so the clouds are nested across p_max
-    return np.concatenate([
-        fixed_points(*word_maps(n, _period_words(n.multiplicity, p, 200000, np.random.default_rng(seed + p))))
-        for p in range(1, p_max + 1)
-    ])
+    # seed derived per period so the clouds are nested across p_max; rows are independent, so _CHUNK at a time
+    words = [_period_words(n.multiplicity, p, 200000, np.random.default_rng(seed + p)) for p in range(1, p_max + 1)]
+    blocks = [w[lo : lo + _CHUNK] for w in words for lo in range(0, len(w), _CHUNK)]
+    return np.concatenate([fixed_points(*word_maps(n, b)) for b in blocks])
 
 
 def density_report(n: Necklace, p_max: int, sample_k: int, seed: int = DEFAULT_SEED) -> float:
@@ -409,6 +409,17 @@ class OrbitRecord:
 _NORM_RECORD_CAP = 1e12
 
 
+def _finite_point(p) -> np.ndarray:
+    """p as a float array; ValueError unless it has shape (3,) and a norm that is a finite double."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"a point must have shape (3,), not {p.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is tested for, not warned about
+        if not np.isfinite(np.linalg.norm(p)):
+            raise ValueError(f"point norm must be a finite double, got {p}")
+    return p
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is tested for, not warned about
 def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
@@ -425,11 +436,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     max_iter that is not an integer in 1..MAX_BUDGET.
     """
     _check_int("max_iter, the step budget,", max_iter, 1, MAX_BUDGET)
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(np.linalg.norm(p)):
-        raise ValueError(f"point norm must be a finite double, got {p}")
-    if p.shape != (3,):
-        raise ValueError(f"a point must have shape (3,), not {p.shape}")
+    p = _finite_point(p)
     status, depth, digits = classify_points(n, p, max_iter, max_iter)
     itinerary = tuple(int(d) for d in digits[0] if d)
     exit_kind = _ESCAPE_KINDS[int(status[0])]
@@ -483,9 +490,10 @@ def dilatation_estimate(
 
     (the ratio forms are exact rewrites of |Df|^3 / J and J / l(Df)^3 that
     cannot dip below 1 in floating point). Raises NonInvertibleJacobian when
-    s3 < 1e-12 * s1.
+    s3 < 1e-12 * s1, and ValueError on a point not of shape (3,) or whose
+    norm is not a finite double, as orbit does.
     """
-    p = np.asarray(p, dtype=float)
+    p = _finite_point(p)
     if h is None:
         h = min(max(1e-5 * (1.0 + float(np.linalg.norm(p))), 1e-7), 1e-3)
     elif not 1e-7 <= h <= 1e-3:

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, _child_shell, _rounding_margin, classify_points
+from .dynamics import BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, MAX_BUDGET, _child_shell, _rounding_margin
+from .dynamics import classify_points
 from .errors import MultipleChildren, TooManyTori
 from .floattext import text_rows
 from .geom3 import _check_int, circle_frames, point_rows, unit_rows
@@ -225,6 +226,7 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
     layer outside the parent torus's box, slabs of about _SLAB_POINTS box voxels inside, of which only the
     annulus about the core is coded and only its part about the child shell is classified (see
     classify_volume)."""
+    _check_int("budget", budget, 1, MAX_BUDGET)  # before any layer: an exterior layer classifies nothing
     dims, lo, hi = _grid_frame(dims, *bbox)
     nx, ny, nz = dims
     if max(dims) > MAX_GRID:

@@ -26,13 +26,6 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n < 1e-14:
-        raise ValueError("cannot normalize a near-zero vector")
-    return v / n
-
-
 def point_rows(p) -> np.ndarray:
     """One point, shape (3,), or N points, shape (N, 3), as an (N, 3) float array; ValueError naming any other shape."""
     pts = np.asarray(p, dtype=float)
@@ -51,13 +44,15 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
 
 
 def unit_rows(vs: np.ndarray) -> np.ndarray:
-    """_unit on each row of an (N, 3) stack, bit for bit: each norm is one stacked row dot product, the same
-    BLAS ddot as norm of one row (a stacked norm(axis=1) rounds differently)."""
+    """The rows of a (..., 3) array, each over its norm, as (N, 3); ValueError unless the last axis is 3 and each
+    norm >= 1e-14. A norm is one stacked row dot product, the BLAS ddot of np.linalg.norm on one row."""
+    if np.shape(vs)[-1:] != (3,):
+        raise ValueError(f"vectors must have a last axis of 3, not shape {np.shape(vs)}")
     vs = np.asarray(vs, dtype=float).reshape(-1, 3)
-    norms = np.sqrt((vs[:, None, :] @ vs[:, :, None])[:, 0, 0])
-    if (norms < 1e-14).any():
+    norms = np.sqrt(vs[:, None, :] @ vs[:, :, None])[:, 0]  # (N, 1)
+    if np.count_nonzero(norms < 1e-14):  # a cheaper test than any() on the one-row calls
         raise ValueError("cannot normalize a near-zero vector")
-    return vs / norms[:, None]
+    return vs / norms
 
 
 def circle_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +81,15 @@ def project_rotations(mats: np.ndarray) -> np.ndarray:
     return flat.reshape(np.shape(mats))
 
 
+def _rodrigues(axis: Vec3, angles) -> np.ndarray:
+    """Unprojected (N, 3, 3) matrices I + s K + (1 - c) K^2 of the rotations by N angles about one axis (see
+    about_axis), K the unit axis's cross-product matrix, c and s from math.cos and math.sin."""
+    ((x, y, z),) = unit_rows(axis).tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    c, s = (np.array([f(a) for a in angles])[:, None, None] for f in (math.cos, math.sin))
+    return _EYE3 + s * k + (1.0 - c) * (k @ k)
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation3:
     """Proper rotation of 3-space, stored as an orthonormal matrix.
@@ -108,16 +112,12 @@ class Rotation3:
     @staticmethod
     def about_axis(axis: Vec3, angle: float) -> "Rotation3":
         """Rotation by `angle` (radians, right-hand rule) about `axis`."""
-        k = _unit(np.asarray(axis, dtype=float))
-        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-        c, s = math.cos(angle), math.sin(angle)
-        return Rotation3(_EYE3 + s * kx + (1.0 - c) * (kx @ kx))
+        return Rotation3(_rodrigues(axis, [angle])[0])
 
     @staticmethod
     def aligning(a: Vec3, b: Vec3) -> "Rotation3":
         """Minimal rotation taking unit direction a to unit direction b."""
-        a = _unit(np.asarray(a, dtype=float))
-        b = _unit(np.asarray(b, dtype=float))
+        a, b = unit_rows([a, b])
         axis = np.cross(a, b)
         s = np.linalg.norm(axis)
         c = float(a @ b)
@@ -206,7 +206,8 @@ class Circle3:
         if not (np.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"circle radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", _as_readonly(np.asarray(self.center, dtype=float)))
-        object.__setattr__(self, "normal", _as_readonly(_unit(np.asarray(self.normal, dtype=float))))
+        (normal,) = unit_rows(self.normal)
+        object.__setattr__(self, "normal", _as_readonly(normal))
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +225,8 @@ class Circle3:
         return self.center + self.radius * (np.multiply.outer(np.cos(a), u) + np.multiply.outer(np.sin(a), v))
 
     def sample(self, n: int) -> np.ndarray:
-        """n arc-uniform points, counterclockwise around the normal."""
-        return self.point_at(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        """n arc-uniform points at angles arange(n) * 2 pi / n, counterclockwise around the normal."""
+        return self.point_at(np.arange(n) * (2.0 * math.pi / n))
 
     def transform(self, s: Similarity3) -> "Circle3":
         return Circle3(s.apply(self.center), s.scale * self.radius, s.rot.apply(self.normal))
@@ -294,9 +295,10 @@ def circle_circle_distance(a: Circle3, b: Circle3, grid_n: int = 512) -> float:
     a sound lower bound is what disjointness certificates need.
     """
     _check_int("grid_n", grid_n, 8)
-    step = 2.0 * math.pi / grid_n
-    angles = np.arange(grid_n) * step
-    return max(
-        float(np.min(point_circle_distance(dst, src.point_at(angles)))) - 0.5 * step * src.radius
-        for src, dst in ((a, b), (b, a))
-    )
+    return max(float(np.min(d)) - lip for d, lip in (_sampled_distances(s, t, grid_n) for s, t in ((a, b), (b, a))))
+
+
+def _sampled_distances(src: Circle3, dst: Circle3, n: int) -> tuple[np.ndarray, float]:
+    """Distances to dst from src.sample(n), and the Lipschitz term 0.5 * step * src.radius (step = 2 pi / n) by
+    which the distance from any point of src can differ from that of its nearest sample."""
+    return point_circle_distance(dst, src.sample(n)), 0.5 * (2.0 * math.pi / n) * src.radius

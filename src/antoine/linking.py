@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3, _check_int
+from .geom3 import Circle3, _check_int, unit_rows
 from .necklace import Necklace, _rho_classes
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class PolyLoop:
         return PolyLoop(c.sample(n))
 
 
-def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | None = None) -> float:
+def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
     """Gauss double-integral linking number of two disjoint circles.
 
     Trapezoid rule on a quad_n x quad_n parameter grid; converges to the
@@ -83,17 +83,9 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256, work: np.ndarray | 
     separation is below it. Of those entries, the ones below (2e-9)^2 plus the
     allowance, which the expansion cannot resolve, take the re-measured value
     in the integrand.
-
-    The three grids go into `work`, a C-contiguous (3, quad_n, quad_n) float64
-    scratch array whose contents are ignored (allocated when None): fresh
-    grids cost more in page faults than in arithmetic, so callers reuse one.
     """
     _check_int("quad_n", quad_n, 16)
-    if work is None:
-        work = np.empty((3, quad_n, quad_n))
-    elif work.shape != (3, quad_n, quad_n) or work.dtype != np.float64 or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a C-contiguous (3, {quad_n}, {quad_n}) float64 array")
-    d2, integrand, den = work
+    d2, integrand, den = np.empty((3, quad_n, quad_n))  # one block: glibc keeps its pages for the next call
     ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
     ua, va = a.basis()
     ub, vb = b.basis()
@@ -135,10 +127,9 @@ def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w = direction / np.linalg.norm(direction)
+    (w,) = unit_rows(direction)
     e = np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = _cross(e, w)
-    u /= np.linalg.norm(u)
+    (u,) = unit_rows(_cross(e, w))
     v = _cross(w, u)
     return u, v, w
 
@@ -311,24 +302,23 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix
     max_gauss_gap. A backend exception is re-raised as LinkBackendError
     naming the pair.
 
-    One Gauss workspace serves every pair, and the polygons of the two seed
-    slots (children 1 and 2, the first child of every representative) are
-    built once; each pair builds only its second polygon.
+    The polygons of the two seed slots (children 1 and 2, the first child of
+    every representative) are built once; each pair builds only its second
+    polygon.
     """
-    _check_int("poly_n", poly_n, 64)  # both checked here, as the Gauss workspace is allocated before any pair
+    _check_int("poly_n", poly_n, 64)  # both checked before any pair is measured
     _check_int("quad_n", quad_n, 16)
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), reps, classes = _rho_classes(m)
     lks = np.zeros(len(reps), dtype=int)
     max_gap = 0.0
-    work = np.empty((3, quad_n, quad_n))
     seeds = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles[:2]]
     for k, (a, b) in enumerate(zip(i[reps], j[reps])):
         ca, cb = n.child_circles[a], n.child_circles[b]
         try:
             lk = polygonal_linking(seeds[a], PolyLoop.from_circle(cb, poly_n), rng=rng)
-            gauss = gauss_linking(ca, cb, quad_n, work=work)
+            gauss = gauss_linking(ca, cb, quad_n)
         except Exception as exc:  # attach the offending pair
             raise LinkBackendError((int(a) + 1, int(b) + 1), exc) from exc
         max_gap = max(max_gap, abs(gauss - lk))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidMultiplicity
 from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import _as_readonly, _check_int, _circle_distance, project_rotations
+from .geom3 import _as_readonly, _check_int, _circle_distance, _rodrigues, _sampled_distances, project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -155,10 +155,7 @@ def build_necklace(m: int) -> Necklace:
         normal = math.cos(PLANE_TILT) * radial + lean * math.sin(PLANE_TILT) * _E3
         seeds.append(Similarity3(ratio, Rotation3.aligning(_E3, normal), radial))
 
-    angles = [4.0 * math.pi * (j // 2) / m for j in range(2, m)]
-    cos, sin = (np.array([f(a) for a in angles])[:, None, None] for f in (math.cos, math.sin))
-    kx = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, -0.0], [-0.0, 0.0, 0.0]])  # the cross-product matrix of e3
-    rho = project_rotations(np.eye(3) + sin * kx + (1.0 - cos) * (kx @ kx))
+    rho = project_rotations(_rodrigues(_E3, [4.0 * math.pi * (j // 2) / m for j in range(2, m)]))
     seed_rots = np.array([seeds[j % 2].rot.matrix for j in range(2, m)])
     rots = project_rotations(rho @ seed_rots) @ project_rotations(rho.transpose(0, 2, 1))
     maps = seeds + [
@@ -331,9 +328,9 @@ def _transfer_slack(n: Necklace, i: np.ndarray, j: np.ndarray, rep: np.ndarray) 
     children's measures and its representative's; a representative gets 0.
     """
     dev = np.empty(n.multiplicity)
-    for k, child in enumerate(n.child_circles):
-        rho = Similarity3(1.0, Rotation3.about_axis(_E3, 4.0 * math.pi * (k // 2) / n.multiplicity), np.zeros(3))
-        ideal = n.child_circles[k % 2].transform(rho)
+    rhos = _rodrigues(_E3, [4.0 * math.pi * (k // 2) / n.multiplicity for k in range(n.multiplicity)])
+    for k, (child, rho) in enumerate(zip(n.child_circles, rhos)):
+        ideal = n.child_circles[k % 2].transform(Similarity3(1.0, Rotation3(rho), np.zeros(3)))
         dev[k] = (
             float(np.linalg.norm(child.center - ideal.center))
             + abs(child.radius - ideal.radius)
@@ -387,9 +384,9 @@ def validate_necklace(
     checks.append(CheckRecord("children_disjoint", min_clearance > 0.0, min_clearance, 0.0))
 
     # (b) containment in the open parent torus
-    half_step = math.pi * n.contraction / CONTAINMENT_SAMPLES
-    d_max = max(float(np.max(point_circle_distance(n.base_torus.core, c.sample(CONTAINMENT_SAMPLES)))) for c in circles)
-    contain_clearance = n.base_torus.tube - (d_max + half_step + n.child_tube)
+    sampled = (_sampled_distances(c, n.base_torus.core, CONTAINMENT_SAMPLES) for c in circles)
+    reach = max(float(np.max(d)) + lipschitz for d, lipschitz in sampled)
+    contain_clearance = n.base_torus.tube - (reach + n.child_tube)
     checks.append(CheckRecord("children_contained", contain_clearance > 0.0, contain_clearance, 0.0))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +18,16 @@ def shift_orbits(m):
         frozenset(tuple(sorted(((i + 2 * k) % m, (j + 2 * k) % m))) for k in range(m // 2))
         for i, j in itertools.combinations(range(m), 2)
     }
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc (Python objects and numpy buffers) sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def torus_membership(torus, p, tol=1e-12):

@@ -1,7 +1,8 @@
 """Oracles for the tests: mesh, OBJ and volume readers that read back what the writers produce, and the
-reference forms and bounds that the distance kernel, the classifier's step loop, the volume's culls, the
-chaos game and its map kernel, the necklace construction, the mesh and face builders and the text rows and
-fields are held to."""
+reference forms and bounds that the unit vectors, the Rodrigues rotations, the sampled circle bounds, the
+distance kernel, the classifier's step loop, the volume's culls, the chaos game and its map kernel, the
+necklace construction and its transfer slack, the one-sided Hausdorff distance, the mesh and face builders and
+the text rows and fields are held to."""
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,7 @@ from antoine.exports import _BLOCK_FACES, VolumeGrid
 from antoine.floattext import (
     _ASCII_ZEROS, _BLOCK_ROWS, _LAYOUT, _MARKS, _U, _digit_bytes, _round17, _text_fields, _words,
 )
-from antoine.geom3 import Rotation3, Similarity3, circle_frames
+from antoine.geom3 import Rotation3, Similarity3, circle_frames, point_circle_distance
 from antoine.necklace import PLANE_TILT, child_distances
 
 
@@ -208,8 +209,72 @@ def level_loop_chaos_game(n, count, depth, seed):
     return out
 
 
+def per_row_unit(v):
+    """A (3,) vector over its norm, one 1-D np.linalg.norm (a BLAS ddot); ValueError below 1e-14: the per-row
+    form geom3.unit_rows is held to."""
+    n = np.linalg.norm(v)
+    if n < 1e-14:
+        raise ValueError("cannot normalize a near-zero vector")
+    return v / n
+
+
+def rodrigues_matrix(axis, angle):
+    """One unprojected Rodrigues matrix I + s K + (1 - c) K^2, K the cross-product matrix of per_row_unit(axis)
+    and c, s from math.cos and math.sin, as Rotation3.about_axis built it: the reference for geom3._rodrigues."""
+    k = per_row_unit(np.asarray(axis, dtype=float))
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    c, s = math.cos(angle), math.sin(angle)
+    return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
+
+
+def per_object_transfer_slack(n, i, j, rep):
+    """necklace._transfer_slack with each rho^(k//2) built as its own Rotation3 from rodrigues_matrix."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    dev = np.empty(n.multiplicity)
+    for k, child in enumerate(n.child_circles):
+        rho = Rotation3(rodrigues_matrix(e3, 4.0 * math.pi * (k // 2) / n.multiplicity))
+        ideal = n.child_circles[k % 2].transform(Similarity3(1.0, rho, np.zeros(3)))
+        dev[k] = (
+            float(np.linalg.norm(child.center - ideal.center))
+            + abs(child.radius - ideal.radius)
+            + ideal.radius * float(np.linalg.norm(child.normal - ideal.normal))
+            + 8.0 * np.finfo(float).eps * (float(np.linalg.norm(child.center)) + child.radius)
+        )
+    return np.where(rep == np.arange(len(i)), 0.0, dev[i] + dev[j] + dev[i[rep]] + dev[j[rep]])
+
+
+def own_grid_circle_circle_distance(a, b, grid_n):
+    """geom3.circle_circle_distance with its own sample grid: points at arange(grid_n) * step, less
+    0.5 * step * radius, for each circle against the other."""
+    step = 2.0 * math.pi / grid_n
+    angles = np.arange(grid_n) * step
+    return max(
+        float(np.min(point_circle_distance(dst, src.point_at(angles)))) - 0.5 * step * src.radius
+        for src, dst in ((a, b), (b, a))
+    )
+
+
+def own_grid_containment_clearance(n, samples=512):
+    """validate_necklace's children_contained margin with its own sample grid: the largest distance from
+    c.sample(samples) of any child to the parent core, plus the half step pi * (4/m) / samples."""
+    half_step = math.pi * n.contraction / samples
+    d_max = max(float(np.max(point_circle_distance(n.base_torus.core, c.sample(samples)))) for c in n.child_circles)
+    return n.base_torus.tube - (d_max + half_step + n.child_tube)
+
+
+def chunked_hausdorff(reference, target, chunk=64):
+    """dynamics._one_sided_hausdorff as np.linalg.norm over (chunk, N, 3) differences, chunk reference points at
+    a time (a point's least distance does not depend on chunk): the reference for the blocked component form."""
+    worst = 0.0
+    for lo in range(0, reference.shape[0], chunk):
+        block = reference[lo : lo + chunk]
+        d = np.linalg.norm(block[:, None, :] - target[None, :, :], axis=2)
+        worst = max(worst, float(d.min(axis=1).max()))
+    return worst
+
+
 def per_object_child_maps(m):
-    """necklace.build_necklace's child maps built one Rotation3 at a time: rho^k by about_axis, then the
+    """necklace.build_necklace's child maps built one Rotation3 at a time: rho^k from rodrigues_matrix, then the
     seed conjugated as rho^k.compose(seed.rot).compose(rho^k.inverse()) and the shift rho^k.apply(seed.shift)."""
     e3 = np.array([0.0, 0.0, 1.0])
     ratio = 4.0 / m
@@ -227,7 +292,7 @@ def per_object_child_maps(m):
         if k == 0:
             maps.append(seed)
             continue
-        rho_k = Rotation3.about_axis(e3, 4.0 * math.pi * k / m)
+        rho_k = Rotation3(rodrigues_matrix(e3, 4.0 * math.pi * k / m))
         maps.append(Similarity3(ratio, rho_k.compose(seed.rot).compose(rho_k.inverse()), rho_k.apply(seed.shift)))
     return tuple(maps)
 

@@ -13,6 +13,7 @@ from antoine.errors import DegenerateFit, MultipleChildren, NonInvertibleJacobia
 from antoine.dynamics import (
     BOUNDARY_TOL,
     DEFAULT_BUDGET,
+    DEFAULT_SEED,
     ESCAPED,
     EXTERIOR,
     MAX_BUDGET,
@@ -39,14 +40,14 @@ from antoine.dynamics import (
     winding_map,
 )
 from antoine.exports import DEFAULT_BBOX, voxel_centers
-from antoine.geom3 import Similarity3, circle_frames, fixed_points, point_circle_distance
+from antoine.geom3 import circle_frames, fixed_points, point_circle_distance
 from antoine.necklace import (
     build_necklace, child_distances, stage_summary, torus_at, two_slot_rotation, word_map, word_maps,
 )
 
-from conftest import torus_membership
+from conftest import torus_membership, traced_peak
 from oracles import (
-    child_shell, fixed_order_apply, full_state_step_loop, level_loop_chaos_game, rebuilt_window,
+    child_shell, chunked_hausdorff, fixed_order_apply, full_state_step_loop, level_loop_chaos_game, rebuilt_window,
     scalar_map_by_key, vector_child_distances, vector_point_circle_distance,
 )
 
@@ -501,6 +502,19 @@ class TestPeriodicPoints:
         pts = np.random.default_rng(25).normal(size=(50, 3))
         assert _one_sided_hausdorff(pts, pts) == 0.0
 
+    def test_density_equals_the_chunked_norm_form(self, necklace40):
+        # the periodic --p-max 3 cloud at m = 40, 40 + 40^2 + 40^3 = 65,640 targets; a reference point's least
+        # distance does not depend on the oracle's chunk, which is small here to keep its temporaries small
+        target = periodic_point_cloud(necklace40, 3)
+        assert target.shape == (65_640, 3)
+        _, _, reference = word_maps(necklace40, np.random.default_rng(DEFAULT_SEED).integers(1, 41, size=(512, 12)))
+        want = chunked_hausdorff(reference, target, chunk=8).hex()
+        assert _one_sided_hausdorff(reference, target).hex() == want == density_report(necklace40, 3, 12).hex()
+
+    def test_density_peak_memory(self, necklace40):
+        # (64, N, 3) difference blocks over the 65,640 targets of p_max 3 peaked at 305 MB
+        assert traced_peak(density_report, necklace40, 3, 12) < 64e6
+
     def test_density_monotone_and_bounded(self, necklace40):
         k = 8
         d = [density_report(necklace40, p, k, seed=7) for p in (1, 2, 3)]
@@ -646,6 +660,24 @@ class TestDilatation:
     def test_step_out_of_range(self):
         with pytest.raises(ValueError):
             dilatation_estimate(lambda p: p, np.zeros(3), h=1.0)
+
+    @pytest.mark.parametrize(
+        "p, error",
+        [
+            ([np.nan, 0.0, 0.0], "point norm must be a finite double"),
+            ([np.inf, 0.3, 0.2], "point norm must be a finite double"),
+            ([1e200, 1e200, 0.0], "point norm must be a finite double"),
+            ([0.1, 0.2], r"a point must have shape \(3,\), not \(2,\)"),
+            ([[0.1, 0.2, 0.3]], r"a point must have shape \(3,\), not \(1, 3\)"),
+        ],
+        ids=["nan", "inf", "overflowing-norm", "two-components", "one-row-stack"],
+    )
+    def test_point_not_finite_or_not_of_shape_three_rejected(self, p, error):
+        # as orbit: no SVD of a NaN Jacobian, no broadcasting error, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{error}"):
+                dilatation_estimate(lambda q: q, np.array(p))
 
     def test_child_map_conformal_over_a_sample(self, necklace40):
         rng = np.random.default_rng(28)
@@ -1211,11 +1243,8 @@ class TestMapByKey:
             for d in (0, 17, 39):
                 assert_map_by_key_is_scalar(arrays, np.array([d]), self.rows(1, d))
 
-    def test_mixed_ratios_rejected(self, necklace40):
-        s = necklace40.child_maps[3]
-        maps = necklace40.child_maps[:3] + (Similarity3(0.09, s.rot, s.shift),) + necklace40.child_maps[4:]
-        with pytest.raises(ValueError, match=re.escape("the maps must share one ratio, got [0.09, 0.1]")):
-            dynamics._stack_maps(maps)
+    def test_table_ratio_is_the_maps_one_ratio(self, necklace40):
+        # a Necklace rejects mixed ratios (test_child_map_ratio_other_than_four_over_m_rejected)
         assert dynamics._stack_maps(necklace40.child_maps)[0] == 0.1
         assert dynamics._stack_maps(necklace40.inverse_maps)[0] == necklace40.inverse_maps[0].scale
 

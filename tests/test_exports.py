@@ -1,8 +1,8 @@
 import hashlib
 import json
 import math
+import re
 import struct
-import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -11,7 +11,7 @@ import pytest
 
 from antoine import exports, floattext
 from antoine.dynamics import (
-    BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, chaos_game_sample, classify_points, coding_point,
+    BOUNDARY_TOL, DEFAULT_BUDGET, ESCAPED, EXTERIOR, MAX_BUDGET, chaos_game_sample, classify_points, coding_point,
 )
 from antoine.errors import MultipleChildren, TooManyTori
 from antoine.exports import (
@@ -31,6 +31,7 @@ from antoine.exports import (
 from antoine.geom3 import point_circle_distance
 from antoine.necklace import _rho_classes, build_necklace, torus_at
 
+from conftest import traced_peak
 from oracles import (
     broadcast_torus_meshes, child_shell, mesh_euler_characteristic, mesh_is_watertight, mesh_signed_volume,
     load_volume, parse_obj, parent_pad, row_gather_text_fields, rounding_margin, structured_face_bytes,
@@ -461,6 +462,16 @@ class TestStreamedVolume:
         with pytest.raises(MultipleChildren, match=f"point index {index} "):
             classify_points(necklace16, voxel_centers(dims, *DEFAULT_BBOX), 6)
 
+    @pytest.mark.parametrize("budget", [0, 2.5, True, 10**6])
+    def test_out_of_range_budget_rejected_before_any_layer(self, necklace40, tmp_path, budget):
+        # the bbox misses the parent torus: its layers are all exterior and reach no classifier
+        bbox, error = ((5.0, 5.0, 5.0), (6.0, 6.0, 6.0)), re.escape(f"budget must be an integer in 1..{MAX_BUDGET}, ")
+        with pytest.raises(ValueError, match=error):
+            export_volume(necklace40, (4, 4, 4), bbox, budget, tmp_path / "e.vol")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match=error):
+            classify_volume(necklace40, (4, 4, 4), bbox, budget)
+
     def test_failed_export_keeps_the_previous_file(self, necklace16, necklace40, tmp_path):
         path = tmp_path / "e.vol"
         export_volume(necklace40, (8, 8, 8), DEFAULT_BBOX, 6, path)
@@ -471,16 +482,6 @@ class TestStreamedVolume:
             export_volume(necklace40, (2, 2, 1025), DEFAULT_BBOX, 6, path)
         assert (path.read_bytes(), (tmp_path / "e.vol.json").read_text()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.vol", "e.vol.json"]
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that tracemalloc (Python objects and numpy buffers) sees while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestBoundedMemory:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from antoine.errors import NoUniqueFixedPoint
 from antoine.geom3 import (
     Circle3,
-    _unit,
+    _rodrigues,
     Rotation3,
     Similarity3,
     SolidTorus,
@@ -21,7 +22,7 @@ from antoine.geom3 import (
 from antoine.necklace import build_necklace
 
 from conftest import torus_membership
-from oracles import vector_point_circle_distance
+from oracles import own_grid_circle_circle_distance, per_row_unit, rodrigues_matrix, vector_point_circle_distance
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -255,12 +256,12 @@ class TestUnitRows:
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
     def test_equals_unit_per_row(self, scale):
         vs = np.random.default_rng(11).normal(size=(20_000, 3)) * scale
-        assert unit_rows(vs).tobytes() == np.array([_unit(v) for v in vs]).tobytes()
+        assert unit_rows(vs).tobytes() == np.array([per_row_unit(v) for v in vs]).tobytes()
 
     def test_column_of_a_rotation_stack(self):
         # what mesh_stage passes: a non-contiguous column of (T, 3, 3) rotations
         mats = np.random.default_rng(12).normal(size=(1600, 3, 3))
-        assert unit_rows(mats[:, :, 2]).tobytes() == np.array([_unit(v) for v in mats[:, :, 2]]).tobytes()
+        assert unit_rows(mats[:, :, 2]).tobytes() == np.array([per_row_unit(v) for v in mats[:, :, 2]]).tobytes()
 
     def test_near_zero_row_rejected(self):
         with pytest.raises(ValueError, match="near-zero"):
@@ -268,6 +269,34 @@ class TestUnitRows:
 
     def test_empty(self):
         assert unit_rows(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(6,), (2,), (4, 2), (2, 2), (3, 4), ()])
+    def test_last_axis_other_than_three_rejected(self, shape):
+        # a (6,) row would otherwise be read as two vectors, and a caller taking row 0 would keep three components
+        with pytest.raises(ValueError, match=re.escape(f"last axis of 3, not shape {shape}")):
+            unit_rows(np.ones(shape))
+
+    def test_circle_normal_of_six_components_rejected(self):
+        with pytest.raises(ValueError, match="last axis of 3"):
+            Circle3(np.zeros(3), 1.0, np.ones(6))
+
+
+class TestRodrigues:
+    """One Rodrigues builder: every row is the one-rotation matrix bit for bit, and about_axis is its one-row case."""
+
+    def test_rows_equal_the_one_rotation_matrix(self):
+        rng = np.random.default_rng(13)
+        for axis in rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-3, 4, size=(200, 1)):
+            angles = rng.uniform(-7.0, 7.0, size=16).tolist()
+            want = np.array([rodrigues_matrix(axis, a) for a in angles])
+            assert _rodrigues(axis, angles).tobytes() == want.tobytes()
+            assert Rotation3.about_axis(axis, angles[0]).matrix.tobytes() == Rotation3(want[0]).matrix.tobytes()
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 100, 400])
+    def test_necklace_angles(self, m):
+        angles = [4.0 * math.pi * (k // 2) / m for k in range(m)]
+        want = np.array([rodrigues_matrix(E3, a) for a in angles])
+        assert _rodrigues(E3, angles).tobytes() == want.tobytes()
 
 
 class TestTorusContains:
@@ -328,6 +357,15 @@ class TestCircleCircleDistance:
             assert bound <= oracle
             if certified:
                 assert bound > 2.0 * n.child_tube
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 512, 1000])
+    def test_equals_the_own_grid_form(self, grid_n):
+        # the shared sampling helper keeps the bits of the bound's own arange grid and half-step term
+        rng = np.random.default_rng(grid_n)
+        for _ in range(20):
+            a = Circle3(rng.normal(size=3), rng.uniform(0.1, 2), rng.normal(size=3))
+            b = Circle3(rng.normal(size=3) * 3.0, rng.uniform(0.1, 2), rng.normal(size=3))
+            assert circle_circle_distance(a, b, grid_n) == own_grid_circle_circle_distance(a, b, grid_n)
 
     def test_grid_too_small(self):
         a = Circle3(np.zeros(3), 1.0, E3)

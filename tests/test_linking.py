@@ -126,14 +126,6 @@ def broadcast_gauss_linking(a, b, quad_n):
     return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
 
 
-def dirty_workspaces(quad_n):
-    """Two (3, quad_n, quad_n) workspaces gauss_linking must ignore the contents of:
-    one filled with NaN, one last used on the Hopf pair."""
-    used = np.empty((3, quad_n, quad_n))
-    gauss_linking(HOPF_A, HOPF_B, quad_n, work=used)
-    return np.full((3, quad_n, quad_n), np.nan), used
-
-
 def half_spacing(a, b, quad_n):
     """The separation guard: half the larger circle's sample spacing."""
     return math.pi * max(a.radius, b.radius) / quad_n
@@ -157,16 +149,10 @@ class TestMatrixFormGauss:
 
     @pytest.mark.parametrize("quad_n", [64, 256])
     def test_necklace40_representatives(self, necklace40, quad_n):
-        # one shared workspace, so each pair after the first finds the previous pair's grids in it
         (i, j), reps, _ = _rho_classes(40)
-        nan, shared = dirty_workspaces(quad_n)
         for a, b in zip(i[reps], j[reps]):
             ca, cb = necklace40.child_circles[a], necklace40.child_circles[b]
-            g = gauss_linking(ca, cb, quad_n)
-            assert abs(g - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
-            nan.fill(np.nan)
-            assert gauss_linking(ca, cb, quad_n, work=nan) == g
-            assert gauss_linking(ca, cb, quad_n, work=shared) == g
+            assert abs(gauss_linking(ca, cb, quad_n) - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
 
     @given(centres, radii, normals, vectors, radii, normals, st.sampled_from([64, 256]))
     def test_random_pairs(self, ca, ra, na, offset, rb, nb, quad_n):
@@ -176,9 +162,7 @@ class TestMatrixFormGauss:
         b = Circle3(ca + 2.0 * offset, rb, nb)
         if sampled_separation(a, b, quad_n) < 0.2:
             return  # closer pairs: both roundings of the large near-diagonal terms exceed 1e-14
-        g = gauss_linking(a, b, quad_n)
-        assert abs(g - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
-        assert all(gauss_linking(a, b, quad_n, work=w) == g for w in dirty_workspaces(quad_n))
+        assert abs(gauss_linking(a, b, quad_n) - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
 
     @given(centres, radii, normals, radii, normals, normals, st.integers(0, 63), st.integers(0, 63),
            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e-12, 1e-12])))
@@ -192,12 +176,11 @@ class TestMatrixFormGauss:
         target = a.point_at(t[i]) + guard * 2.0**log2_s * w / np.linalg.norm(w)
         b = Circle3(target - rb * (math.cos(t[j]) * ub + math.sin(t[j]) * vb), rb, nb)
         sep = sampled_separation(a, b, 64)
-        for work in (None, *dirty_workspaces(64)):
-            if sep < guard:
-                with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < {guard:.3e}")):
-                    gauss_linking(a, b, 64, work=work)
-            else:
-                assert math.isfinite(gauss_linking(a, b, 64, work=work))
+        if sep < guard:
+            with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < {guard:.3e}")):
+                gauss_linking(a, b, 64)
+        else:
+            assert math.isfinite(gauss_linking(a, b, 64))
 
     @pytest.mark.parametrize("normal", [E3, np.array([0.0, 1.0, 0.0])])
     @pytest.mark.parametrize(
@@ -210,28 +193,17 @@ class TestMatrixFormGauss:
         a = Circle3(offset, 1.0, E3)
         close = Circle3(np.array([2.0 + gap * guard, 0.0, 0.0]) + offset, 1.0, normal)
         assert (sampled_separation(a, close, 64) < guard) == (gap < 1.0)
-        for work in (None, *dirty_workspaces(64)):
-            if gap < 1.0:
-                with pytest.raises(MinSeparationTooSmall):
-                    gauss_linking(a, close, 64, work=work)
-            else:
-                g = gauss_linking(a, close, 64, work=work)
-                assert g == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "work",
-        [np.empty((3, 64, 32)), np.empty((2, 64, 64)), np.empty((3, 32, 32)), np.empty((3, 64, 64), np.float32),
-         np.empty((3, 64, 128))[:, :, ::2]],
-        ids=["shape", "grids", "quad_n", "dtype", "strided"],
-    )
-    def test_wrong_workspace_rejected(self, work):
-        with pytest.raises(ValueError, match="work must be"):
-            gauss_linking(HOPF_A, HOPF_B, 64, work=work)
+        if gap < 1.0:
+            with pytest.raises(MinSeparationTooSmall):
+                gauss_linking(a, close, 64)
+        else:
+            g = gauss_linking(a, close, 64)
+            assert g == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
 
 
 def fresh_link_matrix(n, poly_n=512, quad_n=256):
-    """link_matrix as computed before it shared one Gauss workspace and the seed-slot
-    polygons among its pairs: two fresh polygons and fresh grids per pair, the oracle."""
+    """link_matrix as computed before it shared the seed-slot polygons among its pairs:
+    two fresh polygons per pair, the oracle."""
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), reps, classes = _rho_classes(m)
@@ -272,7 +244,7 @@ class TestLinkMatrix:
         assert len(builds) == 2 + len(_rho_classes(40)[1])
 
     def test_warm_call_takes_few_page_faults(self):
-        # fresh quad_n x quad_n grids per pair took about 14,000 minor faults at m = 40. Counted in
+        # fresh quad_n x quad_n grids per pair once took about 14,000 minor faults at m = 40. Counted in
         # a new process: once a long-lived one has freed a large block, glibc raises its trim
         # threshold and keeps freed pages, which would hide the faults
         pytest.importorskip("resource")

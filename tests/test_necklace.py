@@ -25,10 +25,14 @@ from antoine.necklace import (
     word_map,
     word_maps,
     _rho_classes,
+    _transfer_slack,
 )
 
 from conftest import M_STAR, shift_orbits
-from oracles import per_object_child_maps, vector_child_distances
+from oracles import (
+    own_grid_circle_circle_distance, own_grid_containment_clearance, per_object_child_maps, per_object_transfer_slack,
+    vector_child_distances,
+)
 
 
 class TestBuild:
@@ -186,6 +190,20 @@ class TestValidate:
     def test_small_multiplicity_fails(self):
         report = validate_necklace(build_necklace(16), check_linking=False)
         assert not report.passed
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 100, 400])
+    def test_sampled_bounds_and_slack_equal_their_own_forms(self, m):
+        # the clearance and containment bounds share one sampling helper, and the transfer slack takes its
+        # m rotations from one stacked Rodrigues call: each keeps the bits of its own form
+        n = build_necklace(m)
+        (i, j), reps, classes = _rho_classes(m)
+        slack = _transfer_slack(n, i, j, reps[classes])
+        assert slack.tobytes() == per_object_transfer_slack(n, i, j, reps[classes]).tobytes()
+        report = validate_necklace(n, check_linking=False)
+        assert report.containment_clearance == own_grid_containment_clearance(n)
+        c = n.child_circles
+        bounds = np.array([own_grid_circle_circle_distance(c[a], c[b], 512) for a, b in zip(i[reps], j[reps])])
+        assert report.min_pair_clearance == float(np.min(bounds[classes] - slack - 2.0 * n.child_tube))
 
     def test_json_shape(self, geometry_report40):
         doc = geometry_report40.to_json_dict()
