@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
 from .geom3 import Circle3, _check_int, unit_rows
-from .necklace import Necklace, _rho_classes
+from .necklace import Necklace, _near_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -292,37 +292,36 @@ class LinkBackendError(AntoineError):
 
 
 def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix:
-    """Linking numbers for all unordered child pairs, certified once per rho class.
+    """Linking numbers for all unordered child pairs, each near pair certified on its own.
 
-    The exact polygonal backend (on poly_n-gons, projections drawn from the
-    fixed package seed) and the Gauss quadrature run on each class
-    representative, pair (1, 2) first, and every other pair copies its
-    representative's signed entry; validate_necklace's link_pattern check
-    certifies the copies. The largest gap to the quadrature is recorded in
-    max_gauss_gap. A backend exception is re-raised as LinkBackendError
-    naming the pair.
-
-    The polygons of the two seed slots (children 1 and 2, the first child of
-    every representative) are built once; each pair builds only its second
-    polygon.
+    A pair whose certified ball gap exceeds twice the child tube is unlinked
+    with no evaluation (see necklace._near_pairs) and gets entry 0. Each near
+    pair runs the exact polygonal backend (on poly_n-gons, projections drawn
+    from the fixed package seed) and the Gauss quadrature; the largest gap
+    between the two is recorded in max_gauss_gap. A backend exception is
+    re-raised as LinkBackendError naming the pair. Each child's polygon is
+    built once, at its first near pair, and dropped after its last.
     """
     _check_int("poly_n", poly_n, 64)  # both checked before any pair is measured
     _check_int("quad_n", quad_n, 16)
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
-    (i, j), reps, classes = _rho_classes(m)
-    lks = np.zeros(len(reps), dtype=int)
-    max_gap = 0.0
-    seeds = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles[:2]]
-    for k, (a, b) in enumerate(zip(i[reps], j[reps])):
+    (i, j), _ = _near_pairs(n)
+    uses = np.bincount(np.concatenate((i, j)))
+    polygons: dict[int, PolyLoop] = {}
+    lks, max_gap = [], 0.0
+    for a, b in zip(i.tolist(), j.tolist()):
         ca, cb = n.child_circles[a], n.child_circles[b]
+        pa, pb = (polygons.pop(k, None) or PolyLoop.from_circle(n.child_circles[k], poly_n) for k in (a, b))
+        uses[[a, b]] -= 1
+        polygons.update((k, p) for k, p in ((a, pa), (b, pb)) if uses[k])  # kept until the child's last near pair
         try:
-            lk = polygonal_linking(seeds[a], PolyLoop.from_circle(cb, poly_n), rng=rng)
+            lk = polygonal_linking(pa, pb, rng=rng)
             gauss = gauss_linking(ca, cb, quad_n)
         except Exception as exc:  # attach the offending pair
-            raise LinkBackendError((int(a) + 1, int(b) + 1), exc) from exc
+            raise LinkBackendError((a + 1, b + 1), exc) from exc
         max_gap = max(max_gap, abs(gauss - lk))
-        lks[k] = lk
+        lks.append(lk)
     entries = np.zeros((m, m), dtype=int)
-    entries[i, j] = entries[j, i] = lks[classes]
+    entries[i, j] = entries[j, i] = lks
     return LinkMatrix(m, entries, max_gap)

@@ -73,6 +73,8 @@ class Necklace:
             )
         if (ratios := {f.scale for f in self.child_maps}) != {self.contraction}:
             raise ValueError(f"every child map's ratio must be 4/m = {self.contraction}, got {sorted(ratios)}")
+        if not (np.isfinite(self.child_tube) and self.child_tube > 0.0):
+            raise ValueError(f"the child tube must be finite and positive, got {self.child_tube}")
 
     @cached_property
     def child_circles(self) -> tuple[Circle3, ...]:
@@ -230,10 +232,10 @@ class StageSummary:
 
 
 def stage_summary(n: Necklace, k: int) -> StageSummary:
-    """Stage k holds m^k tori of diameter (4/m)^k * (2 + 16/m), decreasing to 0; ValueError unless k is an integer >= 0."""
+    """Stage k holds m^k tori of diameter (4/m)^k * 2 (1 + T), T the parent tube, decreasing to 0; ValueError unless k
+    is an integer >= 0."""
     _check_int("k, the stage,", k, 0)
-    diam0 = 2.0 + 16.0 / n.multiplicity
-    return StageSummary(k, n.multiplicity**k, n.contraction**k * diam0)
+    return StageSummary(k, n.multiplicity**k, n.contraction**k * (2.0 * (1.0 + n.base_torus.tube)))
 
 
 @dataclass(frozen=True)
@@ -294,50 +296,36 @@ def _circle_deviation(a: Circle3, b: Circle3) -> float:
     return max(center_dev, radius_dev, normal_dev)
 
 
-def _rho_classes(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Classes of the unordered child pairs under the slot shift j -> j+2 (mod m).
+def _near_pairs(n: Necklace) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The child pairs (i, j), i < j, that need their own pair checks, and the smallest certified ball gap of the
+    others (inf if there are none).
 
-    Returns the pairs np.triu_indices(m, 1), the position among them of each
-    class representative (the class's lexicographically least pair, so i is
-    0 or 1 and (0, 1) comes first), and each pair's class. There are m
-    classes when 4 divides m, else m - 1.
+    A pair's ball gap g = |c_i - c_j| - 2 r (r = 4/m, every child's radius) bounds the distance between its two
+    circles from below: each lies in the closed ball of radius r about its centre. A pair whose computed gap, less
+    the rounding allowance below, exceeds 2 child_tube is certified with no evaluation: its tori are disjoint (the
+    core distance is at least g), and it is unlinked (circle j misses the ball that holds the disk circle i
+    bounds). Every other pair is near.
 
-    The least pair of a class holds 0 or 1, so it is one of two shifts of any
-    member: the one taking i down to its parity slot, or the one taking j.
+    Rounding, with u = eps / 2: in the fixed order ((dx^2 + dy^2) + dz^2) every difference, square and addition
+    is within a factor (1 + u) of exact, so the sum is within (1 + gamma_5) of d^2 and its rounded sqrt within
+    3.6 u d of d; subtracting 2 r (exact, a doubling) adds at most u (d + 2 r). The computed g is thus off by
+    less than 2.5 eps (d + 2 r), and the allowance 4 eps (d + 2 r) also covers its own rounding and that of
+    subtracting it.
     """
-
-    def key(a, b):  # (a, b) shifted by -2 (a // 2), encoded as min * m + max
-        b = (b - (a - a % 2)) % m
-        a = a % 2
-        return np.minimum(a, b) * m + np.maximum(a, b)
-
-    pairs = i, j = np.triu_indices(m, 1)
-    keys = np.minimum(key(i, j), key(j, i))
-    _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
-    return pairs, reps, classes
-
-
-def _transfer_slack(n: Necklace, i: np.ndarray, j: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """How far each child pair (i, j) lies from a rotated copy of the pair at position rep.
-
-    Child k is measured once against the rho^(k//2) image of its seed circle
-    (child k % 2) by centre + radius + r * normal deviation, a bound on how far
-    each point moves under a similarity carrying one oriented circle onto the
-    other, plus 8 ulps of its coordinate scale for the rounding by which the
-    clearance evaluations of two congruent pairs differ. A pair sums its two
-    children's measures and its representative's; a representative gets 0.
-    """
-    dev = np.empty(n.multiplicity)
-    rhos = _rodrigues(_E3, [4.0 * math.pi * (k // 2) / n.multiplicity for k in range(n.multiplicity)])
-    for k, (child, rho) in enumerate(zip(n.child_circles, rhos)):
-        ideal = n.child_circles[k % 2].transform(Similarity3(1.0, Rotation3(rho), np.zeros(3)))
-        dev[k] = (
-            float(np.linalg.norm(child.center - ideal.center))
-            + abs(child.radius - ideal.radius)
-            + ideal.radius * float(np.linalg.norm(child.normal - ideal.normal))
-            + 8.0 * np.finfo(float).eps * (float(np.linalg.norm(child.center)) + child.radius)
-        )
-    return np.where(rep == np.arange(len(i)), 0.0, dev[i] + dev[j] + dev[i[rep]] + dev[j[rep]])
+    i, j = np.triu_indices(n.multiplicity, 1)
+    two_r, gap = 2.0 * n.contraction, np.zeros(len(i))
+    for x in n.child_centers.T:  # in place: one (m choose 2) temporary per gather
+        dx = x.take(i)
+        dx -= x.take(j)
+        dx *= dx
+        gap += dx
+    np.sqrt(gap, out=gap)
+    allowance = gap + two_r
+    allowance *= 4.0 * np.finfo(float).eps
+    gap -= two_r
+    gap -= allowance
+    near = gap <= 2.0 * n.child_tube
+    return (i[near], j[near]), float(np.min(gap, where=~near, initial=math.inf))
 
 
 def validate_necklace(
@@ -363,24 +351,20 @@ def validate_necklace(
 
     The clearance and containment margins are Lipschitz-certified (sampling
     error subtracted), so a positive margin is a proof at stated grid sizes,
-    not a heuristic. Pair checks run once per rho class: the representative's
-    clearance bound, less the pair's transfer slack, bounds every pair of the
-    class, and link_matrix copies the representative's linking number, which
-    link_pattern accepts only while the slack is below half that clearance.
-    The link matrix is computed once and kept on the report.
+    not a heuristic. A pair whose certified ball gap exceeds twice the child
+    tube is disjoint and unlinked with no evaluation (see _near_pairs); every
+    other pair gets its own clearance bound and linking numbers. The link
+    matrix is computed once and kept on the report.
     """
     m = n.multiplicity
     checks: list[CheckRecord] = []
 
-    # (a) pairwise disjointness of the child solid tori: one clearance bound
-    # per rho class, less each pair's transfer slack
-    need = 2.0 * n.child_tube
-    (i, j), reps, classes = _rho_classes(m)
-    slack = _transfer_slack(n, i, j, reps[classes])
+    # (a) pairwise disjointness of the child solid tori: a clearance bound per
+    # near pair, the ball gap for the others
+    (i, j), far_gap = _near_pairs(n)
     circles = n.child_circles
-    rep_bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i[reps], j[reps])]
-    bounds = np.array(rep_bounds)[classes]
-    min_clearance = float(np.min(bounds - slack - need))
+    bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i, j)]
+    min_clearance = min([*bounds, far_gap]) - 2.0 * n.child_tube
     checks.append(CheckRecord("children_disjoint", min_clearance > 0.0, min_clearance, 0.0))
 
     # (b) containment in the open parent torus
@@ -415,13 +399,7 @@ def validate_necklace(
 
         lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n)
         ring = np.roll(np.eye(m, dtype=int), 1, axis=1)  # adjacent slots, cyclically
-        entry_err = int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T))))
-        # a copied entry holds while the pair's slack is below half its
-        # representative's certified core clearance (a representative has
-        # slack 0 and needs none)
-        copied = slack > 0.0
-        transfer = float(np.min(0.5 * bounds[copied] - slack[copied], initial=math.inf))
-        margin = 0.5 - entry_err if transfer > 0.0 else transfer
+        margin = 0.5 - int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T))))
         checks.append(CheckRecord("link_pattern", margin > 0.0, margin, 0.0))
         checks.append(
             CheckRecord("link_gauss_agreement", lm.max_gauss_gap < GAUSS_TOL, GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL)

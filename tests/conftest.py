@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import pytest
@@ -10,14 +9,6 @@ from antoine.necklace import build_necklace, validate_necklace
 # smallest even multiplicity whose construction passes every validation
 # check at the default certificate grids; rederived by the acceptance suite
 M_STAR = 40
-
-
-def shift_orbits(m):
-    """The classes of unordered child slot pairs under j -> j+2 (mod m), each a frozenset of pairs."""
-    return {
-        frozenset(tuple(sorted(((i + 2 * k) % m, (j + 2 * k) % m))) for k in range(m // 2))
-        for i, j in itertools.combinations(range(m), 2)
-    }
 
 
 def traced_peak(fn, *args) -> int:

@@ -227,22 +227,6 @@ def rodrigues_matrix(axis, angle):
     return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
 
 
-def per_object_transfer_slack(n, i, j, rep):
-    """necklace._transfer_slack with each rho^(k//2) built as its own Rotation3 from rodrigues_matrix."""
-    e3 = np.array([0.0, 0.0, 1.0])
-    dev = np.empty(n.multiplicity)
-    for k, child in enumerate(n.child_circles):
-        rho = Rotation3(rodrigues_matrix(e3, 4.0 * math.pi * (k // 2) / n.multiplicity))
-        ideal = n.child_circles[k % 2].transform(Similarity3(1.0, rho, np.zeros(3)))
-        dev[k] = (
-            float(np.linalg.norm(child.center - ideal.center))
-            + abs(child.radius - ideal.radius)
-            + ideal.radius * float(np.linalg.norm(child.normal - ideal.normal))
-            + 8.0 * np.finfo(float).eps * (float(np.linalg.norm(child.center)) + child.radius)
-        )
-    return np.where(rep == np.arange(len(i)), 0.0, dev[i] + dev[j] + dev[i[rep]] + dev[j[rep]])
-
-
 def own_grid_circle_circle_distance(a, b, grid_n):
     """geom3.circle_circle_distance with its own sample grid: points at arange(grid_n) * step, less
     0.5 * step * radius, for each circle against the other."""

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from antoine import linking
 from antoine.cli import build_parser, main
 from antoine.errors import MinSeparationTooSmall
-from antoine.necklace import build_necklace
-
-from conftest import shift_orbits
+from antoine.necklace import _near_pairs, build_necklace
 
 
 def run(capsys, *argv):
@@ -160,8 +158,10 @@ class TestVerify:
         for name in originals:
             monkeypatch.setattr(linking, name, counting(name))
         code, out = run(capsys, "verify", "--m", str(m), "--grid-n", "256", "--poly-n", "128", "--quad-n", "64")
-        # one polygonal linking per class of child pairs under the slot shift j -> j+2
-        assert calls == {"link_matrix": 1, "polygonal_linking": len(shift_orbits(m))}
+        # one polygonal linking per near pair: the m adjacent pairs
+        (near, _), _ = _near_pairs(build_necklace(m))
+        assert len(near) == m
+        assert calls == {"link_matrix": 1, "polygonal_linking": len(near)}
         assert code == (0 if m == 40 else 1)
         direct = originals["link_matrix"](build_necklace(m), poly_n=128, quad_n=64)
         assert json.loads(out)["link_matrix"] == direct.to_json_dict()

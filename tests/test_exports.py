@@ -29,7 +29,7 @@ from antoine.exports import (
     write_volume,
 )
 from antoine.geom3 import point_circle_distance
-from antoine.necklace import _rho_classes, build_necklace, torus_at
+from antoine.necklace import _near_pairs, build_necklace, torus_at
 
 from conftest import traced_peak
 from oracles import (
@@ -511,8 +511,11 @@ class TestBoundedMemory:
         peak = traced_peak(mesh_stage, necklace40, 2, 16, 8)
         assert peak < 1.8 * 40**2 * (16 * 8) * 3 * 8  # verts is (T, nu*nv, 3) float64: no full-size temporaries
 
-    def test_rho_classes_peak_is_quadratic(self):
-        assert traced_peak(_rho_classes, 200) < 8e6  # a shift axis would hold 200^3 / 2 int64 pairs: 64 MB
+    def test_near_pairs_peak_is_five_pair_arrays(self):
+        # the two index arrays, the gaps, one coordinate difference and its gathered subtrahend, 8 bytes a pair
+        # each; a gap formed out of place, or an (m, m) or (pairs, 3) layout, needs more
+        n = build_necklace(1000)
+        assert traced_peak(_near_pairs, n) < 5.5 * 8 * (1000 * 999 // 2)
 
 
 def fstring_points_text(pts, fmt):

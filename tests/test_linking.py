@@ -25,7 +25,7 @@ from antoine.linking import (
     link_matrix,
     polygonal_linking,
 )
-from antoine.necklace import _rho_classes, build_necklace
+from antoine.necklace import _near_pairs, build_necklace
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -149,8 +149,8 @@ class TestMatrixFormGauss:
 
     @pytest.mark.parametrize("quad_n", [64, 256])
     def test_necklace40_representatives(self, necklace40, quad_n):
-        (i, j), reps, _ = _rho_classes(40)
-        for a, b in zip(i[reps], j[reps]):
+        # every pair that holds child 1 or 2: one of each class under the slot shift j -> j+2, far pairs too
+        for a, b in ((a, b) for a in (0, 1) for b in range(a + 1, 40)):
             ca, cb = necklace40.child_circles[a], necklace40.child_circles[b]
             assert abs(gauss_linking(ca, cb, quad_n) - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
 
@@ -202,20 +202,18 @@ class TestMatrixFormGauss:
 
 
 def fresh_link_matrix(n, poly_n=512, quad_n=256):
-    """link_matrix as computed before it shared the seed-slot polygons among its pairs:
-    two fresh polygons per pair, the oracle."""
+    """link_matrix as computed before it shared each child's polygon among its near pairs: two fresh polygons
+    per near pair, in the same order, the oracle."""
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
-    (i, j), reps, classes = _rho_classes(m)
-    lks = np.zeros(len(reps), dtype=int)
+    (i, j), _ = _near_pairs(n)
+    entries = np.zeros((m, m), dtype=int)
     max_gap = 0.0
-    for k, (a, b) in enumerate(zip(i[reps], j[reps])):
+    for a, b in zip(i, j):
         ca, cb = n.child_circles[a], n.child_circles[b]
         lk = polygonal_linking(PolyLoop.from_circle(ca, poly_n), PolyLoop.from_circle(cb, poly_n), rng=rng)
         max_gap = max(max_gap, abs(gauss_linking(ca, cb, quad_n) - lk))
-        lks[k] = lk
-    entries = np.zeros((m, m), dtype=int)
-    entries[i, j] = entries[j, i] = lks[classes]
+        entries[a, b] = entries[b, a] = lk
     return LinkMatrix(m, entries, max_gap)
 
 
@@ -235,13 +233,19 @@ class TestLinkMatrix:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {dict(poly_n=64, quad_n=16)[name]}, "):
             link_matrix(necklace16, **sizes)
 
-    def test_seed_polygons_built_once(self, necklace40, monkeypatch):
-        # every class representative's first child is 1 or 2: 2 seed polygons, then one per pair
+    @pytest.mark.parametrize("m,tube_factor", [(40, 1.0), (16, 2.0)])
+    def test_one_polygon_per_child_in_a_near_pair(self, m, tube_factor, monkeypatch):
+        # each child's polygon is built at its first near pair and serves every later one; the doubled tube at
+        # m = 16 gives each child four near pairs
+        n = build_necklace(m)
+        n = dataclasses.replace(n, child_tube=tube_factor * n.child_tube)
         builds = []
         original = PolyLoop.from_circle
-        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(lambda c, n: builds.append(c) or original(c, n)))
-        link_matrix(necklace40)
-        assert len(builds) == 2 + len(_rho_classes(40)[1])
+        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(lambda c, k: builds.append(c) or original(c, k)))
+        link_matrix(n, quad_n=64)
+        (i, j), _ = _near_pairs(n)
+        assert len(i) == m * tube_factor
+        assert sorted(map(id, builds)) == sorted(id(n.child_circles[k]) for k in np.union1d(i, j))
 
     def test_warm_call_takes_few_page_faults(self):
         # fresh quad_n x quad_n grids per pair once took about 14,000 minor faults at m = 40. Counted in

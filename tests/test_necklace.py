@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from antoine import geom3, linking
+from antoine import geom3, linking, necklace
 from antoine.errors import InvalidMultiplicity
 from antoine.geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
@@ -24,14 +24,12 @@ from antoine.necklace import (
     validate_necklace,
     word_map,
     word_maps,
-    _rho_classes,
-    _transfer_slack,
+    _near_pairs,
 )
 
-from conftest import M_STAR, shift_orbits
+from conftest import M_STAR
 from oracles import (
-    own_grid_circle_circle_distance, own_grid_containment_clearance, per_object_child_maps, per_object_transfer_slack,
-    vector_child_distances,
+    own_grid_circle_circle_distance, own_grid_containment_clearance, per_object_child_maps, vector_child_distances,
 )
 
 
@@ -66,6 +64,12 @@ class TestBuild:
         maps = necklace40.child_maps[:6] + (Similarity3(scale, s.rot, s.shift),) + necklace40.child_maps[7:]
         with pytest.raises(ValueError, match=re.escape(f"ratio must be 4/m = 0.1, got {sorted([0.1, scale])}")):
             dataclasses.replace(necklace40, child_maps=maps)
+
+    @pytest.mark.parametrize("tube", [0.0, -1e-3, math.nan, math.inf])
+    def test_child_tube_other_than_finite_and_positive_rejected(self, necklace40, tube):
+        # _near_pairs reads a ball gap above twice the tube as disjoint balls, so a far pair as unlinked
+        with pytest.raises(ValueError, match=re.escape(f"child tube must be finite and positive, got {tube}")):
+            dataclasses.replace(necklace40, child_tube=tube)
 
     def test_only_the_tube_may_change(self, necklace40):
         n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, 0.25))
@@ -192,18 +196,16 @@ class TestValidate:
         assert not report.passed
 
     @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 100, 400])
-    def test_sampled_bounds_and_slack_equal_their_own_forms(self, m):
-        # the clearance and containment bounds share one sampling helper, and the transfer slack takes its
-        # m rotations from one stacked Rodrigues call: each keeps the bits of its own form
+    def test_sampled_bounds_equal_their_own_forms(self, m):
+        # the clearance and containment bounds share one sampling helper: each keeps the bits of its own form
         n = build_necklace(m)
-        (i, j), reps, classes = _rho_classes(m)
-        slack = _transfer_slack(n, i, j, reps[classes])
-        assert slack.tobytes() == per_object_transfer_slack(n, i, j, reps[classes]).tobytes()
         report = validate_necklace(n, check_linking=False)
         assert report.containment_clearance == own_grid_containment_clearance(n)
         c = n.child_circles
-        bounds = np.array([own_grid_circle_circle_distance(c[a], c[b], 512) for a, b in zip(i[reps], j[reps])])
-        assert report.min_pair_clearance == float(np.min(bounds[classes] - slack - 2.0 * n.child_tube))
+        (i, j), far_gap = _near_pairs(n)
+        bounds = [own_grid_circle_circle_distance(c[a], c[b], 512) for a, b in zip(i, j)]
+        assert report.min_pair_clearance == min(bounds) - 2.0 * n.child_tube
+        assert far_gap > min(bounds)  # a far pair never binds on the built necklace
 
     def test_json_shape(self, geometry_report40):
         doc = geometry_report40.to_json_dict()
@@ -257,73 +259,82 @@ def moved_child(n, k, offset):
     return with_child_map(n, k, Similarity3(s.scale, s.rot, s.shift + offset))
 
 
-def shift_axis_rho_classes(m):
-    """_rho_classes from every one of the m/2 shifts of every pair, an (2, m(m-1)/2, m/2) array: the reference."""
-    pairs = np.triu_indices(m, 1)
-    shifted = (np.stack(pairs)[..., None] + 2 * np.arange(m // 2)) % m
-    keys = (shifted.min(axis=0) * m + shifted.max(axis=0)).min(axis=1)
-    _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
-    return pairs, reps, classes
+def flipped_child(n, k):
+    """The necklace with child k (0-based) as the same point set with the opposite orientation."""
+    s = n.child_maps[k]
+    reverse = Rotation3(s.rot.matrix @ np.diag([1.0, -1.0, -1.0]))  # the pi-rotation about x1 first: e3 -> -e3
+    return with_child_map(n, k, Similarity3(s.scale, reverse, s.shift))
 
 
-class TestRhoClassPass:
-    """validate_necklace certifies one pair per rho class; the exhaustive oracle certifies every pair."""
+def computed_ball_gap(n, a, b):
+    """The centre distance d and ball gap d - 2 r of children a and b in Python floats, in _near_pairs' order and
+    with no rounding allowance."""
+    dx, dy, dz = (float(p - q) for p, q in zip(n.child_centers[a], n.child_centers[b]))
+    d = math.sqrt((dx * dx + dy * dy) + dz * dz)
+    return d, d - 2.0 * n.contraction
 
-    @pytest.fixture(scope="class", params=["m16", "m40", "m16-doubled-tube"])
-    def symmetric(self, request):
-        n = build_necklace(40 if request.param == "m40" else 16)
+
+def near_pair_set(n):
+    (i, j), _ = _near_pairs(n)
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def adjacent_pairs(m):
+    return {(k, k + 1) for k in range(m - 1)} | {(0, m - 1)}
+
+
+class TestNearPairPass:
+    """validate_necklace evaluates the near pairs only; the exhaustive oracle certifies every pair."""
+
+    @pytest.fixture(scope="class", params=["m16", "m40", "m16-doubled-tube", "m40-moved-child", "m40-flipped-child"])
+    def pair_checks(self, request):
+        n = build_necklace(40 if request.param.startswith("m40") else 16)
         if request.param == "m16-doubled-tube":
             n = dataclasses.replace(n, child_tube=2.0 * n.child_tube)
-        return validate_necklace(n, poly_n=128, quad_n=64), exhaustive_pair_checks(n, poly_n=128, quad_n=64)
+        elif request.param == "m40-moved-child":  # child 10 off its rotated seed by 1e-3
+            n = moved_child(n, 9, 1e-3 * np.array([2.0, -1.0, 2.0]) / 3.0)
+        elif request.param == "m40-flipped-child":
+            n = flipped_child(n, 9)
+        return n, validate_necklace(n, poly_n=128, quad_n=64), exhaustive_pair_checks(n, poly_n=128, quad_n=64)
 
-    def test_same_entries_and_pass_flags(self, symmetric):
-        report, (_, entries, _, passed) = symmetric
+    def test_same_entries_and_pass_flags(self, pair_checks):
+        _, report, (_, entries, _, passed) = pair_checks
         assert np.array_equal(report.link_matrix.entries, entries)
         assert {c.name: c.passed for c in report.checks if c.name in passed} == passed
 
-    def test_margin_and_gap_bounded_by_the_oracle(self, symmetric):
-        report, (margin, _, gaps, _) = symmetric
+    def test_margin_and_gap_bounded_by_the_oracle(self, pair_checks):
+        n, report, (margin, _, gaps, _) = pair_checks
         disjoint = next(c for c in report.checks if c.name == "children_disjoint")
         assert disjoint.margin == report.min_pair_clearance
         assert margin - 1e-9 < disjoint.margin <= margin
-        assert report.link_matrix.max_gauss_gap <= max(gaps.values())
-        # the same quadrature on the same representative pairs
-        assert report.link_matrix.max_gauss_gap == max(gaps[min(o)] for o in shift_orbits(report.multiplicity))
+        # the same quadrature on the near pairs
+        assert report.link_matrix.max_gauss_gap == max(gaps[p] for p in near_pair_set(n))
 
-    @pytest.mark.parametrize("k", [0, 9])
-    def test_moved_child_keeps_the_margin_sound(self, necklace40, k):
-        # child k+1 off its rotated seed by 1e-3: a seed (k = 0) or not
-        n = moved_child(necklace40, k, 1e-3 * np.array([2.0, -1.0, 2.0]) / 3.0)
-        report = validate_necklace(n, poly_n=128, quad_n=64)
-        margin, entries, _, _ = exhaustive_pair_checks(n, poly_n=128, quad_n=64)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["children_disjoint"].margin <= margin
-        assert not by_name["rho_equivariance"].passed
-        assert np.array_equal(report.link_matrix.entries, entries)
-        assert by_name["link_pattern"].passed
+    def test_near_pairs_are_those_whose_balls_come_within_the_tubes(self, pair_checks):
+        n, _, _ = pair_checks
+        pairs = itertools.combinations(range(n.multiplicity), 2)
+        gaps = {p: math.dist(*n.child_centers[list(p)]) - 2.0 * n.contraction for p in pairs}
+        need = 2.0 * n.child_tube
+        assert min(abs(g - need) for g in gaps.values()) > 1e-9  # no pair's gap lies near the threshold
+        assert near_pair_set(n) == {p for p, g in gaps.items() if g <= need} >= adjacent_pairs(n.multiplicity)
+        assert _near_pairs(n)[1] == pytest.approx(min(g for g in gaps.values() if g > need), rel=1e-14)
 
-    def test_untransferable_copy_fails_link_pattern(self, necklace40):
-        # child 10 off its rotated seed by 0.03, more than half the adjacent
-        # core clearance (about 0.042): its copied entries are not certified
-        n = moved_child(necklace40, 9, 0.03 * np.array([2.0, -1.0, 2.0]) / 3.0)
-        by_name = {c.name: c for c in validate_necklace(n, poly_n=128, quad_n=64).checks}
-        assert not by_name["link_pattern"].passed
-        assert by_name["link_pattern"].margin <= 0.0
+    @pytest.mark.parametrize("m", [*range(10, 121, 2), 400, 1000])
+    def test_built_necklace_near_pairs_are_the_adjacent_slots(self, m):
+        # from m = 16 on, the m adjacent pairs; below it the pairs two slots apart too
+        reach = 1 if m >= 16 else 2
+        want = {(a, b) for a, b in itertools.combinations(range(m), 2) if min(b - a, m - b + a) <= reach}
+        assert near_pair_set(build_necklace(m)) == want
 
-    def test_flipped_child_is_not_a_copy(self, necklace40):
-        # child 10 as the same point set with the opposite orientation: the
-        # copied entry of pair (9, 10) has the wrong sign, which only the
-        # oriented measure (normal - normal, not the +- minimum) sees
-        s = necklace40.child_maps[9]
-        reverse = Rotation3(s.rot.matrix @ np.diag([1.0, -1.0, -1.0]))  # the pi-rotation about x1 first: e3 -> -e3
-        n = with_child_map(necklace40, 9, Similarity3(s.scale, reverse, s.shift))
-        circles = n.child_circles
+    def test_flipped_child_flips_its_entries(self, necklace40):
+        n = flipped_child(necklace40, 9)
         flipped = necklace40.child_circles[9]
-        assert np.array_equal(circles[9].center, flipped.center) and np.array_equal(circles[9].normal, -flipped.normal)
-        report = validate_necklace(n, poly_n=128, quad_n=64)
-        direct = polygonal_linking(PolyLoop.from_circle(circles[8], 128), PolyLoop.from_circle(circles[9], 128))
-        assert report.link_matrix.entries[8, 9] == -direct
-        assert not next(c for c in report.checks if c.name == "link_pattern").passed
+        assert np.array_equal(n.child_circles[9].center, flipped.center)
+        assert np.array_equal(n.child_circles[9].normal, -flipped.normal)
+        entries = validate_necklace(n, poly_n=128, quad_n=64).link_matrix.entries
+        loops = [PolyLoop.from_circle(n.child_circles[k], 128) for k in (8, 9)]
+        unflipped = validate_necklace(necklace40, poly_n=128, quad_n=64).link_matrix.entries
+        assert entries[8, 9] == polygonal_linking(*loops) == -unflipped[8, 9]
 
     @pytest.mark.parametrize("k", [0, 9])
     def test_move_toward_a_neighbour_fails_on_both_paths(self, necklace40, k):
@@ -336,22 +347,52 @@ class TestRhoClassPass:
         assert margin <= 0.0
         assert not next(c for c in report.checks if c.name == "children_disjoint").passed
 
-    @pytest.mark.parametrize("m", [10, 16, 38, 40])
-    def test_classes_are_the_slot_shift_orbits(self, m):
-        (i, j), reps, classes = _rho_classes(m)
-        pairs = list(zip(i.tolist(), j.tolist()))
-        found = {frozenset(p for p, c in zip(pairs, classes) if c == k) for k in range(len(reps))}
-        assert found == shift_orbits(m)
-        assert [pairs[r] for r in reps] == sorted(min(orbit) for orbit in found)
-        assert pairs[reps[0]] == (0, 1)
-        assert {(0, 1), (0, m - 1), (0, 2)} <= {pairs[r] for r in reps}  # the binding pairs
+    def test_gap_within_the_rounding_allowance_is_evaluated(self, necklace40, monkeypatch):
+        # children 1 and 3 are two slots apart, a far pair, unless twice the child tube lies within the
+        # allowance of their computed gap: 2 ulps of it in, the pair is evaluated; 8 ulps out, it is not
+        d, gap = computed_ball_gap(necklace40, 0, 2)
+        ulps = np.finfo(float).eps * (d + 2.0 * necklace40.contraction)
+        inside = dataclasses.replace(necklace40, child_tube=0.5 * (gap - 2.0 * ulps))
+        outside = dataclasses.replace(necklace40, child_tube=0.5 * (gap - 8.0 * ulps))
+        assert gap > 2.0 * inside.child_tube > 2.0 * outside.child_tube
+        assert (0, 2) in near_pair_set(inside) and (0, 2) not in near_pair_set(outside)
+        measured = []
+        original = necklace.circle_circle_distance
+        monkeypatch.setattr(necklace, "circle_circle_distance", lambda a, b, n: measured.append((a, b)) or original(a, b, n))
+        validate_necklace(inside, check_linking=False)
+        assert any(a is inside.child_circles[0] and b is inside.child_circles[2] for a, b in measured)
 
-    @pytest.mark.parametrize("m", range(4, 121, 2))
-    def test_classes_equal_the_shift_axis_oracle(self, m):
-        (i, j), reps, classes = _rho_classes(m)
-        (oi, oj), oreps, oclasses = shift_axis_rho_classes(m)
-        for got, want in ((i, oi), (j, oj), (reps, oreps), (classes, oclasses)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    def test_far_pair_entries_are_never_computed(self, necklace40, monkeypatch):
+        index = {id(c): k for k, c in enumerate(necklace40.child_circles)}
+        evaluated = {name: [] for name in ("circle_circle_distance", "gauss_linking", "polygonal_linking")}
+        polygons = {}  # each polygon's child, by identity
+        from_circle = PolyLoop.from_circle
+
+        def built(c, n):
+            loop = from_circle(c, n)
+            polygons[id(loop)] = index[id(c)]
+            return loop
+
+        def recording(module, name, child):
+            original = getattr(module, name)
+
+            def wrapper(a, b, *args, **kwargs):
+                evaluated[name].append((child(a), child(b)))
+                return original(a, b, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(built))
+        recording(necklace, "circle_circle_distance", lambda c: index[id(c)])
+        recording(linking, "gauss_linking", lambda c: index[id(c)])
+        recording(linking, "polygonal_linking", lambda p: polygons[id(p)])
+        report = validate_necklace(necklace40, poly_n=128, quad_n=64)
+        adjacent = adjacent_pairs(40)
+        assert all(sorted(pairs) == sorted(adjacent) for pairs in evaluated.values()), evaluated
+        linked = np.zeros((40, 40), dtype=bool)
+        for a, b in adjacent:
+            linked[a, b] = linked[b, a] = True
+        assert np.array_equal(report.link_matrix.entries != 0, linked)
 
 
 class TestMultiplicityScan:
@@ -519,6 +560,17 @@ class TestStageSummary:
 
     def test_numpy_integer_stage(self, necklace16):
         assert stage_summary(necklace16, np.int64(2)) == stage_summary(necklace16, 2)
+
+    @pytest.mark.parametrize("tube,diameter", [(4.6 / 40, 2.23), (0.3, 2.6)])
+    def test_replaced_parent_tube(self, necklace40, tube, diameter):
+        # the parent is the unit circle thickened by its tube: points (1 + tube) e1 and -(1 + tube) e1 are farthest
+        n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, tube))
+        assert stage_summary(n, 0).max_diameter == pytest.approx(diameter, rel=1e-15)
+        assert stage_summary(n, 2).max_diameter == 0.1**2 * (2.0 * (1.0 + tube))
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 400])
+    def test_default_tube_keeps_the_bits(self, m):
+        assert stage_summary(build_necklace(m), 1).max_diameter == (4.0 / m) * (2.0 + 16.0 / m)
 
 
 class TestChildDistances:
