@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--grid-n", type=_at_least(8), default=512, help="clearance certificate grid")
     p.add_argument("--poly-n", type=_at_least(64), default=512, help="polygon vertices per circle")
-    p.add_argument("--quad-n", type=_at_least(16), default=256, help="quadrature grid per circle")
+    p.add_argument("--quad-n", type=_at_least(16), default=64, help="Gauss quadrature points per loop")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="escape-depth volume grid (.vol + JSON sidecar)")

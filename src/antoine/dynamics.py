@@ -420,6 +420,13 @@ def _finite_point(p) -> np.ndarray:
     return p
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 3-vector in fixed order, sqrt((x0 x0 + x1 x1) + x2 x2): np.linalg.norm's BLAS ddot
+    rounds by the vector's memory alignment under some OpenBLAS kernels."""
+    x0, x1, x2 = x.tolist()
+    return math.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is tested for, not warned about
 def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BUDGET) -> OrbitRecord:
     """Run the orbit of p: inner similarity steps, then the exterior model.
@@ -453,7 +460,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
         x = _map_by_key(inverse, np.array([d - 1]), x)
     x = x[:, 0]
     # hand off to the exterior model, pushing out to its inner sphere if needed
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     clamped = False
     if norm < model.inner_radius:
         direction = x / norm if norm > 1e-300 else np.array([1.0, 0.0, 0.0])
@@ -466,7 +473,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
         if norms[-1] >= _NORM_RECORD_CAP:
             break
         x = exterior_model_map(x, model)
-        norm = float(np.linalg.norm(x))
+        norm = _norm(x)
         if not math.isfinite(norm):
             break
         norms.append(norm)

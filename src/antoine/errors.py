@@ -22,7 +22,12 @@ class MultipleChildren(AntoineError):
 
 
 class MinSeparationTooSmall(AntoineError):
-    """Curves approach closer than the quadrature can tolerate."""
+    """Curves approach closer than the quadrature can tolerate. `index` is the offending pair's position in
+    its batch."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NoGenericProjection(AntoineError):

@@ -247,16 +247,12 @@ class SolidTorus:
         return SolidTorus(self.core.transform(s), s.scale * self.tube)
 
 
-def _circle_distance(wx, wy, wz, nx, ny, nz, radius: float) -> np.ndarray:
-    """The distance from points to a circle, from their offsets (wx, wy, wz) from its centre, its unit normal
-    (nx, ny, nz) and its radius: the package's one point-to-circle kernel. The arguments broadcast; the
-    offsets are float arrays of the result's shape, which it works in: it returns wx and overwrites wy, wz.
-
-    Fixed-order component form: the height h = (wx nx + wz nz) + wy ny, the in-plane length
-    rho = sqrt((ux^2 + uy^2) + uz^2) of u = w - h n, and hypot(rho - radius, h). A point on the axis has
-    rho = 0 and is at sqrt(radius^2 + h^2) from every circle point. An offset past ~1.3e154 squares to
-    +inf, and the distance is +inf, with no warning.
-    """
+def _height_and_rho(wx, wy, wz, nx, ny, nz) -> tuple[np.ndarray, np.ndarray]:
+    """The height h = (wx nx + wz nz) + wy ny of points over a circle's plane and their in-plane length
+    rho = sqrt((ux^2 + uy^2) + uz^2), u = w - h n, from their offsets (wx, wy, wz) from its centre and its unit
+    normal (nx, ny, nz), in fixed-order component form. The arguments broadcast; the offsets are float arrays of
+    the result's shape, which it works in: rho is wx, and wy, wz are overwritten. An offset past ~1.3e154
+    squares to +inf, and rho is +inf, with no warning."""
     with np.errstate(over="ignore"):
         h = wx * nx
         h += wz * nz
@@ -269,9 +265,18 @@ def _circle_distance(wx, wy, wz, nx, ny, nz, radius: float) -> np.ndarray:
         wz *= wz
         wx += wy
         wx += wz
-        np.sqrt(wx, out=wx)
-        wx -= radius
-        return np.hypot(wx, h, out=wx)
+        return h, np.sqrt(wx, out=wx)
+
+
+def _circle_distance(wx, wy, wz, nx, ny, nz, radius: float) -> np.ndarray:
+    """The distance from points to a circle, from their offsets (wx, wy, wz) from its centre, its unit normal
+    (nx, ny, nz) and its radius: the package's one point-to-circle kernel, hypot(rho - radius, h) of
+    _height_and_rho, whose arguments and buffers it shares: it returns wx. A point on the axis has rho = 0 and
+    is at sqrt(radius^2 + h^2) from every circle point.
+    """
+    h, rho = _height_and_rho(wx, wy, wz, nx, ny, nz)
+    rho -= radius
+    return np.hypot(rho, h, out=rho)
 
 
 def point_circle_distance(c: Circle3, p: Vec3):

@@ -1,18 +1,10 @@
 """Linking numbers of disjoint closed curves, two independent ways.
 
-gauss_linking integrates the classical double integral over two round
-circles with the periodic trapezoid rule (spectrally accurate for disjoint
-smooth curves). Its quad_n x quad_n grid comes from three small matrix
-products, on samples shifted by the midpoint of the two centres: the
-numerator by the triple-product identity, the squared distance by
-expanding |pa - pb|^2. Grid entries near the separation guard, half the
-larger circle's sample spacing, are re-measured from the exact sample
-differences, which decide the guard; those the expansion cannot resolve take
-the re-measured value. polygonal_linking counts signed crossings of polygonal
-approximations in a generic projection and returns an exact integer. The
-two back ends share a sign convention, so they agree as reals, not just in
-absolute value; only the absolute values are meaningful for the necklace,
-since child circle orientations are a package convention.
+gauss_linking integrates the closed-form field of a unit current around one round circle along
+the other: the Gauss double integral with its inner loop done analytically. polygonal_linking
+counts signed crossings of polygons in a generic projection and returns an exact integer. The two
+share a sign convention, so they agree as reals, not just in absolute value; only the absolute
+values mean something for the necklace, since child circle orientations are a package convention.
 """
 from __future__ import annotations
 
@@ -23,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3, _check_int, unit_rows
+from .geom3 import Circle3, _check_int, _height_and_rho, unit_rows
 from .necklace import Necklace, _near_pairs
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PROJECTION_SEED = 20210917
+_GUARD = 1.5  # the sampled distance from circle a that _loop_linking requires of circle b, in half sample spacings
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,65 +53,70 @@ class PolyLoop:
         return PolyLoop(c.sample(n))
 
 
-def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 256) -> float:
-    """Gauss double-integral linking number of two disjoint circles.
-
-    Trapezoid rule on a quad_n x quad_n parameter grid; converges to the
-    integer linking number as quad_n grows. Both sampled circles are shifted
-    by the midpoint c of the two centres (the integrand depends only on
-    differences), and the grid comes from three (quad_n, 3) @ (3, quad_n)
-    products: the numerator (da_i x db_j) . (pa_i - pb_j) as
-    (pa_i x da_i) . db_j - da_i . (db_j x pb_j), and the squared distance as
-    |pa_i|^2 + |pb_j|^2 - 2 pa_i . pb_j, which the shift keeps from cancelling.
-
-    Raises MinSeparationTooSmall if the sampled curves come within half the
-    larger circle's sample spacing, pi * max(r_a, r_b) / quad_n: closer than
-    that the fixed grid no longer resolves the integrand's peak (two
-    perpendicular unit circles err by 0.12 at half a spacing and by 795 at a
-    hundredth of one). The expanded squared distance is off by at most
-    8 eps (max|pa|^2 + max|pb|^2), so every grid entry below (2 guard)^2 plus
-    that allowance (the factor 2 covers the rounding of the shift) is
-    re-measured from the exact differences a.point_at(t_i) - b.point_at(t_j).
-    The guard reads those, so it raises on exactly the inputs whose sampled
-    separation is below it. Of those entries, the ones below (2e-9)^2 plus the
-    allowance, which the expansion cannot resolve, take the re-measured value
-    in the integrand.
-    """
+def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 64) -> float:
+    """Gauss linking number of two disjoint circles, the integral of a's field along quad_n points of b: see
+    _loop_linking, whose MinSeparationTooSmall it raises. It converges geometrically to the integer in quad_n."""
     _check_int("quad_n", quad_n, 16)
-    d2, integrand, den = np.empty((3, quad_n, quad_n))  # one block: glibc keeps its pages for the next call
-    ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
-    ua, va = a.basis()
-    ub, vb = b.basis()
-    exact_a, exact_b = a.point_at(ta), b.point_at(ta)
-    c = 0.5 * (a.center + b.center)
-    pa, pb = exact_a - c, exact_b - c
-    # derivatives with respect to the angle parameter
-    da = a.radius * (-np.sin(ta)[:, None] * ua + np.cos(ta)[:, None] * va)
-    db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
+    return float(_loop_linking(a.center[None], a.normal[None], np.array([a.radius]), *_loop_samples([b], quad_n))[0])
 
-    sq_a, sq_b = np.einsum("ic,ic->i", pa, pa), np.einsum("jc,jc->j", pb, pb)
-    np.add.outer(sq_a, sq_b, out=d2)
-    d2 -= np.matmul(pa, (2.0 * pb).T, out=den)  # doubling is exact: the bits of sq_a + sq_b - 2 pa . pb
-    rounding = 8.0 * np.finfo(float).eps * (sq_a.max() + sq_b.max())
-    limit = 4e-18 + rounding  # below it the expansion cannot resolve an entry
-    guard = math.pi * max(a.radius, b.radius) / quad_n
-    candidates = max(limit, 4.0 * guard * guard + rounding)
-    if d2.min() < candidates:
-        near = np.nonzero(d2 < candidates)
-        dist = np.linalg.norm(exact_a[near[0]] - exact_b[near[1]], axis=1)
-        if float(dist.min()) < guard:
-            raise MinSeparationTooSmall(
-                f"sampled curve separation {dist.min():.3e} < {guard:.3e}, half the sample spacing"
-            )
-        low = d2[near] < limit
-        d2[near[0][low], near[1][low]] = dist[low] * dist[low]
-    np.matmul(np.cross(pa, da), db.T, out=integrand)
-    integrand -= np.matmul(da, np.cross(db, pb).T, out=den)
-    np.sqrt(d2, out=den)
-    den *= d2
-    integrand /= den
-    weight = (2.0 * math.pi / quad_n) ** 2
-    return float(integrand.sum() * weight / (4.0 * math.pi))
+
+def _loop_samples(circles, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3, P, quad_n) points p_k of P circles at the angles t_k = 2 pi k / quad_n (the bits of Circle3.sample) and
+    their line elements dl_k = p'(t_k) 2 pi / quad_n."""
+    cos, sin = (f(np.arange(quad_n) * (2.0 * math.pi / quad_n)) for f in (np.cos, np.sin))
+    center, radius = np.array([c.center for c in circles]).T[..., None], np.array([c.radius for c in circles])[:, None]
+    u, v = np.array([c.basis() for c in circles]).transpose(1, 2, 0)[..., None]
+    return center + radius * (cos * u + sin * v), radius * (2.0 * math.pi / quad_n) * (cos * v - sin * u)
+
+
+def _loop_linking(centers, normals, radii, points, tangents) -> np.ndarray:
+    """Linking numbers of P pairs of disjoint circles (a, b): sum_k B_a(p_k) . dl_k, the trapezoid rule for the
+    integral along b of the field of a unit current around a, the Gauss double integral with its inner loop in
+    closed form (Jackson, Classical Electrodynamics, 5.5; Simpson et al., NASA/TM-2001-211307). centers,
+    normals (P, 3) and radii (P,) give the circles a, points and tangents (3, P, n) each b's p_k and dl_k (see
+    _loop_samples). In fixed-order component form, with no BLAS call: for R = r_a, h and rho = |u| the height
+    and axis offset u of p_k (geom3._height_and_rho), alpha and beta its distances from the nearest and the
+    farthest point of a, p = R^2 + rho^2 + h^2, and M and U from the arithmetic-geometric mean of beta and
+    alpha, run until every c_n <= eps a_n (DLMF 19.8: K = pi beta / (2 M), E = K (1 - (2 R rho + rho^2 U) /
+    beta^2), U = sum_(n>=1) 2^(n-1) (c_n / rho)^2),
+
+      4 M alpha^2 beta^2 B_a . dl = ((R^2 - rho^2 - h^2) (p - rho^2 U) + alpha^2 beta^2) n.dl + h (4 R^2 - p U) u.dl,
+
+    whose radial field h rho (4 R^2 - p U) / (4 M alpha^2 beta^2) is 0 on a's axis, and nothing cancels near it.
+
+    Guard: MinSeparationTooSmall, whose index is the first offending pair, if some alpha is below _GUARD = 3/2
+    units s = |dl| / 2 = pi r_b / n, half b's sample spacing. At its closest approach delta, b crosses the
+    field of a nearly straight wire, and the rule sums a Lorentzian to (1/2) sinh y / (cosh y - cos phi) in
+    place of the half turn 1/2, y = pi delta / s, phi = pi x / s, x <= s the arc from the nearest sample (an
+    oblique crossing only widens the peak). A nearest sample at G s leaves delta >= sqrt(G^2 - 1) s, so the
+    error is at most 1 / (exp(pi sqrt(G^2 - 1)) + 1), at x = s: 0.029 per close approach at G = 3/2 (0.054
+    measured for two), under necklace.GAUSS_TOL; at G = 1 the circles may meet between two samples.
+    """
+    (cx, cy, cz), (nx, ny, nz), radius = (np.asarray(x, dtype=float).T[..., None] for x in (centers, normals, radii))
+    tx, ty, tz = tangents
+    wx, wy, wz = points[0] - cx, points[1] - cy, points[2] - cz
+    wt, nt = (wx * tx + wy * ty) + wz * tz, (nx * tx + ny * ty) + nz * tz  # before _height_and_rho overwrites w
+    h, rho = _height_and_rho(wx, wy, wz, nx, ny, nz)
+    alpha = np.hypot(rho - radius, h)
+    sep, limit = alpha.min(axis=1), _GUARD * 0.5 * np.sqrt((tx[:, 0] ** 2 + ty[:, 0] ** 2) + tz[:, 0] ** 2)
+    bad = np.flatnonzero(~(sep >= limit))  # a NaN fails too
+    if bad.size:
+        raise MinSeparationTooSmall(f"sampled distance {sep[bad[0]]:.3e} from circle a < {limit[bad[0]]:.3e}, "
+                                    f"{_GUARD} half sample spacings", int(bad[0]))
+    beta = np.hypot(rho + radius, h)
+    a, b = 0.5 * (beta + alpha), np.sqrt(beta * alpha)
+    d = radius / a  # c_1 / rho
+    u_sum, weight = d * d, 1.0
+    while (rho * d > np.finfo(float).eps * a).any():
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        d = rho * d * d / (4.0 * a)
+        weight *= 2.0
+        u_sum += weight * d * d
+    r2, al2, be2 = rho * rho + h * h, alpha * alpha, beta * beta
+    p = radius * radius + r2
+    axial = ((radius * radius - r2) * (p - rho * rho * u_sum) + al2 * be2) * nt
+    radial = h * (4.0 * radius * radius - p * u_sum) * (wt - h * nt)
+    return ((axial + radial) / (4.0 * a * al2 * be2)).sum(axis=1)
 
 
 def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -291,37 +289,37 @@ class LinkBackendError(AntoineError):
         self.cause = cause
 
 
-def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 256) -> LinkMatrix:
+def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
     """Linking numbers for all unordered child pairs, each near pair certified on its own.
 
-    A pair whose certified ball gap exceeds twice the child tube is unlinked
-    with no evaluation (see necklace._near_pairs) and gets entry 0. Each near
-    pair runs the exact polygonal backend (on poly_n-gons, projections drawn
-    from the fixed package seed) and the Gauss quadrature; the largest gap
-    between the two is recorded in max_gauss_gap. A backend exception is
-    re-raised as LinkBackendError naming the pair. Each child's polygon is
-    built once, at its first near pair, and dropped after its last.
+    A pair whose certified ball gap exceeds twice the child tube is unlinked with no evaluation (see
+    necklace._near_pairs) and gets entry 0. The near pairs get the Gauss integral in one batch (_loop_linking,
+    quad_n points per loop), then the exact polygonal backend pair by pair (poly_n-gons, projections from the
+    fixed package seed); the largest gap between the two is max_gauss_gap. A backend exception is re-raised as
+    LinkBackendError naming the pair (the batch's first offending one). Each child's polygon is built at its
+    first near pair and dropped after its last.
     """
     _check_int("poly_n", poly_n, 64)  # both checked before any pair is measured
     _check_int("quad_n", quad_n, 16)
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), _ = _near_pairs(n)
+    circles = n.child_circles
+    samples = _loop_samples([circles[k] for k in j], quad_n)
+    try:
+        gauss = _loop_linking(n.child_centers[i], n.child_normals[i], np.full(len(i), n.contraction), *samples)
+    except MinSeparationTooSmall as exc:
+        raise LinkBackendError((int(i[exc.index]) + 1, int(j[exc.index]) + 1), exc) from exc
     uses = np.bincount(np.concatenate((i, j)))
-    polygons: dict[int, PolyLoop] = {}
-    lks, max_gap = [], 0.0
+    polygons, lks = {}, []
     for a, b in zip(i.tolist(), j.tolist()):
-        ca, cb = n.child_circles[a], n.child_circles[b]
-        pa, pb = (polygons.pop(k, None) or PolyLoop.from_circle(n.child_circles[k], poly_n) for k in (a, b))
+        pa, pb = (polygons.pop(k, None) or PolyLoop.from_circle(circles[k], poly_n) for k in (a, b))
         uses[[a, b]] -= 1
         polygons.update((k, p) for k, p in ((a, pa), (b, pb)) if uses[k])  # kept until the child's last near pair
         try:
-            lk = polygonal_linking(pa, pb, rng=rng)
-            gauss = gauss_linking(ca, cb, quad_n)
+            lks.append(polygonal_linking(pa, pb, rng=rng))
         except Exception as exc:  # attach the offending pair
             raise LinkBackendError((a + 1, b + 1), exc) from exc
-        max_gap = max(max_gap, abs(gauss - lk))
-        lks.append(lk)
     entries = np.zeros((m, m), dtype=int)
     entries[i, j] = entries[j, i] = lks
-    return LinkMatrix(m, entries, max_gap)
+    return LinkMatrix(m, entries, float(np.max(np.abs(gauss - lks), initial=0.0)))

@@ -328,11 +328,29 @@ def _near_pairs(n: Necklace) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     return (i[near], j[near]), float(np.min(gap, where=~near, initial=math.inf))
 
 
+def _nest_check(child_tube: float, ratio: float, parent_tube: float) -> CheckRecord:
+    """children_nest: child_tube >= ratio * parent_tube, so that each child map carries the parent torus into its
+    child torus; with disjoint and contained children, the stage-k tori then nest and are disjoint at every k, by
+    induction under the maps. A thinner child tube can pass every other check while its tori miss the attractor.
+
+    Rounding, with u = eps / 2: build_necklace's ratio 4/m, parent tube 8/m and child tube 32/m^2 are each
+    within a factor (1 + u) of exact values whose product relation holds exactly, and the computed product adds
+    one more rounding, so its child tube can fall short of the computed ratio * parent_tube by up to
+    (4 u + O(u^2)) ratio * parent_tube (at 119 of the even m in 10..1000, m = 40 among them, it does, by one
+    ulp). The allowance 4 eps ratio * parent_tube is twice that, and the subtraction is exact wherever it
+    decides (Sterbenz: the two lie within a factor 2).
+    """
+    scaled = ratio * parent_tube
+    allowance = 4.0 * float(np.finfo(float).eps) * scaled
+    margin = (child_tube - scaled) + allowance
+    return CheckRecord("children_nest", margin > 0.0, margin, allowance)
+
+
 def validate_necklace(
     n: Necklace,
     clearance_grid: int = 512,
     poly_n: int = 512,
-    quad_n: int = 256,
+    quad_n: int = 64,
     check_linking: bool = True,
 ) -> ValidationReport:
     """Run every stage-1 hypothesis check and record pass/fail with margins.
@@ -341,6 +359,8 @@ def validate_necklace(
       children_disjoint   certified pairwise clearance > 2 * child tube
       children_contained  certified max distance to base circle + child tube
                           < parent tube
+      children_nest       child tube >= (4/m) * parent tube, up to rounding
+                          (see _nest_check)
       rho_equivariance    rotation by 4*pi/m maps child j onto child j+2
       iota_symmetry       pi-rotation about x1 swaps children 1 and m
       maps_onto_circles   each child map sends base circle samples onto its
@@ -372,6 +392,7 @@ def validate_necklace(
     reach = max(float(np.max(d)) + lipschitz for d, lipschitz in sampled)
     contain_clearance = n.base_torus.tube - (reach + n.child_tube)
     checks.append(CheckRecord("children_contained", contain_clearance > 0.0, contain_clearance, 0.0))
+    checks.append(_nest_check(n.child_tube, n.contraction, n.base_torus.tube))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2
     rho_sim = Similarity3(1.0, two_slot_rotation(m), np.zeros(3))

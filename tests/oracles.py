@@ -1,8 +1,8 @@
 """Oracles for the tests: mesh, OBJ and volume readers that read back what the writers produce, and the
 reference forms and bounds that the unit vectors, the Rodrigues rotations, the sampled circle bounds, the
-distance kernel, the classifier's step loop, the volume's culls, the chaos game and its map kernel, the
-necklace construction and its transfer slack, the one-sided Hausdorff distance, the mesh and face builders and
-the text rows and fields are held to."""
+distance kernel, the one-loop linking integral, the classifier's step loop, the volume's culls, the chaos game
+and its map kernel, the necklace construction and its transfer slack, the one-sided Hausdorff distance, the mesh
+and face builders and the text rows and fields are held to."""
 import json
 import math
 from pathlib import Path
@@ -236,6 +236,19 @@ def own_grid_circle_circle_distance(a, b, grid_n):
         float(np.min(point_circle_distance(dst, src.point_at(angles)))) - 0.5 * step * src.radius
         for src, dst in ((a, b), (b, a))
     )
+
+
+def double_integral_linking(a, b, quad_n):
+    """The Gauss double integral (1/4 pi) sum_ij (da_i x db_j) . (pa_i - pb_j) / |pa_i - pb_j|^3 (2 pi / quad_n)^2
+    on a quad_n x quad_n grid, from (quad_n, quad_n, 3) differences: the two-loop form that the one-loop
+    linking kernel replaced, with no separation guard."""
+    t = np.arange(quad_n) * (2.0 * math.pi / quad_n)
+    (ua, va), (ub, vb) = a.basis(), b.basis()
+    da = a.radius * (-np.sin(t)[:, None] * ua + np.cos(t)[:, None] * va)
+    db = b.radius * (-np.sin(t)[:, None] * ub + np.cos(t)[:, None] * vb)
+    diff = a.point_at(t)[:, None, :] - b.point_at(t)[None, :, :]
+    integrand = np.einsum("ijc,ijc->ij", np.cross(da[:, None, :], db[None, :, :]), diff) / np.linalg.norm(diff, axis=2) ** 3
+    return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
 
 
 def own_grid_containment_clearance(n, samples=512):

@@ -167,17 +167,25 @@ class TestVerify:
         assert json.loads(out)["link_matrix"] == direct.to_json_dict()
 
     def test_linking_failure_exits_1_without_traceback(self, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            raise MinSeparationTooSmall("sampled curve separation 1.000e-10 < 1e-9")
+        def failing(*args):  # the batch's third pair, (2, 3), is the first offending one
+            raise MinSeparationTooSmall("sampled distance 1.000e-10 from circle a < 1.104e-02, 1.5 half sample spacings", 2)
 
-        monkeypatch.setattr(linking, "gauss_linking", failing)
+        monkeypatch.setattr(linking, "_loop_linking", failing)
         code = main(["verify", "--m", "40", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: linking failed on child pair (1, 2): sampled curve separation 1.000e-10 < 1e-9\n"
+            "error: linking failed on child pair (2, 3): sampled distance 1.000e-10 from circle a < 1.104e-02, "
+            "1.5 half sample spacings\n"
         )
+
+    def test_benchmark_warm_up_runs(self, tmp_path, capsys):
+        # the certify workload's warm-up: m = 10 fails its geometric checks, and every near pair clears the guard
+        out = tmp_path / "warmup.json"
+        code = main(["verify", "--m", "10", "--grid-n", "64", "--poly-n", "64", "--quad-n", "16", "--out", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["link_matrix"]["max_gauss_gap"] < 1e-3
 
     def test_invalid_construction_exits_1(self, capsys):
         code, out = run(capsys, "verify", "--m", "16", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32")

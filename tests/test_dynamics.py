@@ -1152,7 +1152,8 @@ class TestStepLoopBookkeeping:
             want_depth = depth if status == ESCAPED else None
             assert (rec.exit, rec.exit_depth, rec.itinerary) == (kinds[status], want_depth, digits)
             if rec.exit is not EscapeKind.SURVIVED:
-                norm = float(np.linalg.norm(last))
+                x0, x1, x2 = last.tolist()
+                norm = math.sqrt((x0 * x0 + x1 * x1) + x2 * x2)  # orbit's fixed-order norm
                 want = last if norm >= 2.0 else 2.0 * (last / norm)  # pushed out to the model's inner sphere
                 assert rec.handoff.tobytes() == want.tobytes() and rec.handoff_clamped == (norm < 2.0)
 

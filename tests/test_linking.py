@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -8,24 +9,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import double_integral_linking
 
 import antoine
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
-from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames
+from antoine.geom3 import Circle3, Rotation3, Similarity3, point_circle_distance
 from antoine.linking import (
+    _GUARD,
     DEFAULT_PROJECTION_SEED,
     LinkBackendError,
     LinkMatrix,
     PolyLoop,
+    _loop_linking,
+    _loop_samples,
     _projection_frame,
     _try_projection,
     gauss_linking,
     link_matrix,
     polygonal_linking,
 )
-from antoine.necklace import _near_pairs, build_necklace
+from antoine.necklace import GAUSS_TOL, _near_pairs, build_necklace
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -72,14 +77,15 @@ class TestGaussLinking:
         with pytest.raises(MinSeparationTooSmall):
             gauss_linking(HOPF_A, close, 64)
 
-    def test_pair_closer_than_half_a_sample_spacing_rejected(self):
-        # a unit circle and a perpendicular one 1e-5 from it: the fixed grid cannot resolve the integrand's
-        # peak there (it gave -7.67e6 under a 1e-9 guard), so the guard is half the sample spacing, pi / 64
+    def test_pair_closer_than_the_guard_rejected(self):
+        # a unit circle and a perpendicular one whose first sample lies 1e-5 from it: the rule cannot resolve the
+        # field's peak there, so the guard is 3/2 half sample spacings, 1.5 pi / 64
         close = Circle3(np.array([2.0 + 1e-5, 0.0, 0.0]), 1.0, np.array([0.0, 1.0, 0.0]))
-        with pytest.raises(MinSeparationTooSmall, match=re.escape(f"1.000e-05 < {math.pi / 64:.3e}, half the sample")):
+        want = f"sampled distance 1.000e-05 from circle a < {1.5 * math.pi / 64:.3e}, 1.5 half sample spacings"
+        with pytest.raises(MinSeparationTooSmall, match=re.escape(want)):
             gauss_linking(HOPF_A, close, 64)
 
-    def test_pair_closer_than_half_a_sample_spacing_named_by_link_matrix(self):
+    def test_pair_closer_than_the_guard_named_by_link_matrix(self):
         # children 1 and 2 of an m = 10 necklace moved onto that pair, scaled by the ratio 4/m every child map
         # has: pair (1, 2) is measured first
         n = build_necklace(10)
@@ -108,34 +114,6 @@ class TestGaussLinking:
         assert slope <= -1.7
 
 
-def broadcast_gauss_linking(a, b, quad_n):
-    """gauss_linking as computed before the matrix form, on (quad_n, quad_n, 3) difference,
-    np.cross and einsum arrays, with its guard: the oracle."""
-    ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
-    ua, va = a.basis()
-    ub, vb = b.basis()
-    pa, pb = a.point_at(ta), b.point_at(ta)
-    da = a.radius * (-np.sin(ta)[:, None] * ua + np.cos(ta)[:, None] * va)
-    db = b.radius * (-np.sin(ta)[:, None] * ub + np.cos(ta)[:, None] * vb)
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    guard = half_spacing(a, b, quad_n)
-    if float(dist.min()) < guard:
-        raise MinSeparationTooSmall(f"sampled curve separation {dist.min():.3e} < {guard:.3e}, half the sample spacing")
-    integrand = np.einsum("ijc,ijc->ij", np.cross(da[:, None, :], db[None, :, :]), diff) / dist**3
-    return float(integrand.sum() * (2.0 * math.pi / quad_n) ** 2 / (4.0 * math.pi))
-
-
-def half_spacing(a, b, quad_n):
-    """The separation guard: half the larger circle's sample spacing."""
-    return math.pi * max(a.radius, b.radius) / quad_n
-
-
-def sampled_separation(a, b, quad_n):
-    ta = np.arange(quad_n) * (2.0 * math.pi / quad_n)
-    return float(np.linalg.norm(a.point_at(ta)[:, None, :] - b.point_at(ta)[None, :, :], axis=2).min())
-
-
 FAR = np.array([1e3, 0.0, 0.0])
 coords = st.floats(-1.0, 1.0)
 vectors = st.tuples(coords, coords, coords).map(np.array)
@@ -144,64 +122,111 @@ centres = st.sampled_from([np.zeros(3), FAR]).flatmap(lambda c: vectors.map(lamb
 radii = st.floats(0.2, 2.0)
 
 
-class TestMatrixFormGauss:
-    """gauss_linking equals the broadcast oracle and raises MinSeparationTooSmall on exactly its inputs."""
+def near_pair_values(n, quad_n):
+    """The near pairs (i, j) of n and their one-loop values as link_matrix computes them: one batch, child i as a."""
+    (i, j), _ = _near_pairs(n)
+    samples = _loop_samples([n.child_circles[k] for k in j], quad_n)
+    return i, j, _loop_linking(n.child_centers[i], n.child_normals[i], np.full(len(i), n.contraction), *samples)
 
-    @pytest.mark.parametrize("quad_n", [64, 256])
-    def test_necklace40_representatives(self, necklace40, quad_n):
-        # every pair that holds child 1 or 2: one of each class under the slot shift j -> j+2, far pairs too
-        for a, b in ((a, b) for a in (0, 1) for b in range(a + 1, 40)):
-            ca, cb = necklace40.child_circles[a], necklace40.child_circles[b]
-            assert abs(gauss_linking(ca, cb, quad_n) - broadcast_gauss_linking(ca, cb, quad_n)) <= 1e-14
 
-    @given(centres, radii, normals, vectors, radii, normals, st.sampled_from([64, 256]))
-    def test_random_pairs(self, ca, ra, na, offset, rb, nb, quad_n):
-        # centred near the origin or near (1e3, 0, 0), where |pa|^2 + |pb|^2 - 2 pa . pb would cancel
-        # without the shift to the centres' midpoint; about one pair in ten is linked
-        a = Circle3(ca, ra, na)
-        b = Circle3(ca + 2.0 * offset, rb, nb)
-        if sampled_separation(a, b, quad_n) < 0.2:
-            return  # closer pairs: both roundings of the large near-diagonal terms exceed 1e-14
-        assert abs(gauss_linking(a, b, quad_n) - broadcast_gauss_linking(a, b, quad_n)) <= 1e-14
+def crossing_pair(theta, delta, inside):
+    """Unit circles (a, b): b about the origin with normal e2, and a, whose wire runs along e2 at distance delta
+    from b's point at angle theta, outside b's disc (one close approach, unlinked) or inside it (two, linked)."""
+    b = Circle3(np.zeros(3), 1.0, np.array([0.0, 1.0, 0.0]))
+    u, v = b.basis()
+    radial, tangent = math.cos(theta) * u + math.sin(theta) * v, math.cos(theta) * v - math.sin(theta) * u
+    side = -1.0 if inside else 1.0
+    return Circle3(radial * (1.0 + side * delta) + side * radial, 1.0, tangent), b
+
+
+class TestLoopLinking:
+    """The batched one-loop kernel: the double integral's values, polygonal_linking's signs, and its guard."""
+
+    @given(centres, radii, normals, vectors, radii, normals)
+    def test_random_pairs_equal_the_double_integral(self, ca, ra, na, offset, rb, nb):
+        # unequal radii, centred near the origin or near (1e3, 0, 0); about one pair in ten is linked
+        assume(abs(ra - rb) > 0.05)
+        a, b = Circle3(ca, ra, na), Circle3(ca + 2.0 * offset, rb, nb)
+        assume(point_circle_distance(b, a.sample(1024)).min() > 0.1 * max(ra, rb))
+        assert abs(gauss_linking(a, b, 256) - double_integral_linking(a, b, 256)) <= 1e-9
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 400])
+    def test_near_pairs_equal_the_double_integral(self, m):
+        n = build_necklace(m)
+        i, j, values = near_pair_values(n, 256)
+        want = [double_integral_linking(n.child_circles[a], n.child_circles[b], 256) for a, b in zip(i, j)]
+        assert np.max(np.abs(values - want)) <= 1e-9
+
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64])
+    def test_signs_equal_the_polygonal_entries(self, m):
+        n = build_necklace(m)
+        i, j, values = near_pair_values(n, 64)
+        entries = link_matrix(n, poly_n=128).entries[i, j]
+        assert np.array_equal(np.rint(values), entries) and np.count_nonzero(entries) == m  # the adjacent pairs
+
+    @pytest.mark.parametrize("height", [0.0, 0.5])
+    def test_sample_on_the_axis_gives_a_finite_value(self, height):
+        # b's first sample, its centre minus its radius times e1, lies exactly on a's axis: rho = 0 there
+        b = Circle3(np.array([1.0, 0.0, height]), 1.0, np.array([0.0, 1.0, 0.0]))
+        assert b.sample(64)[0].tolist() == [0.0, 0.0, height]
+        g = gauss_linking(HOPF_A, b, 64)
+        assert math.isfinite(g) and abs(g - double_integral_linking(HOPF_A, b, 256)) <= 1e-9
+
+    @pytest.mark.parametrize("quad_n", [16, 64])
+    @pytest.mark.parametrize("offset", [np.zeros(3), FAR])
+    def test_guard_at_the_threshold(self, quad_n, offset):
+        # b (radius 0.7, perpendicular to the unit circle a) has its first sample (1 -+ 1e-9) guards from a, and
+        # every other sample farther
+        guard = _GUARD * math.pi * 0.7 / quad_n
+        a = Circle3(offset, 1.0, E3)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            b = Circle3(offset + np.array([1.7 + factor * guard, 0.0, 0.0]), 0.7, np.array([0.0, 1.0, 0.0]))
+            if factor < 1.0:
+                with pytest.raises(MinSeparationTooSmall, match=re.escape(f"< {guard:.3e}, 1.5 half sample spacings")):
+                    gauss_linking(a, b, quad_n)
+            else:
+                assert abs(gauss_linking(a, b, quad_n)) < GAUSS_TOL  # unlinked
 
     @given(centres, radii, normals, radii, normals, normals, st.integers(0, 63), st.integers(0, 63),
            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e-12, 1e-12])))
-    def test_guard_raises_exactly_where_the_oracle_does(self, ca, ra, na, rb, nb, w, i, j, log2_s):
-        # b's j-th sample is placed 2^log2_s guards from a's i-th along w: the exact sampled separation
-        # decides, wherever the pair lies relative to the centres' midpoint
+    def test_guard_raises_exactly_where_a_sample_is_too_close(self, ca, ra, na, rb, nb, w, i, j, log2_s):
+        # b's j-th sample is placed 2^log2_s guards from a's i-th along w: its sampled distance from circle a,
+        # as point_circle_distance measures it, decides
         a = Circle3(ca, ra, na)
         t = 2.0 * math.pi / 64 * np.arange(64)
-        (ub,), (vb,) = circle_frames(nb[None] / np.linalg.norm(nb))
-        guard = math.pi * max(ra, rb) / 64
+        ub, vb = Circle3(np.zeros(3), rb, nb).basis()
+        guard = _GUARD * math.pi * rb / 64
         target = a.point_at(t[i]) + guard * 2.0**log2_s * w / np.linalg.norm(w)
         b = Circle3(target - rb * (math.cos(t[j]) * ub + math.sin(t[j]) * vb), rb, nb)
-        sep = sampled_separation(a, b, 64)
+        sep = point_circle_distance(a, b.sample(64)).min()
         if sep < guard:
-            with pytest.raises(MinSeparationTooSmall, match=re.escape(f"separation {sep:.3e} < {guard:.3e}")):
+            with pytest.raises(MinSeparationTooSmall, match=re.escape(f"sampled distance {sep:.3e} from circle a")):
                 gauss_linking(a, b, 64)
         else:
             assert math.isfinite(gauss_linking(a, b, 64))
 
-    @pytest.mark.parametrize("normal", [E3, np.array([0.0, 1.0, 0.0])])
-    @pytest.mark.parametrize(
-        "offset,gap", [(np.zeros(3), 1.0 + 2.0**-30), (FAR, 1.0 + 2.0**-30), (FAR, 1.0 - 2.0**-30), (FAR, 1e-9)]
-    )
-    def test_guard_at_the_threshold(self, offset, gap, normal):
-        # sample 16 of the unit circle about offset and sample 0 or 48 of close lie gap half-spacings apart;
-        # 1e-10 apart about the origin is test_near_touching_rejected
-        guard = math.pi / 64
-        a = Circle3(offset, 1.0, E3)
-        close = Circle3(np.array([2.0 + gap * guard, 0.0, 0.0]) + offset, 1.0, normal)
-        assert (sampled_separation(a, close, 64) < guard) == (gap < 1.0)
-        if gap < 1.0:
-            with pytest.raises(MinSeparationTooSmall):
-                gauss_linking(a, close, 64)
-        else:
-            g = gauss_linking(a, close, 64)
-            assert g == pytest.approx(broadcast_gauss_linking(a, close, 64), rel=1e-12)
+    @pytest.mark.parametrize("quad_n", [16, 64])
+    def test_every_pair_the_guard_admits_is_within_the_tolerance(self, quad_n):
+        # b passes a's wire once or twice at 1 to 2.5 half spacings, its closest point anywhere between two
+        # samples: wherever the guard lets the rule run, it errs by less than GAUSS_TOL
+        s, errors = math.pi / quad_n, []
+        for theta, delta, inside in itertools.product(np.linspace(0.0, 2.0 * s, 9), np.linspace(1.0, 2.5, 16) * s,
+                                                      (False, True)):
+            try:
+                g = gauss_linking(*crossing_pair(theta, delta, inside), quad_n)
+            except MinSeparationTooSmall:
+                continue
+            errors.append(abs(g - round(g)))
+        assert len(errors) > 100 and max(errors) < GAUSS_TOL
+
+    def test_link_matrix_evaluates_quad_n_points_per_near_pair(self, necklace40, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(antoine.linking, "_loop_linking", lambda *args: shapes.append(args[3].shape) or _loop_linking(*args))
+        link_matrix(necklace40, poly_n=128, quad_n=64)
+        assert shapes == [(3, 40, 64)]  # one batch: 40 x 64 = 2,560 points
 
 
-def fresh_link_matrix(n, poly_n=512, quad_n=256):
+def fresh_link_matrix(n, poly_n=512, quad_n=64):
     """link_matrix as computed before it shared each child's polygon among its near pairs: two fresh polygons
     per near pair, in the same order, the oracle."""
     m = n.multiplicity
@@ -248,9 +273,9 @@ class TestLinkMatrix:
         assert sorted(map(id, builds)) == sorted(id(n.child_circles[k]) for k in np.union1d(i, j))
 
     def test_warm_call_takes_few_page_faults(self):
-        # fresh quad_n x quad_n grids per pair once took about 14,000 minor faults at m = 40. Counted in
-        # a new process: once a long-lived one has freed a large block, glibc raises its trim
-        # threshold and keeps freed pages, which would hide the faults
+        # fresh quad_n x quad_n grids per pair once took about 14,000 minor faults at m = 40; the one-loop
+        # batch is a few (40, quad_n) arrays. Counted in a new process: once a long-lived one has freed a large
+        # block, glibc raises its trim threshold and keeps freed pages, which would hide the faults
         pytest.importorskip("resource")
         code = (
             "import resource; from antoine.linking import link_matrix; from antoine.necklace import build_necklace\n"

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from antoine import geom3, linking, necklace
+from antoine import dynamics, geom3, linking, necklace
 from antoine.errors import InvalidMultiplicity
 from antoine.geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
@@ -25,6 +25,7 @@ from antoine.necklace import (
     word_map,
     word_maps,
     _near_pairs,
+    _nest_check,
 )
 
 from conftest import M_STAR
@@ -167,6 +168,7 @@ class TestValidate:
         assert names == [
             "children_disjoint",
             "children_contained",
+            "children_nest",
             "rho_equivariance",
             "iota_symmetry",
             "maps_onto_circles",
@@ -194,6 +196,32 @@ class TestValidate:
     def test_small_multiplicity_fails(self):
         report = validate_necklace(build_necklace(16), check_linking=False)
         assert not report.passed
+
+    @pytest.mark.parametrize("m", [40, 20])
+    def test_thin_child_tube_fails_children_nest_alone(self, m):
+        # a child tube of 0.001 passes every other check, yet the maps do not carry the parent torus into the
+        # child tori: at m = 40 the classifier labels every chaos-game point escaped
+        thin = dataclasses.replace(build_necklace(m), child_tube=0.001)
+        report = validate_necklace(thin, poly_n=128)
+        assert [c.name for c in report.checks if not c.passed] == ["children_nest"]
+        if m == 40:
+            status, _, _ = dynamics.classify_points(thin, dynamics.chaos_game_sample(thin, 500, 20, seed=1), 40)
+            assert np.all(status == dynamics.ESCAPED)
+
+    def test_built_child_tubes_nest_within_the_allowance(self):
+        # 32/m^2 < (4/m)(8/m) in floating point at 119 of the even m in 10..1000, m = 40 among them
+        ms = range(10, 1001, 2)
+        short = [m for m in ms if 32.0 / m**2 < (4.0 / m) * (8.0 / m)]
+        assert len(short) == 119 and 40 in short
+        assert all(_nest_check(32.0 / m**2, 4.0 / m, 8.0 / m).passed for m in ms)
+        for m in (10, 40, 64):
+            n = build_necklace(m)
+            assert (n.child_tube, n.contraction, n.base_torus.tube) == (32.0 / m**2, 4.0 / m, 8.0 / m)
+
+    def test_child_tube_short_by_more_than_the_allowance_fails(self):
+        scaled = (4.0 / 40) * (8.0 / 40)
+        assert not _nest_check(scaled * (1.0 - 1e-14), 4.0 / 40, 8.0 / 40).passed
+        assert _nest_check(scaled, 4.0 / 40, 8.0 / 40).margin == 4.0 * np.finfo(float).eps * scaled
 
     @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 100, 400])
     def test_sampled_bounds_equal_their_own_forms(self, m):
@@ -364,7 +392,7 @@ class TestNearPairPass:
 
     def test_far_pair_entries_are_never_computed(self, necklace40, monkeypatch):
         index = {id(c): k for k, c in enumerate(necklace40.child_circles)}
-        evaluated = {name: [] for name in ("circle_circle_distance", "gauss_linking", "polygonal_linking")}
+        evaluated = {name: [] for name in ("circle_circle_distance", "_loop_linking", "polygonal_linking")}
         polygons = {}  # each polygon's child, by identity
         from_circle = PolyLoop.from_circle
 
@@ -384,7 +412,16 @@ class TestNearPairPass:
 
         monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(built))
         recording(necklace, "circle_circle_distance", lambda c: index[id(c)])
-        recording(linking, "gauss_linking", lambda c: index[id(c)])
+        loop_linking = linking._loop_linking
+
+        def batch(centers, normals, radii, points, tangents):  # circle a by its centre, b by its first sample
+            for c, p in zip(centers, points[:, :, 0].T):
+                a = int(np.flatnonzero((necklace40.child_centers == c).all(axis=1))[0])
+                b = int(np.argmin([point_circle_distance(k, p) for k in necklace40.child_circles]))
+                evaluated["_loop_linking"].append((a, b))
+            return loop_linking(centers, normals, radii, points, tangents)
+
+        monkeypatch.setattr(linking, "_loop_linking", batch)
         recording(linking, "polygonal_linking", lambda p: polygons[id(p)])
         report = validate_necklace(necklace40, poly_n=128, quad_n=64)
         adjacent = adjacent_pairs(40)
