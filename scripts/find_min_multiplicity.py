@@ -7,7 +7,7 @@ children_contained margins are printed, and the first m whose validation
 (including the linking pattern) passes is the package's recommended default.
 Exits 0 when some m in the range passes, 1 otherwise.
 
-Usage: python scripts/find_min_multiplicity.py [--start 10] [--stop 60] [--grid-n 512] [--json out.json]
+Usage: python scripts/find_min_multiplicity.py [--start 10] [--stop 60] [--json out.json]
 """
 import argparse
 import json
@@ -20,14 +20,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--start", type=int, default=10)
     ap.add_argument("--stop", type=int, default=60)
-    ap.add_argument("--grid-n", type=int, default=512)
     ap.add_argument("--json", type=str, default=None)
     args = ap.parse_args()
 
     rows = []
     winner = None
     t0 = time.perf_counter()
-    for m, report in scan_multiplicities(range(args.start, args.stop + 1, 2), clearance_grid=args.grid_n):
+    for m, report in scan_multiplicities(range(args.start, args.stop + 1, 2)):
         margins = {c.name: c.margin for c in report.checks}
         row = {
             "m": m,

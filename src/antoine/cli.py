@@ -111,7 +111,7 @@ def _cmd_build(args) -> int:
     payload = {
         "multiplicity": n.multiplicity,
         "is_even_square": n.is_even_square,
-        "parent_tube": n.base_torus.tube,
+        "parent_tube": n.parent_tube,
         "child_radius": n.contraction,
         "child_tube": n.child_tube,
         "stages": [asdict(stage_summary(n, k)) for k in range(5)],

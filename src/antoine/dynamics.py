@@ -102,7 +102,7 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     d0 = point_circle_distance(n.base_torus.core, pts)
-    exterior = d0 > n.base_torus.tube + BOUNDARY_TOL
+    exterior = d0 > n.parent_tube + BOUNDARY_TOL
     status[exterior] = EXTERIOR
     depth[exterior] = 0
     # child shell: dist(p, C_j) >= |p - c_j| - r >= d0 - dist(c_j, core) - r, so no child claims a point
@@ -151,7 +151,7 @@ def _classify_chunk(n, pts, first, budget, status, depth, itinerary):
 def _rounding_margin(n: Necklace) -> float:
     """1e-9 relative to the parent torus's extent: far above the rounding of any distance computed in it,
     so a test widened by it keeps every point the unwidened test could keep (the core is the unit circle)."""
-    return 1e-9 * (1.0 + n.base_torus.tube)
+    return 1e-9 * (1.0 + n.parent_tube)
 
 
 def _child_shell(n: Necklace) -> float:
@@ -350,8 +350,7 @@ class ExteriorModel:
     degree_root: int
 
     def __post_init__(self):
-        if not isinstance(self.degree_root, (int, np.integer)) or not 2 <= self.degree_root <= MAX_DEGREE_ROOT:
-            raise ValueError(f"degree_root must be an integer in 2..{MAX_DEGREE_ROOT}, got {self.degree_root}")
+        _check_int("degree_root", self.degree_root, 2, MAX_DEGREE_ROOT)
 
     @property
     def inner_radius(self) -> float:
@@ -414,9 +413,8 @@ def _finite_point(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"a point must have shape (3,), not {p.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is tested for, not warned about
-        if not np.isfinite(np.linalg.norm(p)):
-            raise ValueError(f"point norm must be a finite double, got {p}")
+    if not math.isfinite(_norm(p)):  # a float product overflows to inf with no warning
+        raise ValueError(f"point norm must be a finite double, got {p}")
     return p
 
 
@@ -502,7 +500,7 @@ def dilatation_estimate(
     """
     p = _finite_point(p)
     if h is None:
-        h = min(max(1e-5 * (1.0 + float(np.linalg.norm(p))), 1e-7), 1e-3)
+        h = min(max(1e-5 * (1.0 + _norm(p)), 1e-7), 1e-3)
     elif not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h}")
     jac = np.empty((3, 3))

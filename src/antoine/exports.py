@@ -94,7 +94,7 @@ def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
     addresses = tuple(itertools.product(range(1, n.multiplicity + 1), repeat=k))
     scales, rots, shifts = word_maps(n, np.array(addresses, dtype=int).reshape(count, k))
     # the base circle is the unit circle about e3 at the origin, so these equal SolidTorus.transform's bit for bit
-    verts, tris = torus_meshes(shifts, scales, unit_rows(rots[:, :, 2]), scales * n.base_torus.tube, nu, nv)
+    verts, tris = torus_meshes(shifts, scales, unit_rows(rots[:, :, 2]), scales * n.parent_tube, nu, nv)
     return MeshStage(k, nu, nv, addresses, verts, tris)
 
 
@@ -232,7 +232,7 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
     if max(dims) > MAX_GRID:
         raise ValueError(f"dims are capped at {MAX_GRID} per axis")
     margin = _rounding_margin(n)
-    pad = n.base_torus.tube + BOUNDARY_TOL + margin
+    pad = n.parent_tube + BOUNDARY_TOL + margin
     # the base core is the unit circle about e3 at the origin (see Necklace): the box is 1 + pad across, pad high
     axes = _voxel_axes(dims, lo, hi)
     xs, ys, zs = (
@@ -247,7 +247,7 @@ def _volume_layers(n: Necklace, dims, bbox, budget: int):
     annulus = half_widths(pad, 1e-9)  # past it a voxel is exterior
     # past the classifier's child shell and short of the parent tube, a voxel escapes at depth 0
     shell = half_widths(_child_shell(n), 1e-9)
-    tube = half_widths(n.base_torus.tube + BOUNDARY_TOL - margin, -1e-9)
+    tube = half_widths(n.parent_tube + BOUNDARY_TOL - margin, -1e-9)
     exterior = np.full((1, ny, nx), VOL_EXTERIOR, dtype="<u2")
     yield from itertools.repeat(exterior, zs.start)
     step = max(1, _SLAB_POINTS // max(1, x.size * y.size))

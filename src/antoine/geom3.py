@@ -55,11 +55,17 @@ def unit_rows(vs: np.ndarray) -> np.ndarray:
     return vs / norms
 
 
+def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (..., 3) arrays in component form: np.cross's bits, with less overhead."""
+    (p0, p1, p2), (q0, q1, q2) = (p[..., 0], p[..., 1], p[..., 2]), (q[..., 0], q[..., 1], q[..., 2])
+    return np.stack([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0], axis=-1)
+
+
 def circle_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal in-plane frames (u, v) with u x v = normal, for (N, 3) unit normals."""
     e = np.where(np.abs(normals[:, 2:]) < 0.75, _EYE3[2], _EYE3[0])
-    u = unit_rows(np.cross(e, normals))
-    return u, np.cross(normals, u)
+    u = unit_rows(_cross(e, normals))
+    return u, _cross(normals, u)
 
 
 def project_rotations(mats: np.ndarray) -> np.ndarray:
@@ -118,15 +124,14 @@ class Rotation3:
     def aligning(a: Vec3, b: Vec3) -> "Rotation3":
         """Minimal rotation taking unit direction a to unit direction b."""
         a, b = unit_rows([a, b])
-        axis = np.cross(a, b)
+        axis = _cross(a, b)
         s = np.linalg.norm(axis)
         c = float(a @ b)
         if s < 1e-14:
             if c > 0.0:
                 return Rotation3.identity()
-            # antiparallel: rotate by pi about any axis orthogonal to a
-            e = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-            return Rotation3.about_axis(np.cross(a, e), math.pi)
+            # antiparallel: rotate by pi about an axis orthogonal to a, the first of its circle frame
+            return Rotation3.about_axis(circle_frames(a[None])[0], math.pi)
         return Rotation3.about_axis(axis, math.atan2(s, c))
 
     def apply(self, p: Vec3) -> Vec3:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3, _check_int, _height_and_rho, unit_rows
+from .geom3 import Circle3, _check_int, _height_and_rho, circle_frames, unit_rows
 from .necklace import Necklace, _near_pairs
 
 logger = logging.getLogger(__name__)
@@ -35,7 +35,7 @@ class PolyLoop:
     edge_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float, order="C")
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
             raise ValueError("loop needs at least 3 vertices of shape (n, 3)")
         if not np.all(np.isfinite(v)):
@@ -43,7 +43,6 @@ class PolyLoop:
         lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
         if np.min(lengths) < 1e-14:
             raise ValueError("consecutive loop vertices must be distinct")
-        v = v.copy()
         for name, value in (("vertices", v), ("edge_lengths", lengths)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -119,19 +118,6 @@ def _loop_linking(centers, normals, radii, points, tangents) -> np.ndarray:
     return ((axial + radial) / (4.0 * a * al2 * be2)).sum(axis=1)
 
 
-def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors: the same products and differences, less overhead."""
-    return np.array([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]])
-
-
-def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    (w,) = unit_rows(direction)
-    e = np.array([1.0, 0.0, 0.0]) if abs(w[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    (u,) = unit_rows(_cross(e, w))
-    v = _cross(w, u)
-    return u, v, w
-
-
 def _next(x: np.ndarray) -> np.ndarray:
     """Row i holds x[i + 1], wrapping around (np.roll(x, -1, axis=0))."""
     return np.concatenate((x[1:], x[:1]))
@@ -188,9 +174,11 @@ def _try_projection(a: PolyLoop, b: PolyLoop, w: np.ndarray, guard: float) -> in
     Degenerate means: a projected edge of near-zero length, a crossing that
     lies on both segments within guard of an endpoint, or a crossing whose
     two depths differ by less than guard. Only the segment pairs that
-    _candidate_pairs keeps can cross, so the formulas run on those alone.
+    _candidate_pairs keeps can cross, so the formulas run on those alone;
+    the projection plane's frame is geom3.circle_frames of w.
     """
-    u, v, w = _projection_frame(w)
+    (w,) = unit_rows(w)
+    (u,), (v,) = circle_frames(w[None])
     basis2 = np.stack([u, v], axis=1)
     a2, b2 = a.vertices @ basis2, b.vertices @ basis2
     za, zb = a.vertices @ w, b.vertices @ w
@@ -265,10 +253,9 @@ class LinkMatrix:
     max_gauss_gap: float
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=int)
+        e = np.array(self.entries, dtype=int)
         if e.shape != (self.multiplicity, self.multiplicity):
             raise ValueError("entries must be an m x m integer matrix")
-        e = e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -295,9 +282,9 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
     A pair whose certified ball gap exceeds twice the child tube is unlinked with no evaluation (see
     necklace._near_pairs) and gets entry 0. The near pairs get the Gauss integral in one batch (_loop_linking,
     quad_n points per loop), then the exact polygonal backend pair by pair (poly_n-gons, projections from the
-    fixed package seed); the largest gap between the two is max_gauss_gap. A backend exception is re-raised as
-    LinkBackendError naming the pair (the batch's first offending one). Each child's polygon is built at its
-    first near pair and dropped after its last.
+    fixed package seed); the largest gap between the two is max_gauss_gap. A backend's AntoineError is re-raised
+    as LinkBackendError naming the pair (the batch's first offending one); any other exception propagates. Each
+    child's polygon is built at its first near pair and dropped after its last.
     """
     _check_int("poly_n", poly_n, 64)  # both checked before any pair is measured
     _check_int("quad_n", quad_n, 16)
@@ -318,7 +305,7 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
         polygons.update((k, p) for k, p in ((a, pa), (b, pb)) if uses[k])  # kept until the child's last near pair
         try:
             lks.append(polygonal_linking(pa, pb, rng=rng))
-        except Exception as exc:  # attach the offending pair
+        except AntoineError as exc:  # attach the offending pair
             raise LinkBackendError((a + 1, b + 1), exc) from exc
     entries = np.zeros((m, m), dtype=int)
     entries[i, j] = entries[j, i] = lks

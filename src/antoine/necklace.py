@@ -53,28 +53,40 @@ def two_slot_rotation(m: int) -> Rotation3:
     return Rotation3.about_axis(_E3, 4.0 * math.pi / m)
 
 
+def _checked_multiplicity(m) -> int:
+    """m as an int; InvalidMultiplicity unless an even integer >= 10: the one rule of build_necklace and Necklace."""
+    if not isinstance(m, (int, np.integer)) or m % 2 != 0 or m < 10:
+        raise InvalidMultiplicity(f"multiplicity must be an even integer >= 10, got {m!r}")
+    return int(m)
+
+
 @dataclass(frozen=True, eq=False)
 class Necklace:
-    """Immutable stage-0/stage-1 data of the construction; each child is stored once, as its map. The base
-    core is the unit circle about e3 at the origin and every child map's ratio is exactly 4/m (ValueError
-    otherwise), as the classifier, the volume, the meshes and the word maps assume; only the tubes may vary."""
+    """Immutable stage-0/stage-1 data: the parent tube, the m child maps (each child stored once, as its map) and the
+    child tube. m is their count (InvalidMultiplicity unless even and >= 10), and every map's ratio is exactly 4/m
+    (ValueError otherwise), as the classifier, the volume, the meshes and the word maps assume."""
 
-    multiplicity: int
-    base_torus: SolidTorus
+    parent_tube: float
     child_maps: tuple[Similarity3, ...]
     child_tube: float
 
     def __post_init__(self):
-        core = self.base_torus.core
-        if core.radius != 1.0 or core.center.any() or core.normal.tolist() != [0.0, 0.0, 1.0]:
-            raise ValueError(
-                f"the base core must be the unit circle about e3 at the origin, got centre {core.center.tolist()}, "
-                f"radius {core.radius} and normal {core.normal.tolist()}"
-            )
+        _checked_multiplicity(len(self.child_maps))
+        self.base_torus  # ValueError unless the parent tube lies in (0, 1)
         if (ratios := {f.scale for f in self.child_maps}) != {self.contraction}:
             raise ValueError(f"every child map's ratio must be 4/m = {self.contraction}, got {sorted(ratios)}")
         if not (np.isfinite(self.child_tube) and self.child_tube > 0.0):
             raise ValueError(f"the child tube must be finite and positive, got {self.child_tube}")
+
+    @property
+    def multiplicity(self) -> int:
+        """m, the number of child maps."""
+        return len(self.child_maps)
+
+    @cached_property
+    def base_torus(self) -> SolidTorus:
+        """The parent torus: the parent tube about the unit circle about e3 at the origin."""
+        return SolidTorus(Circle3(np.zeros(3), 1.0, _E3), self.parent_tube)
 
     @cached_property
     def child_circles(self) -> tuple[Circle3, ...]:
@@ -140,12 +152,7 @@ def build_necklace(m: int) -> Necklace:
     products are three stacks, each projected once, with the arithmetic of
     Rotation3.about_axis, inverse and compose (the same bytes).
     """
-    if not isinstance(m, (int, np.integer)) or m % 2 != 0 or m < 10:
-        raise InvalidMultiplicity(f"multiplicity must be an even integer >= 10, got {m!r}")
-    m = int(m)
-
-    base_circle = Circle3(np.zeros(3), 1.0, _E3)
-    base_torus = SolidTorus(base_circle, 8.0 / m)
+    m = _checked_multiplicity(m)
     ratio = 4.0 / m
 
     # seeds at slots 1 and 2, then exact rotation conjugates for the rest
@@ -164,7 +171,7 @@ def build_necklace(m: int) -> Necklace:
         Similarity3(ratio, Rotation3(rot), seeds[j % 2].shift @ r.T) for j, r, rot in zip(range(2, m), rho, rots)
     ]
 
-    return Necklace(m, base_torus, tuple(maps), 32.0 / m**2)
+    return Necklace(8.0 / m, tuple(maps), 32.0 / m**2)
 
 
 def word_maps(n: Necklace, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,25 +242,30 @@ def stage_summary(n: Necklace, k: int) -> StageSummary:
     """Stage k holds m^k tori of diameter (4/m)^k * 2 (1 + T), T the parent tube, decreasing to 0; ValueError unless k
     is an integer >= 0."""
     _check_int("k, the stage,", k, 0)
-    return StageSummary(k, n.multiplicity**k, n.contraction**k * (2.0 * (1.0 + n.base_torus.tube)))
+    return StageSummary(k, n.multiplicity**k, n.contraction**k * (2.0 * (1.0 + n.parent_tube)))
 
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One stage-1 check: its name, its margin (positive slack) and its tolerance; it passes iff margin > 0."""
+
     name: str
-    passed: bool
     margin: float
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Outcome of every stage-1 hypothesis check, with margins.
 
-    Margins are positive slack: a check passes iff its margin is > 0 (with
-    the convention written into each check below). link_matrix holds the
-    linking numbers behind the link checks (None when linking was not
-    checked); it is reported on its own, not in to_json_dict.
+    Margins are positive slack: a check passes iff its margin is > 0
+    (CheckRecord.passed), with the convention written into each check below.
+    link_matrix holds the linking numbers behind the link checks (None when
+    linking was not checked); it is reported on its own, not in to_json_dict.
     """
 
     multiplicity: int
@@ -342,8 +354,7 @@ def _nest_check(child_tube: float, ratio: float, parent_tube: float) -> CheckRec
     """
     scaled = ratio * parent_tube
     allowance = 4.0 * float(np.finfo(float).eps) * scaled
-    margin = (child_tube - scaled) + allowance
-    return CheckRecord("children_nest", margin > 0.0, margin, allowance)
+    return CheckRecord("children_nest", (child_tube - scaled) + allowance, allowance)
 
 
 def validate_necklace(
@@ -385,19 +396,19 @@ def validate_necklace(
     circles = n.child_circles
     bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i, j)]
     min_clearance = min([*bounds, far_gap]) - 2.0 * n.child_tube
-    checks.append(CheckRecord("children_disjoint", min_clearance > 0.0, min_clearance, 0.0))
+    checks.append(CheckRecord("children_disjoint", min_clearance, 0.0))
 
     # (b) containment in the open parent torus
     sampled = (_sampled_distances(c, n.base_torus.core, CONTAINMENT_SAMPLES) for c in circles)
     reach = max(float(np.max(d)) + lipschitz for d, lipschitz in sampled)
-    contain_clearance = n.base_torus.tube - (reach + n.child_tube)
-    checks.append(CheckRecord("children_contained", contain_clearance > 0.0, contain_clearance, 0.0))
-    checks.append(_nest_check(n.child_tube, n.contraction, n.base_torus.tube))
+    contain_clearance = n.parent_tube - (reach + n.child_tube)
+    checks.append(CheckRecord("children_contained", contain_clearance, 0.0))
+    checks.append(_nest_check(n.child_tube, n.contraction, n.parent_tube))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2
     rho_sim = Similarity3(1.0, two_slot_rotation(m), np.zeros(3))
     rho_dev = max(_circle_deviation(c.transform(rho_sim), circles[(k + 2) % m]) for k, c in enumerate(circles))
-    checks.append(CheckRecord("rho_equivariance", rho_dev < SYMMETRY_TOL, SYMMETRY_TOL - rho_dev, SYMMETRY_TOL))
+    checks.append(CheckRecord("rho_equivariance", SYMMETRY_TOL - rho_dev, SYMMETRY_TOL))
 
     # (d) involution symmetry: the pi-rotation about x1 swaps children 1 and m
     iota_sim = Similarity3(1.0, Rotation3.about_axis(np.array([1.0, 0.0, 0.0]), math.pi), np.zeros(3))
@@ -405,13 +416,13 @@ def validate_necklace(
         _circle_deviation(circles[0].transform(iota_sim), circles[m - 1]),
         _circle_deviation(circles[m - 1].transform(iota_sim), circles[0]),
     )
-    checks.append(CheckRecord("iota_symmetry", iota_dev < SYMMETRY_TOL, SYMMETRY_TOL - iota_dev, SYMMETRY_TOL))
+    checks.append(CheckRecord("iota_symmetry", SYMMETRY_TOL - iota_dev, SYMMETRY_TOL))
 
     # each child map must carry the base circle onto its child circle
     map_tol = 1e-10
     base_samples = n.base_torus.core.sample(64)
     map_dev = max(float(np.max(point_circle_distance(c, s.apply(base_samples)))) for c, s in zip(circles, n.child_maps))
-    checks.append(CheckRecord("maps_onto_circles", map_dev < map_tol, map_tol - map_dev, map_tol))
+    checks.append(CheckRecord("maps_onto_circles", map_tol - map_dev, map_tol))
 
     # (e) linking pattern, delegated to the linking module
     lm = None
@@ -420,15 +431,12 @@ def validate_necklace(
 
         lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n)
         ring = np.roll(np.eye(m, dtype=int), 1, axis=1)  # adjacent slots, cyclically
-        margin = 0.5 - int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T))))
-        checks.append(CheckRecord("link_pattern", margin > 0.0, margin, 0.0))
-        checks.append(
-            CheckRecord("link_gauss_agreement", lm.max_gauss_gap < GAUSS_TOL, GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL)
-        )
+        checks.append(CheckRecord("link_pattern", 0.5 - int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T)))), 0.0))
+        checks.append(CheckRecord("link_gauss_agreement", GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL))
 
     return ValidationReport(
         multiplicity=m,
-        parent_tube=n.base_torus.tube,
+        parent_tube=n.parent_tube,
         child_tube=n.child_tube,
         min_pair_clearance=min_clearance,
         containment_clearance=contain_clearance,

@@ -15,7 +15,7 @@ from oracles import double_integral_linking
 
 import antoine
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
-from antoine.geom3 import Circle3, Rotation3, Similarity3, point_circle_distance
+from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames, point_circle_distance, unit_rows
 from antoine.linking import (
     _GUARD,
     DEFAULT_PROJECTION_SEED,
@@ -24,7 +24,6 @@ from antoine.linking import (
     PolyLoop,
     _loop_linking,
     _loop_samples,
-    _projection_frame,
     _try_projection,
     gauss_linking,
     link_matrix,
@@ -258,6 +257,23 @@ class TestLinkMatrix:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {dict(poly_n=64, quad_n=16)[name]}, "):
             link_matrix(necklace16, **sizes)
 
+    def test_package_backend_error_names_its_pair(self, necklace16, monkeypatch):
+        def failing(a, b, rng=None):
+            raise NoGenericProjection("no generic projection after 64 tries")
+
+        monkeypatch.setattr(antoine.linking, "polygonal_linking", failing)
+        with pytest.raises(LinkBackendError, match=re.escape("child pair (1, 2): no generic projection")):
+            link_matrix(necklace16)
+
+    def test_foreign_backend_error_propagates(self, necklace16, monkeypatch):
+        # only the package's own errors are validation failures; a TypeError is a fault and keeps its type
+        def failing(a, b, rng=None):
+            raise TypeError("backend fault")
+
+        monkeypatch.setattr(antoine.linking, "polygonal_linking", failing)
+        with pytest.raises(TypeError, match="^backend fault$"):
+            link_matrix(necklace16)
+
     @pytest.mark.parametrize("m,tube_factor", [(40, 1.0), (16, 2.0)])
     def test_one_polygon_per_child_in_a_near_pair(self, m, tube_factor, monkeypatch):
         # each child's polygon is built at its first near pair and serves every later one; the doubled tube at
@@ -370,8 +386,9 @@ GUARD = 1e-9
 
 
 def all_pairs_projection(a, b, w, guard=GUARD):
-    """Reference for _try_projection: every segment pair, no pruning."""
-    u, v, w = _projection_frame(w)
+    """Reference for _try_projection: every segment pair, no pruning, in the same frame."""
+    (w,) = unit_rows(w)
+    (u,), (v,) = circle_frames(w[None])
     basis2 = np.stack([u, v], axis=1)
     a2, b2 = a.vertices @ basis2, b.vertices @ basis2
     za, zb = a.vertices @ w, b.vertices @ w

@@ -10,10 +10,11 @@ import pytest
 
 from antoine import dynamics, geom3, linking, necklace
 from antoine.errors import InvalidMultiplicity
-from antoine.geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
+from antoine.geom3 import Rotation3, Similarity3, circle_circle_distance, point_circle_distance
 from antoine.linking import DEFAULT_PROJECTION_SEED, PolyLoop, gauss_linking, polygonal_linking
 from antoine.necklace import (
     GAUSS_TOL,
+    CheckRecord,
     build_necklace,
     child_distances,
     is_even_square,
@@ -47,17 +48,6 @@ class TestBuild:
         with pytest.raises(InvalidMultiplicity):
             build_necklace(bad)
 
-    @pytest.mark.parametrize("core", [
-        Circle3((0.0, 0.0, 0.5), 1.0, (0.0, 0.0, 1.0)),  # moved up the axis
-        Circle3((0.0, 0.0, 0.0), 1.5, (0.0, 0.0, 1.0)),
-        Circle3((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, -1.0)),
-        Circle3((0.0, 0.0, 0.0), 1.0, (0.0, 1e-9, 1.0)),
-    ])
-    def test_base_core_other_than_the_unit_circle_about_e3_rejected(self, necklace40, core):
-        # the classifier, the volume cull and mesh_stage all put the parent core there
-        with pytest.raises(ValueError, match="base core must be the unit circle about e3 at the origin"):
-            dataclasses.replace(necklace40, base_torus=SolidTorus(core, 0.2))
-
     @pytest.mark.parametrize("scale", [0.09, 0.1 * (1 + 2**-52), 1.0])
     def test_child_map_ratio_other_than_four_over_m_rejected(self, necklace40, scale):
         # word_maps, child_distances, the step loop's window and child_reach all read the ratio as 4/m
@@ -73,8 +63,20 @@ class TestBuild:
             dataclasses.replace(necklace40, child_tube=tube)
 
     def test_only_the_tube_may_change(self, necklace40):
-        n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, 0.25))
+        n = dataclasses.replace(necklace40, parent_tube=0.25)
         assert n.base_torus.tube == 0.25 and n.child_reach == necklace40.child_reach
+        core = n.base_torus.core  # the classifier, the volume cull and mesh_stage all put the parent core there
+        assert (core.center.tolist(), core.radius, core.normal.tolist()) == ([0.0, 0.0, 0.0], 1.0, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("tube", [0.0, 1.0, math.nan])
+    def test_parent_tube_outside_the_unit_core_rejected(self, necklace40, tube):
+        with pytest.raises(ValueError, match=re.escape(f"tube radius must lie in (0, core radius), got {tube}")):
+            dataclasses.replace(necklace40, parent_tube=tube)
+
+    @pytest.mark.parametrize("field", ["multiplicity", "base_torus"])
+    def test_count_and_core_cannot_be_supplied(self, necklace40, field):
+        with pytest.raises(TypeError):
+            dataclasses.replace(necklace40, **{field: getattr(necklace40, field)})
 
     def test_m_star_not_even_square(self, necklace40):
         assert not necklace40.is_even_square
@@ -130,10 +132,9 @@ class TestChildViews:
     """The necklace stores each child once, as its map; every other view of the child is derived from it."""
 
     def test_fields_are_the_maps_and_the_tubes(self, necklace40):
-        assert [f.name for f in dataclasses.fields(necklace40)] == [
-            "multiplicity", "base_torus", "child_maps", "child_tube"
-        ]
-        for view in ("child_circles", "inverse_maps", "child_centers", "child_normals"):
+        assert [f.name for f in dataclasses.fields(necklace40)] == ["parent_tube", "child_maps", "child_tube"]
+        assert necklace40.multiplicity == len(necklace40.child_maps) == 40
+        for view in ("base_torus", "child_circles", "inverse_maps", "child_centers", "child_normals"):
             assert getattr(necklace40, view) is getattr(necklace40, view)  # computed once
         assert not necklace40.child_centers.flags.writeable and not necklace40.child_normals.flags.writeable
 
@@ -196,6 +197,28 @@ class TestValidate:
     def test_small_multiplicity_fails(self):
         report = validate_necklace(build_necklace(16), check_linking=False)
         assert not report.passed
+
+    def test_every_verdict_up_to_m_64(self):
+        # each verdict is the sign of its margin: the failing checks of every even m in 10..64
+        failing = {m: tuple(c.name for c in validate_necklace(build_necklace(m)).checks if not c.passed)
+                   for m in range(10, 65, 2)}
+        assert failing == {m: ("children_disjoint",) if m <= 38 else () for m in range(10, 65, 2)}
+
+    def test_verdict_is_the_sign_of_the_margin(self):
+        verdicts = [CheckRecord("x", margin, 0.0).passed for margin in (5e-324, 0.0, -0.0, -1.0, math.nan, math.inf)]
+        assert verdicts == [True, False, False, False, False, True]
+        assert [f.name for f in dataclasses.fields(CheckRecord)] == ["name", "margin", "tolerance"]
+
+    def test_mismatched_map_count_rejected(self, necklace40):
+        # m is the map count: 20 of m = 40's maps is an m = 20 necklace whose maps have the wrong ratio
+        with pytest.raises(ValueError, match=re.escape("ratio must be 4/m = 0.2, got [0.1]")):
+            dataclasses.replace(necklace40, child_maps=necklace40.child_maps[:20])
+
+    @pytest.mark.parametrize("count", [0, 8, 39])
+    def test_empty_odd_or_short_map_count_rejected(self, necklace40, count):
+        # build_necklace's rule: an even integer >= 10
+        with pytest.raises(InvalidMultiplicity, match=f"multiplicity must be an even integer >= 10, got {count}$"):
+            dataclasses.replace(necklace40, child_maps=necklace40.child_maps[:count])
 
     @pytest.mark.parametrize("m", [40, 20])
     def test_thin_child_tube_fails_children_nest_alone(self, m):
@@ -601,7 +624,7 @@ class TestStageSummary:
     @pytest.mark.parametrize("tube,diameter", [(4.6 / 40, 2.23), (0.3, 2.6)])
     def test_replaced_parent_tube(self, necklace40, tube, diameter):
         # the parent is the unit circle thickened by its tube: points (1 + tube) e1 and -(1 + tube) e1 are farthest
-        n = dataclasses.replace(necklace40, base_torus=SolidTorus(necklace40.base_torus.core, tube))
+        n = dataclasses.replace(necklace40, parent_tube=tube)
         assert stage_summary(n, 0).max_diameter == pytest.approx(diameter, rel=1e-15)
         assert stage_summary(n, 2).max_diameter == 0.1**2 * (2.0 * (1.0 + tube))
 
