@@ -3,7 +3,8 @@
 Subcommands: build, verify, classify, periodic, dimension, export, map.
 Every subcommand writes deterministic artifacts for identical flags and
 seed. Exit codes: 0 success, 1 validation or construction failure, 2 usage
-error (argparse's own convention).
+error (argparse's own convention), 3 internal error (any other exception; its
+traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 import math
 import re
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -285,6 +287,9 @@ def main(argv=None) -> int:
     except AntoineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # a fault in the program, not a failed check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

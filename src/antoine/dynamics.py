@@ -226,12 +226,15 @@ def coding_point(n: Necklace, prefix: Address, tail: Address) -> Vec3:
 
 @dataclass(frozen=True)
 class PeriodicPoint:
-    """Repelling periodic point coded by a word of child digits."""
+    """Repelling periodic point coded by a primitive word of child digits; its period is the word's length."""
 
     word: Address
     point: Vec3
-    period: int
     multiplier: float
+
+    @property
+    def period(self) -> int:
+        return len(self.word)
 
 
 def _least_rotation(word: Address) -> Address:
@@ -270,7 +273,7 @@ def enumerate_periodic(
                 seen.add(rep)
                 reps.append(rep)
         points = fixed_points(*word_maps(n, np.array(reps, dtype=int).reshape(-1, p)))
-        out += [PeriodicPoint(w, x, p, n.expansion**p) for w, x in zip(reps, points)]
+        out += [PeriodicPoint(w, x, n.expansion**p) for w, x in zip(reps, points)]
     return out
 
 
@@ -378,18 +381,27 @@ class OrbitRecord:
     Itinerary digits are exact while the inner phase is within double
     resolution. Exterior norms are model values (radial growth only), not
     positions of the true map; `handoff_clamped` records whether the exit
-    position had to be pushed out to the model's inner sphere.
+    position had to be pushed out to the model's inner sphere. An escaped orbit's
+    exit depth is its itinerary's length; escape is certified by a first norm on
+    or past the model's inner sphere.
     """
 
     start: Vec3
     itinerary: Address
     exit: EscapeKind
-    exit_depth: int | None
     handoff: Vec3 | None
     handoff_clamped: bool
     exterior_norms: tuple[float, ...]
-    escape_certified: bool
     model_degree_root: int
+
+    @property
+    def exit_depth(self) -> int | None:
+        return len(self.itinerary) if self.exit is EscapeKind.ESCAPED else None
+
+    @property
+    def escape_certified(self) -> bool:
+        inner = ExteriorModel(self.model_degree_root).inner_radius
+        return bool(self.exterior_norms and self.exterior_norms[0] >= inner)
 
     def to_json_dict(self) -> dict:
         return {
@@ -442,16 +454,11 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
     """
     _check_int("max_iter, the step budget,", max_iter, 1, MAX_BUDGET)
     p = _finite_point(p)
-    status, depth, digits = classify_points(n, p, max_iter, max_iter)
+    status, _, digits = classify_points(n, p, max_iter, max_iter)
     itinerary = tuple(int(d) for d in digits[0] if d)
     exit_kind = _ESCAPE_KINDS[int(status[0])]
-    exit_depth = int(depth[0]) if exit_kind is EscapeKind.ESCAPED else None
     if exit_kind is EscapeKind.SURVIVED:
-        return OrbitRecord(
-            start=p, itinerary=itinerary, exit=exit_kind, exit_depth=None,
-            handoff=None, handoff_clamped=False, exterior_norms=(),
-            escape_certified=False, model_degree_root=model.degree_root,
-        )
+        return OrbitRecord(p, itinerary, exit_kind, None, False, (), model.degree_root)
 
     inverse, x = _stack_maps(n.inverse_maps), p[:, None]
     for d in itinerary:
@@ -475,12 +482,7 @@ def orbit(n: Necklace, model: ExteriorModel, p: Vec3, max_iter: int = DEFAULT_BU
         if not math.isfinite(norm):
             break
         norms.append(norm)
-    return OrbitRecord(
-        start=p, itinerary=itinerary, exit=exit_kind, exit_depth=exit_depth,
-        handoff=handoff, handoff_clamped=clamped, exterior_norms=tuple(norms),
-        escape_certified=norms[0] >= model.inner_radius,
-        model_degree_root=model.degree_root,
-    )
+    return OrbitRecord(p, itinerary, exit_kind, handoff, clamped, tuple(norms), model.degree_root)
 
 
 def dilatation_estimate(

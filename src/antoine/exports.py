@@ -74,15 +74,18 @@ def torus_meshes(centers, radii, normals, tubes, nu: int, nv: int) -> tuple[np.n
 
 @dataclass(frozen=True, eq=False)
 class MeshStage:
-    """All tori of one stage, tessellated in one pass: verts[i], of shape (nu*nv, 3), is the
-    torus at addresses[i], and every row shares the (2*nu*nv, 3) triangle list tris."""
+    """All tori of stage len(addresses[0]), tessellated in one pass: verts[i], of shape (nu*nv, 3), is the torus
+    at addresses[i], and every row shares the (2*nu*nv, 3) triangle list tris."""
 
-    stage: int
     nu: int
     nv: int
     addresses: tuple[Address, ...]
     verts: np.ndarray
     tris: np.ndarray
+
+    @property
+    def stage(self) -> int:
+        return len(self.addresses[0])
 
 
 def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
@@ -95,7 +98,7 @@ def mesh_stage(n: Necklace, k: int, nu: int = 32, nv: int = 16) -> MeshStage:
     scales, rots, shifts = word_maps(n, np.array(addresses, dtype=int).reshape(count, k))
     # the base circle is the unit circle about e3 at the origin, so these equal SolidTorus.transform's bit for bit
     verts, tris = torus_meshes(shifts, scales, unit_rows(rots[:, :, 2]), scales * n.parent_tube, nu, nv)
-    return MeshStage(k, nu, nv, addresses, verts, tris)
+    return MeshStage(nu, nv, addresses, verts, tris)
 
 
 def _object_name(address: Address) -> str:

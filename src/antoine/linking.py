@@ -56,7 +56,8 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 64) -> float:
     """Gauss linking number of two disjoint circles, the integral of a's field along quad_n points of b: see
     _loop_linking, whose MinSeparationTooSmall it raises. It converges geometrically to the integer in quad_n."""
     _check_int("quad_n", quad_n, 16)
-    return float(_loop_linking(a.center[None], a.normal[None], np.array([a.radius]), *_loop_samples([b], quad_n))[0])
+    samples = _loop_samples([b], quad_n)
+    return float(_loop_linking(a.center[None], a.normal[None], np.array([a.radius]), *samples, np.array([b.radius]))[0])
 
 
 def _loop_samples(circles, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,27 +69,28 @@ def _loop_samples(circles, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
     return center + radius * (cos * u + sin * v), radius * (2.0 * math.pi / quad_n) * (cos * v - sin * u)
 
 
-def _loop_linking(centers, normals, radii, points, tangents) -> np.ndarray:
+def _loop_linking(centers, normals, radii, points, tangents, radii_b) -> np.ndarray:
     """Linking numbers of P pairs of disjoint circles (a, b): sum_k B_a(p_k) . dl_k, the trapezoid rule for the
     integral along b of the field of a unit current around a, the Gauss double integral with its inner loop in
     closed form (Jackson, Classical Electrodynamics, 5.5; Simpson et al., NASA/TM-2001-211307). centers,
     normals (P, 3) and radii (P,) give the circles a, points and tangents (3, P, n) each b's p_k and dl_k (see
-    _loop_samples). In fixed-order component form, with no BLAS call: for R = r_a, h and rho = |u| the height
-    and axis offset u of p_k (geom3._height_and_rho), alpha and beta its distances from the nearest and the
-    farthest point of a, p = R^2 + rho^2 + h^2, and M and U from the arithmetic-geometric mean of beta and
-    alpha, run until every c_n <= eps a_n (DLMF 19.8: K = pi beta / (2 M), E = K (1 - (2 R rho + rho^2 U) /
-    beta^2), U = sum_(n>=1) 2^(n-1) (c_n / rho)^2),
+    _loop_samples), and radii_b (P,) the radii of the circles b. In fixed-order component form, with no BLAS
+    call: for R = r_a, h and rho = |u| the height and axis offset u of p_k (geom3._height_and_rho), alpha and
+    beta its distances from the nearest and the farthest point of a, p = R^2 + rho^2 + h^2, and M and U from
+    the arithmetic-geometric mean of beta and alpha, run until every c_n <= eps a_n (DLMF 19.8:
+    K = pi beta / (2 M), E = K (1 - (2 R rho + rho^2 U) / beta^2), U = sum_(n>=1) 2^(n-1) (c_n / rho)^2),
 
       4 M alpha^2 beta^2 B_a . dl = ((R^2 - rho^2 - h^2) (p - rho^2 U) + alpha^2 beta^2) n.dl + h (4 R^2 - p U) u.dl,
 
     whose radial field h rho (4 R^2 - p U) / (4 M alpha^2 beta^2) is 0 on a's axis, and nothing cancels near it.
 
     Guard: MinSeparationTooSmall, whose index is the first offending pair, if some alpha is below _GUARD = 3/2
-    units s = |dl| / 2 = pi r_b / n, half b's sample spacing. At its closest approach delta, b crosses the
-    field of a nearly straight wire, and the rule sums a Lorentzian to (1/2) sinh y / (cosh y - cos phi) in
-    place of the half turn 1/2, y = pi delta / s, phi = pi x / s, x <= s the arc from the nearest sample (an
-    oblique crossing only widens the peak). A nearest sample at G s leaves delta >= sqrt(G^2 - 1) s, so the
-    error is at most 1 / (exp(pi sqrt(G^2 - 1)) + 1), at x = s: 0.029 per close approach at G = 3/2 (0.054
+    units s = pi r_b / n, half b's sample spacing, computed in that closed form from radii_b (|dl| / 2 would
+    carry the rounding of b's frame). At its closest approach delta, b crosses the field of a nearly straight
+    wire, and the rule sums a Lorentzian to (1/2) sinh y / (cosh y - cos phi) in place of the half turn 1/2,
+    y = pi delta / s, phi = pi x / s, x <= s the arc from the nearest sample (an oblique crossing only widens
+    the peak). A nearest sample at G s leaves delta >= sqrt(G^2 - 1) s, so the error is at most
+    1 / (exp(pi sqrt(G^2 - 1)) + 1), at x = s: 0.029 per close approach at G = 3/2 (0.054
     measured for two), under necklace.GAUSS_TOL; at G = 1 the circles may meet between two samples.
     """
     (cx, cy, cz), (nx, ny, nz), radius = (np.asarray(x, dtype=float).T[..., None] for x in (centers, normals, radii))
@@ -97,7 +99,7 @@ def _loop_linking(centers, normals, radii, points, tangents) -> np.ndarray:
     wt, nt = (wx * tx + wy * ty) + wz * tz, (nx * tx + ny * ty) + nz * tz  # before _height_and_rho overwrites w
     h, rho = _height_and_rho(wx, wy, wz, nx, ny, nz)
     alpha = np.hypot(rho - radius, h)
-    sep, limit = alpha.min(axis=1), _GUARD * 0.5 * np.sqrt((tx[:, 0] ** 2 + ty[:, 0] ** 2) + tz[:, 0] ** 2)
+    sep, limit = alpha.min(axis=1), _GUARD * math.pi * radii_b / points.shape[2]
     bad = np.flatnonzero(~(sep >= limit))  # a NaN fails too
     if bad.size:
         raise MinSeparationTooSmall(f"sampled distance {sep[bad[0]]:.3e} from circle a < {limit[bad[0]]:.3e}, "
@@ -246,22 +248,21 @@ def polygonal_linking(a: PolyLoop, b: PolyLoop, rng: np.random.Generator | None 
 
 @dataclass(frozen=True, eq=False)
 class LinkMatrix:
-    """Pairwise linking numbers of the child core circles (zero diagonal)."""
+    """Pairwise linking numbers of the m child core circles (zero diagonal), m = len(entries)."""
 
-    multiplicity: int
     entries: np.ndarray
     max_gauss_gap: float
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=int)
-        if e.shape != (self.multiplicity, self.multiplicity):
-            raise ValueError("entries must be an m x m integer matrix")
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise ValueError(f"entries must be a square integer matrix, not of shape {e.shape}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     def to_json_dict(self) -> dict:
         return {
-            "m": self.multiplicity,
+            "m": len(self.entries),
             "entries": [int(x) for x in self.entries.reshape(-1)],
             "max_gauss_gap": self.max_gauss_gap,
         }
@@ -292,9 +293,9 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), _ = _near_pairs(n)
     circles = n.child_circles
-    samples = _loop_samples([circles[k] for k in j], quad_n)
+    samples, radii = _loop_samples([circles[k] for k in j], quad_n), np.full(len(i), n.contraction)
     try:
-        gauss = _loop_linking(n.child_centers[i], n.child_normals[i], np.full(len(i), n.contraction), *samples)
+        gauss = _loop_linking(n.child_centers[i], n.child_normals[i], radii, *samples, radii)
     except MinSeparationTooSmall as exc:
         raise LinkBackendError((int(i[exc.index]) + 1, int(j[exc.index]) + 1), exc) from exc
     uses = np.bincount(np.concatenate((i, j)))
@@ -309,4 +310,4 @@ def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
             raise LinkBackendError((a + 1, b + 1), exc) from exc
     entries = np.zeros((m, m), dtype=int)
     entries[i, j] = entries[j, i] = lks
-    return LinkMatrix(m, entries, float(np.max(np.abs(gauss - lks), initial=0.0)))
+    return LinkMatrix(entries, float(np.max(np.abs(gauss - lks), initial=0.0)))

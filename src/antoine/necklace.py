@@ -260,19 +260,15 @@ class CheckRecord:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Outcome of every stage-1 hypothesis check, with margins.
+    """Outcome of every stage-1 hypothesis check on a necklace, with margins.
 
-    Margins are positive slack: a check passes iff its margin is > 0
-    (CheckRecord.passed), with the convention written into each check below.
-    link_matrix holds the linking numbers behind the link checks (None when
-    linking was not checked); it is reported on its own, not in to_json_dict.
+    Margins are positive slack: a check passes iff its margin is > 0 (CheckRecord.passed), with the convention
+    written into each check below. to_json_dict reads the constants from the necklace, and the two clearances
+    from the children_disjoint and children_contained margins. link_matrix holds the linking numbers behind
+    the link checks (None when linking was not checked); it is reported on its own, not in to_json_dict.
     """
 
-    multiplicity: int
-    parent_tube: float
-    child_tube: float
-    min_pair_clearance: float
-    containment_clearance: float
+    necklace: Necklace
     checks: tuple[CheckRecord, ...]
     link_matrix: LinkMatrix | None = None
 
@@ -281,14 +277,15 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
+        margins = {c.name: c.margin for c in self.checks}
         return {
-            "multiplicity": self.multiplicity,
+            "multiplicity": self.necklace.multiplicity,
             "passed": self.passed,
             "constants": {
-                "parent_tube": self.parent_tube,
-                "child_tube": self.child_tube,
-                "min_pair_clearance": self.min_pair_clearance,
-                "containment_clearance": self.containment_clearance,
+                "parent_tube": self.necklace.parent_tube,
+                "child_tube": self.necklace.child_tube,
+                "min_pair_clearance": margins["children_disjoint"],
+                "containment_clearance": margins["children_contained"],
             },
             "checks": [
                 {"name": c.name, "pass": c.passed, "margin": c.margin, "tolerance": c.tolerance}
@@ -395,14 +392,12 @@ def validate_necklace(
     (i, j), far_gap = _near_pairs(n)
     circles = n.child_circles
     bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i, j)]
-    min_clearance = min([*bounds, far_gap]) - 2.0 * n.child_tube
-    checks.append(CheckRecord("children_disjoint", min_clearance, 0.0))
+    checks.append(CheckRecord("children_disjoint", min([*bounds, far_gap]) - 2.0 * n.child_tube, 0.0))
 
     # (b) containment in the open parent torus
     sampled = (_sampled_distances(c, n.base_torus.core, CONTAINMENT_SAMPLES) for c in circles)
     reach = max(float(np.max(d)) + lipschitz for d, lipschitz in sampled)
-    contain_clearance = n.parent_tube - (reach + n.child_tube)
-    checks.append(CheckRecord("children_contained", contain_clearance, 0.0))
+    checks.append(CheckRecord("children_contained", n.parent_tube - (reach + n.child_tube), 0.0))
     checks.append(_nest_check(n.child_tube, n.contraction, n.parent_tube))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2
@@ -434,15 +429,7 @@ def validate_necklace(
         checks.append(CheckRecord("link_pattern", 0.5 - int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T)))), 0.0))
         checks.append(CheckRecord("link_gauss_agreement", GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL))
 
-    return ValidationReport(
-        multiplicity=m,
-        parent_tube=n.parent_tube,
-        child_tube=n.child_tube,
-        min_pair_clearance=min_clearance,
-        containment_clearance=contain_clearance,
-        checks=tuple(checks),
-        link_matrix=lm,
-    )
+    return ValidationReport(n, tuple(checks), lm)
 
 
 def scan_multiplicities(ms, **validate_kwargs):

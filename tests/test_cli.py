@@ -180,6 +180,18 @@ class TestVerify:
             "1.5 half sample spacings\n"
         )
 
+    def test_internal_error_exits_3_with_its_traceback(self, capsys, monkeypatch):
+        def faulty(*args, **kwargs):
+            raise TypeError("backend fault")
+
+        monkeypatch.setattr(linking, "polygonal_linking", faulty)
+        code = main(["verify", "--m", "40", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("TypeError: backend fault\n")
+
     def test_benchmark_warm_up_runs(self, tmp_path, capsys):
         # the certify workload's warm-up: m = 10 fails its geometric checks, and every near pair clears the guard
         out = tmp_path / "warmup.json"

@@ -457,6 +457,14 @@ class TestCodingPoint:
             coding_point(necklace40, (1,), ())
 
 
+# the points of the CI orbit-record pins: an escape at depth 3, a survivor and an exterior point
+CI_MAP_POINTS = [
+    [0.9582351218204458, 0.455377323371077, -0.06656957632023612],
+    [0.9581351218204458, 0.455377323371077, -0.06656957632023612],
+    [3.0, 0.0, 0.0],
+]
+
+
 def periodic_point(n, word):
     """The fixed point of the word's composed child map: periodic under the dynamics with the word as itinerary."""
     return fixed_points(*word_maps(n, [word]))[0]
@@ -497,6 +505,12 @@ class TestPeriodicPoints:
         arr = np.array([pp.point for pp in pts])
         status, _, _ = classify_points(necklace40, arr, DEFAULT_BUDGET)
         assert np.all(status == SURVIVED)
+
+    def test_fields_are_the_word_the_point_and_the_multiplier(self, necklace16):
+        pts = enumerate_periodic(necklace16, 2)
+        assert [f.name for f in dataclasses.fields(pts[0])] == ["word", "point", "multiplier"]
+        assert {pp.period for pp in pts} == {1, 2}
+        assert all(pp.period == len(pp.word) and pp.multiplier == 4.0**pp.period for pp in pts)
 
     def test_density_identity_is_zero(self):
         pts = np.random.default_rng(25).normal(size=(50, 3))
@@ -612,6 +626,23 @@ class TestOrbit:
         assert rec.handoff_clamped
         assert rec.exterior_norms[0] == pytest.approx(2.0)
         assert rec.escape_certified
+
+    def test_fields_are_the_orbit_and_its_measurements(self, necklace40):
+        rec = orbit(necklace40, ExteriorModel(2), np.array(CI_MAP_POINTS[0]))
+        assert [f.name for f in dataclasses.fields(rec)] == [
+            "start", "itinerary", "exit", "handoff", "handoff_clamped", "exterior_norms", "model_degree_root"]
+        assert (rec.exit, rec.exit_depth, len(rec.itinerary)) == (EscapeKind.ESCAPED, 3, 3)
+
+    @pytest.mark.parametrize("point", CI_MAP_POINTS)
+    def test_escape_certified_unless_survived_at_the_ci_points(self, necklace40, point):
+        rec = orbit(necklace40, ExteriorModel.for_multiplicity(40), np.array(point))
+        assert rec.escape_certified == (rec.exit is not EscapeKind.SURVIVED)
+
+    @pytest.mark.parametrize("degree_root", [2, 5])
+    def test_escape_certified_unless_survived_over_a_sample(self, necklace40, degree_root):
+        records = [orbit(necklace40, ExteriorModel(degree_root), p, 20) for p in mixed_points(necklace40, 45)]
+        assert {r.exit for r in records} == set(EscapeKind)
+        assert all(r.escape_certified == (r.exit is not EscapeKind.SURVIVED) for r in records)
 
     def test_perturbed_periodic_exit_bound(self, necklace40):
         m = necklace40.multiplicity

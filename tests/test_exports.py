@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -86,6 +87,12 @@ class TestTorusMesh:
             assert mesh_is_watertight(verts, stage.tris)
             assert mesh_euler_characteristic(verts, stage.tris) == 0
             assert mesh_signed_volume(verts, stage.tris) > 0
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fields_are_the_grid_the_addresses_and_the_mesh(self, necklace16, k):
+        stage = mesh_stage(necklace16, k, 8, 8)
+        assert [f.name for f in dataclasses.fields(stage)] == ["nu", "nv", "addresses", "verts", "tris"]
+        assert stage.stage == k and len(stage.addresses) == 16**k
 
     def test_too_many_tori(self, necklace16):
         with pytest.raises(TooManyTori):
@@ -671,7 +678,7 @@ class TestTextWriter:
 
     def test_obj_vertex_rows(self, necklace16, tmp_path):
         stage = mesh_stage(necklace16, 1, 8, 8)
-        stage = exports.MeshStage(1, 8, 8, stage.addresses[:2], stage.verts[:2] * [[[1.0, 1e-7, -3e13]]], stage.tris)
+        stage = exports.MeshStage(8, 8, stage.addresses[:2], stage.verts[:2] * [[[1.0, 1e-7, -3e13]]], stage.tris)
         exports.write_obj(stage, tmp_path / "s.obj")
         rows = [line for line in (tmp_path / "s.obj").read_text().splitlines() if line.startswith("v ")]
         assert rows == ["v %.17g %.17g %.17g" % tuple(v) for v in stage.verts.reshape(-1, 3).tolist()]

@@ -124,8 +124,8 @@ radii = st.floats(0.2, 2.0)
 def near_pair_values(n, quad_n):
     """The near pairs (i, j) of n and their one-loop values as link_matrix computes them: one batch, child i as a."""
     (i, j), _ = _near_pairs(n)
-    samples = _loop_samples([n.child_circles[k] for k in j], quad_n)
-    return i, j, _loop_linking(n.child_centers[i], n.child_normals[i], np.full(len(i), n.contraction), *samples)
+    samples, radii = _loop_samples([n.child_circles[k] for k in j], quad_n), np.full(len(i), n.contraction)
+    return i, j, _loop_linking(n.child_centers[i], n.child_normals[i], radii, *samples, radii)
 
 
 def crossing_pair(theta, delta, inside):
@@ -238,7 +238,7 @@ def fresh_link_matrix(n, poly_n=512, quad_n=64):
         lk = polygonal_linking(PolyLoop.from_circle(ca, poly_n), PolyLoop.from_circle(cb, poly_n), rng=rng)
         max_gap = max(max_gap, abs(gauss_linking(ca, cb, quad_n) - lk))
         entries[a, b] = entries[b, a] = lk
-    return LinkMatrix(m, entries, max_gap)
+    return LinkMatrix(entries, max_gap)
 
 
 class TestLinkMatrix:
@@ -248,6 +248,17 @@ class TestLinkMatrix:
         got, want = link_matrix(n), fresh_link_matrix(n)
         assert np.array_equal(got.entries, want.entries)
         assert got.max_gauss_gap == want.max_gauss_gap
+
+    def test_fields_are_the_entries_and_the_gap(self, necklace16):
+        lm = link_matrix(necklace16, poly_n=128)
+        assert [f.name for f in dataclasses.fields(lm)] == ["entries", "max_gauss_gap"]
+        assert lm.to_json_dict()["m"] == len(lm.entries) == 16
+        assert not lm.entries.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 4), (16,), (2, 2, 2), ()])
+    def test_entries_must_be_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be a square integer matrix, not of shape {shape}")):
+            LinkMatrix(np.zeros(shape, dtype=int), 0.0)
 
     @pytest.mark.parametrize("sizes", [{"poly_n": 32}, {"quad_n": 8}, {"quad_n": -1}, {"poly_n": 64.5},
                                        {"quad_n": 64.0}, {"poly_n": True}])

@@ -250,12 +250,12 @@ class TestValidate:
     def test_sampled_bounds_equal_their_own_forms(self, m):
         # the clearance and containment bounds share one sampling helper: each keeps the bits of its own form
         n = build_necklace(m)
-        report = validate_necklace(n, check_linking=False)
-        assert report.containment_clearance == own_grid_containment_clearance(n)
+        margins = {c.name: c.margin for c in validate_necklace(n, check_linking=False).checks}
+        assert margins["children_contained"] == own_grid_containment_clearance(n)
         c = n.child_circles
         (i, j), far_gap = _near_pairs(n)
         bounds = [own_grid_circle_circle_distance(c[a], c[b], 512) for a, b in zip(i, j)]
-        assert report.min_pair_clearance == min(bounds) - 2.0 * n.child_tube
+        assert margins["children_disjoint"] == min(bounds) - 2.0 * n.child_tube
         assert far_gap > min(bounds)  # a far pair never binds on the built necklace
 
     def test_json_shape(self, geometry_report40):
@@ -265,6 +265,18 @@ class TestValidate:
         assert list(parsed) == ["multiplicity", "passed", "constants", "checks"]
         assert list(parsed["checks"][0]) == ["name", "pass", "margin", "tolerance"]
         assert parsed["constants"]["child_tube"] == pytest.approx(32.0 / 40**2)
+
+    def test_fields_are_the_necklace_the_checks_and_the_links(self, necklace40, geometry_report40):
+        assert [f.name for f in dataclasses.fields(geometry_report40)] == ["necklace", "checks", "link_matrix"]
+        assert geometry_report40.necklace is necklace40
+        doc, margins = geometry_report40.to_json_dict(), {c.name: c.margin for c in geometry_report40.checks}
+        assert doc["multiplicity"] == 40
+        assert doc["constants"] == {
+            "parent_tube": necklace40.parent_tube,
+            "child_tube": necklace40.child_tube,
+            "min_pair_clearance": margins["children_disjoint"],
+            "containment_clearance": margins["children_contained"],
+        }
 
     def test_link_matrix_only_when_linking_checked(self, geometry_report40):
         assert geometry_report40.link_matrix is None
@@ -356,7 +368,6 @@ class TestNearPairPass:
     def test_margin_and_gap_bounded_by_the_oracle(self, pair_checks):
         n, report, (margin, _, gaps, _) = pair_checks
         disjoint = next(c for c in report.checks if c.name == "children_disjoint")
-        assert disjoint.margin == report.min_pair_clearance
         assert margin - 1e-9 < disjoint.margin <= margin
         # the same quadrature on the near pairs
         assert report.link_matrix.max_gauss_gap == max(gaps[p] for p in near_pair_set(n))
@@ -437,12 +448,12 @@ class TestNearPairPass:
         recording(necklace, "circle_circle_distance", lambda c: index[id(c)])
         loop_linking = linking._loop_linking
 
-        def batch(centers, normals, radii, points, tangents):  # circle a by its centre, b by its first sample
+        def batch(centers, normals, radii, points, tangents, radii_b):  # a by its centre, b by its first sample
             for c, p in zip(centers, points[:, :, 0].T):
                 a = int(np.flatnonzero((necklace40.child_centers == c).all(axis=1))[0])
                 b = int(np.argmin([point_circle_distance(k, p) for k in necklace40.child_circles]))
                 evaluated["_loop_linking"].append((a, b))
-            return loop_linking(centers, normals, radii, points, tangents)
+            return loop_linking(centers, normals, radii, points, tangents, radii_b)
 
         monkeypatch.setattr(linking, "_loop_linking", batch)
         recording(linking, "polygonal_linking", lambda p: polygons[id(p)])
