@@ -22,8 +22,8 @@ class MultipleChildren(AntoineError):
 
 
 class MinSeparationTooSmall(AntoineError):
-    """Curves approach closer than the quadrature can tolerate. `index` is the offending pair's position in
-    its batch."""
+    """Curves approach closer than a linking kernel can resolve: the quadrature's guard, or the disk crossings'
+    rounding allowance. `index` is the offending pair's position in its batch."""
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)

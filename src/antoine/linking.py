@@ -1,10 +1,13 @@
-"""Linking numbers of disjoint closed curves, two independent ways.
+"""Linking numbers of disjoint closed curves, three ways.
 
-gauss_linking integrates the closed-form field of a unit current around one round circle along
-the other: the Gauss double integral with its inner loop done analytically. polygonal_linking
-counts signed crossings of polygons in a generic projection and returns an exact integer. The two
-share a sign convention, so they agree as reals, not just in absolute value; only the absolute
-values mean something for the necklace, since child circle orientations are a package convention.
+link_matrix takes the exact integers of round circles from disk crossings (_disk_crossings): lk(a, b) is the
+signed number of times b crosses the flat disk that a bounds, in closed form and with a derived rounding
+allowance. gauss_linking integrates the closed-form field of a unit current around one round circle along the
+other, the Gauss double integral with its inner loop done analytically; link_matrix runs its kernel as the
+independent cross-check. polygonal_linking counts signed crossings of two polygons in a generic projection and
+returns an exact integer for any polygons; the package does not call it, and the tests use it as the oracle of
+the disk crossings. All three share a sign convention, so they agree as reals, not just in absolute value; only
+the absolute values mean something for the necklace, since child circle orientations are a package convention.
 """
 from __future__ import annotations
 
@@ -56,17 +59,89 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 64) -> float:
     """Gauss linking number of two disjoint circles, the integral of a's field along quad_n points of b: see
     _loop_linking, whose MinSeparationTooSmall it raises. It converges geometrically to the integer in quad_n."""
     _check_int("quad_n", quad_n, 16)
-    samples = _loop_samples([b], quad_n)
+    samples = _loop_samples(b.center[None], np.array([b.radius]), *(x[None] for x in b.basis()), quad_n)
     return float(_loop_linking(a.center[None], a.normal[None], np.array([a.radius]), *samples, np.array([b.radius]))[0])
 
 
-def _loop_samples(circles, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(3, P, quad_n) points p_k of P circles at the angles t_k = 2 pi k / quad_n (the bits of Circle3.sample) and
-    their line elements dl_k = p'(t_k) 2 pi / quad_n."""
+def _loop_samples(centers, radii, u, v, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3, P, quad_n) points p_k of P circles, given by their (P, 3) centres and in-plane frames (u, v) and their
+    (P,) radii, at the angles t_k = 2 pi k / quad_n (the bits of Circle3.sample), and their line elements
+    dl_k = p'(t_k) 2 pi / quad_n."""
     cos, sin = (f(np.arange(quad_n) * (2.0 * math.pi / quad_n)) for f in (np.cos, np.sin))
-    center, radius = np.array([c.center for c in circles]).T[..., None], np.array([c.radius for c in circles])[:, None]
-    u, v = np.array([c.basis() for c in circles]).transpose(1, 2, 0)[..., None]
+    center, radius, u, v = centers.T[..., None], radii[:, None], u.T[..., None], v.T[..., None]
     return center + radius * (cos * u + sin * v), radius * (2.0 * math.pi / quad_n) * (cos * v - sin * u)
+
+
+def _disk_crossings(centers, normals, radii, centers_b, u_b, v_b, radii_b) -> np.ndarray:
+    """Exact linking numbers of P pairs of disjoint round circles (a, b): the signed number of times b crosses
+    the flat disk that a bounds (Rolfsen, Knots and Links, ch. 5). centers, normals (P, 3) and radii (P,) give
+    the circles a; centers_b, u_b, v_b (P, 3) and radii_b (P,) give each b as c_b + r_b (cos t u_b + sin t v_b),
+    the points of Circle3.point_at. In fixed-order component form, with no BLAS call.
+
+    With d = c_b - c_a, b's height over a's plane is h(t) = h0 + A cos t + B sin t = h0 + R cos(t - phi), for
+    h0 = n.d, A = r_b n.u_b, B = r_b n.v_b, R = hypot(A, B) and phi = atan2(B, A). If |h0| < R, b meets the plane
+    twice, at t = phi -+ theta, theta = arccos(-h0 / R): first going up (h' = R sin theta > 0), then down. A
+    crossing is in the disk when its distance rho from a's axis (geom3._height_and_rho) is below r_a, so
+    lk = [rho_- < r_a] - [rho_+ < r_a]. Its decision margin |rho - r_a| is the crossing's distance from circle a,
+    at least the pair's clearance.
+
+    Rounding, with u = eps / 2, s = (|dx| + |dy| + |dz|) + r_b >= |d| + r_b and e = 16 eps s. The computed h0, A
+    and B differ from the coefficients of the exact circles (a's unit normal, an exact orthonormal frame of b) by
+    less than e in sum: each fixed-order dot product is within 3u of exact, d and the products by r_b add u each
+    (4u s + 8u r_b), and u_b and v_b lie within 4u and 6u of an exact frame (circle_frames' first cross product,
+    with a basis vector, is exact; unit_rows and the second one round: 10u r_b more). A normal's length 1 +- 2u
+    scales h and moves no crossing. So the exact height is h~(t) + err(t), h~ the computed coefficients' sinusoid
+    taken exactly, |err| and |err'| <= e, and |h~''| <= R. Budgeting 4 ulps each for hypot, atan2, arccos, cos and
+    sin, with q = R^2 - h0^2 (so that R sin theta = sqrt(q)):
+
+      - q >= 16 e R, two clear crossings: on [t^ - D, t^ + D], t^ a zero of h~ and D = 4 e / sqrt(q), h~' keeps
+        its sign and |h~'| >= 3 sqrt(q) / 4 > e, so the exact height has one zero there, of the same slope, and
+        none elsewhere (D <= sin(theta) / 4 keeps the two windows apart). atan2 and arccos (8 eps each, as the
+        angles are at most pi), -h0 / R (5 eps, through arccos' slope 1 / sin theta) and the sum (2 eps) add less
+        than 24 eps / sin theta <= 1.5 e / sqrt(q), so the computed t is within 6 e / sqrt(q) of the exact one;
+      - q < 16 e R, near-tangent: every exact crossing has |h~| <= e, so 1 - cos(t - t0) < 17 e / R about the
+        touch angle t0 (phi, or phi + pi when h0 > 0), and so do the computed t (the arccos argument is clamped
+        to [-1, 1]); any two such points of b lie within 2 r_b sqrt(34 e / R) < 12 r_b sqrt(e / R) of each other.
+
+    cos and sin, the point's sum and rho's own rounding move a computed rho by less than e more. So a computed
+    crossing whose margin exceeds the allowance 2 e + r_b (6 e / sqrt(q), or 12 sqrt(e / R) near-tangent) lies on
+    the same side of circle a as the exact one. A pair is decided when its two crossings clear the allowance (two
+    near-tangent crossings then count 0, as both exact ones do); when |h0| > R + e, so that b misses a's plane; or
+    when all of b lies on one side of the cylinder of radius r_a about a's axis, so that lk = 0. A point
+    c_b + r_b w of b, w a unit vector whose height over a's plane is at most R / r_b, lies between
+    max(rho_c - r_b, sqrt(r_b^2 - R^2) - rho_c) and rho_c + r_b from that axis, rho_c the distance of c_b; with
+    R + e for R, and 2 e for rho_c's rounding and the bounds', this decides the nearly coplanar pairs, whose
+    allowance grows without bound as R -> 0. Any other pair, or a NaN, raises MinSeparationTooSmall, whose index
+    is the first such pair: no integer is guessed.
+    """
+    (nx, ny, nz), (ux, uy, uz), (vx, vy, vz) = normals.T, u_b.T, v_b.T
+    dx, dy, dz = (centers_b - centers).T
+    h0 = (nx * dx + ny * dy) + nz * dz
+    big_a = radii_b * ((nx * ux + ny * uy) + nz * uz)
+    big_b = radii_b * ((nx * vx + ny * vy) + nz * vz)
+    big_r = np.hypot(big_a, big_b)
+    e = 16.0 * np.finfo(float).eps * (((np.abs(dx) + np.abs(dy)) + np.abs(dz)) + radii_b)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # R = 0: an inf allowance; fmax drops NaN
+        theta = np.arccos(np.fmin(np.fmax(-h0 / big_r, -1.0), 1.0))
+        q = (big_r - h0) * (big_r + h0)
+        allowance = 2.0 * e + radii_b * np.where(q >= 16.0 * e * big_r, 6.0 * e / np.sqrt(q), 12.0 * np.sqrt(e / big_r))
+    phi = np.arctan2(big_b, big_a)
+    t = np.stack([phi - theta, phi + theta])  # (2, P): up, then down
+    cos, sin = np.cos(t), np.sin(t)
+    _, rho = _height_and_rho(dx + radii_b * (cos * ux + sin * vx), dy + radii_b * (cos * uy + sin * vy),
+                             dz + radii_b * (cos * uz + sin * vz), nx, ny, nz)
+    margin = np.abs(rho - radii).min(axis=0)
+    _, rho_c = _height_and_rho(dx.copy(), dy.copy(), dz.copy(), nx, ny, nz)
+    with np.errstate(invalid="ignore"):  # b tilted more than its bound allows: NaN, and fmax takes the other
+        low = np.fmax(rho_c - radii_b, np.sqrt((radii_b - (big_r + e)) * (radii_b + (big_r + e))) - rho_c)
+    one_side = (low > radii + 2.0 * e) | (rho_c + radii_b < radii - 2.0 * e)
+    bad = np.flatnonzero(~((np.abs(h0) > big_r + e) | one_side | (margin > allowance)))  # a NaN fails all three
+    if bad.size:
+        k = bad[0]
+        raise MinSeparationTooSmall(f"disk crossing {margin[k]:.3e} from circle a, within the rounding allowance "
+                                    f"{allowance[k]:.3e}", int(k))
+    inside = rho < radii
+    return np.where(one_side | ~(np.abs(h0) < big_r), 0, inside[0].astype(int) - inside[1])
 
 
 def _loop_linking(centers, normals, radii, points, tangents, radii_b) -> np.ndarray:
@@ -277,37 +352,26 @@ class LinkBackendError(AntoineError):
         self.cause = cause
 
 
-def link_matrix(n: Necklace, poly_n: int = 512, quad_n: int = 64) -> LinkMatrix:
+def link_matrix(n: Necklace, quad_n: int = 64) -> LinkMatrix:
     """Linking numbers for all unordered child pairs, each near pair certified on its own.
 
     A pair whose certified ball gap exceeds twice the child tube is unlinked with no evaluation (see
-    necklace._near_pairs) and gets entry 0. The near pairs get the Gauss integral in one batch (_loop_linking,
-    quad_n points per loop), then the exact polygonal backend pair by pair (poly_n-gons, projections from the
-    fixed package seed); the largest gap between the two is max_gauss_gap. A backend's AntoineError is re-raised
-    as LinkBackendError naming the pair (the batch's first offending one); any other exception propagates. Each
-    child's polygon is built at its first near pair and dropped after its last.
+    necklace._near_pairs) and gets entry 0. The near pairs get their exact integers from the disk crossings
+    (_disk_crossings) and the Gauss integral (_loop_linking, quad_n points per loop) as the cross-check, each
+    kernel in one batch over the pairs and the stacked child frames (Necklace.child_frames); the largest gap
+    between the two is max_gauss_gap. A kernel's MinSeparationTooSmall is re-raised as LinkBackendError naming
+    the pair (the batch's first offending one); any other exception propagates.
     """
-    _check_int("poly_n", poly_n, 64)  # both checked before any pair is measured
-    _check_int("quad_n", quad_n, 16)
+    _check_int("quad_n", quad_n, 16)  # checked before any pair is measured
     m = n.multiplicity
-    rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), _ = _near_pairs(n)
-    circles = n.child_circles
-    samples, radii = _loop_samples([circles[k] for k in j], quad_n), np.full(len(i), n.contraction)
+    (u, v), radii = n.child_frames, np.full(len(i), n.contraction)
+    a, centers_b, u_b, v_b = (n.child_centers[i], n.child_normals[i], radii), n.child_centers[j], u[j], v[j]
     try:
-        gauss = _loop_linking(n.child_centers[i], n.child_normals[i], radii, *samples, radii)
+        lks = _disk_crossings(*a, centers_b, u_b, v_b, radii)
+        gauss = _loop_linking(*a, *_loop_samples(centers_b, radii, u_b, v_b, quad_n), radii)
     except MinSeparationTooSmall as exc:
         raise LinkBackendError((int(i[exc.index]) + 1, int(j[exc.index]) + 1), exc) from exc
-    uses = np.bincount(np.concatenate((i, j)))
-    polygons, lks = {}, []
-    for a, b in zip(i.tolist(), j.tolist()):
-        pa, pb = (polygons.pop(k, None) or PolyLoop.from_circle(circles[k], poly_n) for k in (a, b))
-        uses[[a, b]] -= 1
-        polygons.update((k, p) for k, p in ((a, pa), (b, pb)) if uses[k])  # kept until the child's last near pair
-        try:
-            lks.append(polygonal_linking(pa, pb, rng=rng))
-        except AntoineError as exc:  # attach the offending pair
-            raise LinkBackendError((a + 1, b + 1), exc) from exc
     entries = np.zeros((m, m), dtype=int)
     entries[i, j] = entries[j, i] = lks
     return LinkMatrix(entries, float(np.max(np.abs(gauss - lks), initial=0.0)))

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InvalidMultiplicity
 from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import _as_readonly, _check_int, _circle_distance, _rodrigues, _sampled_distances, project_rotations
+from .geom3 import _as_readonly, _check_int, _circle_distance, _rodrigues, _sampled_distances, circle_frames
+from .geom3 import project_rotations
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -42,7 +43,7 @@ PLANE_TILT = math.pi / 4
 
 # fixed certificate settings: samples per child circle in the containment
 # bound, deviation allowed in the symmetry checks, and the largest accepted
-# gap between the Gauss quadrature and the exact polygonal linking numbers
+# gap between the Gauss quadrature and the exact disk-crossing linking numbers
 CONTAINMENT_SAMPLES = 512
 SYMMETRY_TOL = 1e-10
 GAUSS_TOL = 0.1
@@ -107,6 +108,16 @@ class Necklace:
     def child_normals(self) -> np.ndarray:
         """(m, 3) stacked child circle normals, read-only."""
         return _as_readonly([c.normal for c in self.child_circles])
+
+    @cached_property
+    def child_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m, 3) stacked in-plane frames (u, v) of the child circles, read-only: one circle_frames call, whose rows
+        have the bits of the one-row calls. Each child circle's basis() is its row from then on (a circle whose
+        basis() ran first keeps its own, equal, frame)."""
+        u, v = (_as_readonly(x) for x in circle_frames(self.child_normals))
+        for c, frame in zip(self.child_circles, zip(u, v)):
+            c.__dict__.setdefault("_frame", frame)  # the cache that Circle3._frame fills
+        return u, v
 
     @property
     def contraction(self) -> float:
@@ -357,7 +368,6 @@ def _nest_check(child_tube: float, ratio: float, parent_tube: float) -> CheckRec
 def validate_necklace(
     n: Necklace,
     clearance_grid: int = 512,
-    poly_n: int = 512,
     quad_n: int = 64,
     check_linking: bool = True,
 ) -> ValidationReport:
@@ -375,7 +385,7 @@ def validate_necklace(
                           child circle
       link_pattern        |lk| = 1 exactly for adjacent slots, 0 otherwise
       link_gauss_agreement  quadrature linking within GAUSS_TOL of the
-                          exact integers
+                          exact integers (linking._disk_crossings)
 
     The clearance and containment margins are Lipschitz-certified (sampling
     error subtracted), so a positive margin is a proof at stated grid sizes,
@@ -391,6 +401,7 @@ def validate_necklace(
     # near pair, the ball gap for the others
     (i, j), far_gap = _near_pairs(n)
     circles = n.child_circles
+    n.child_frames  # one stacked circle_frames call: every child circle's basis() is its row
     bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i, j)]
     checks.append(CheckRecord("children_disjoint", min([*bounds, far_gap]) - 2.0 * n.child_tube, 0.0))
 
@@ -424,7 +435,7 @@ def validate_necklace(
     if check_linking:
         from .linking import link_matrix
 
-        lm = link_matrix(n, poly_n=poly_n, quad_n=quad_n)
+        lm = link_matrix(n, quad_n=quad_n)
         ring = np.roll(np.eye(m, dtype=int), 1, axis=1)  # adjacent slots, cyclically
         checks.append(CheckRecord("link_pattern", 0.5 - int(np.max(np.abs(np.abs(lm.entries) - (ring + ring.T)))), 0.0))
         checks.append(CheckRecord("link_gauss_agreement", GAUSS_TOL - lm.max_gauss_gap, GAUSS_TOL))

@@ -76,7 +76,7 @@ def scan_result():
 @pytest.fixture(scope="module")
 def matrix_result(necklace40):
     t0 = time.perf_counter()
-    lm = link_matrix(necklace40, poly_n=512, quad_n=256)
+    lm = link_matrix(necklace40, quad_n=256)
     return lm, time.perf_counter() - t0
 
 

@@ -131,9 +131,7 @@ class TestVerify:
     def test_m_star_passes_at_reduced_grids(self, capsys):
         # full-resolution verification is covered by the acceptance suite;
         # this exercises the CLI contract at cheaper settings
-        code, out = run(
-            capsys, "verify", "--m", "40", "--grid-n", "256", "--poly-n", "128", "--quad-n", "64"
-        )
+        code, out = run(capsys, "verify", "--m", "40", "--grid-n", "256", "--quad-n", "64")
         assert code == 0
         doc = json.loads(out)
         assert doc["validation"]["passed"] is True
@@ -143,27 +141,30 @@ class TestVerify:
 
     @pytest.mark.parametrize("m", [40, 16])
     def test_links_once_and_emits_that_matrix(self, capsys, monkeypatch, m):
-        # counted at the matrix and at the pair level, so that a second
+        # counted at the matrix and at the pair level (the rows of each disk-crossing batch), so that a second
         # matrix computed through any imported name is seen too
-        originals = {name: getattr(linking, name) for name in ("link_matrix", "polygonal_linking")}
+        originals = {name: getattr(linking, name) for name in ("link_matrix", "_disk_crossings")}
         calls = dict.fromkeys(originals, 0)
+        pairs = []
 
         def counting(name):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "_disk_crossings":
+                    pairs.append(len(args[0]))
                 return originals[name](*args, **kwargs)
 
             return wrapper
 
         for name in originals:
             monkeypatch.setattr(linking, name, counting(name))
-        code, out = run(capsys, "verify", "--m", str(m), "--grid-n", "256", "--poly-n", "128", "--quad-n", "64")
-        # one polygonal linking per near pair: the m adjacent pairs
+        code, out = run(capsys, "verify", "--m", str(m), "--grid-n", "256", "--quad-n", "64")
+        # one disk-crossing evaluation per near pair, in one batch: the m adjacent pairs
         (near, _), _ = _near_pairs(build_necklace(m))
         assert len(near) == m
-        assert calls == {"link_matrix": 1, "polygonal_linking": len(near)}
+        assert calls == {"link_matrix": 1, "_disk_crossings": 1} and pairs == [len(near)]
         assert code == (0 if m == 40 else 1)
-        direct = originals["link_matrix"](build_necklace(m), poly_n=128, quad_n=64)
+        direct = originals["link_matrix"](build_necklace(m), quad_n=64)
         assert json.loads(out)["link_matrix"] == direct.to_json_dict()
 
     def test_linking_failure_exits_1_without_traceback(self, capsys, monkeypatch):
@@ -171,7 +172,7 @@ class TestVerify:
             raise MinSeparationTooSmall("sampled distance 1.000e-10 from circle a < 1.104e-02, 1.5 half sample spacings", 2)
 
         monkeypatch.setattr(linking, "_loop_linking", failing)
-        code = main(["verify", "--m", "40", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32"])
+        code = main(["verify", "--m", "40", "--grid-n", "128", "--quad-n", "32"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -184,8 +185,8 @@ class TestVerify:
         def faulty(*args, **kwargs):
             raise TypeError("backend fault")
 
-        monkeypatch.setattr(linking, "polygonal_linking", faulty)
-        code = main(["verify", "--m", "40", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32"])
+        monkeypatch.setattr(linking, "_disk_crossings", faulty)
+        code = main(["verify", "--m", "40", "--grid-n", "128", "--quad-n", "32"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -199,8 +200,17 @@ class TestVerify:
         assert code == 1 and capsys.readouterr().err == ""
         assert json.loads(out.read_text())["link_matrix"]["max_gauss_gap"] < 1e-3
 
+    def test_poly_n_is_checked_hidden_and_ignored(self, capsys):
+        # the linking numbers take no polygons: --poly-n is still range-checked (TestUsageErrors), but absent from
+        # the help and without effect on the output
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--quad-n" in (text := capsys.readouterr().out) and "--poly-n" not in text
+        flags = ([], ["--poly-n", "64"], ["--poly-n", "100000"])
+        assert len({run(capsys, "verify", "--m", "16", "--grid-n", "64", *flag)[1] for flag in flags}) == 1
+
     def test_invalid_construction_exits_1(self, capsys):
-        code, out = run(capsys, "verify", "--m", "16", "--grid-n", "128", "--poly-n", "64", "--quad-n", "32")
+        code, out = run(capsys, "verify", "--m", "16", "--grid-n", "128", "--quad-n", "32")
         assert code == 1
         assert json.loads(out)["validation"]["passed"] is False
 
@@ -368,7 +378,7 @@ FLAGS = {
     "build": [],
     "verify": [
         ("--grid-n", st.sampled_from(("8", "64")), HOSTILE, False),
-        ("--poly-n", st.just("64"), CHEAP_HOSTILE, True),
+        ("--poly-n", st.just("64"), HOSTILE, False),  # ignored, so "2000" costs nothing
         ("--quad-n", st.just("16"), CHEAP_HOSTILE, True),
     ],
     "classify": [

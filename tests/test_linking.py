@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import double_integral_linking
 
@@ -22,6 +22,7 @@ from antoine.linking import (
     LinkBackendError,
     LinkMatrix,
     PolyLoop,
+    _disk_crossings,
     _loop_linking,
     _loop_samples,
     _try_projection,
@@ -124,8 +125,18 @@ radii = st.floats(0.2, 2.0)
 def near_pair_values(n, quad_n):
     """The near pairs (i, j) of n and their one-loop values as link_matrix computes them: one batch, child i as a."""
     (i, j), _ = _near_pairs(n)
-    samples, radii = _loop_samples([n.child_circles[k] for k in j], quad_n), np.full(len(i), n.contraction)
+    (u, v), radii = n.child_frames, np.full(len(i), n.contraction)
+    samples = _loop_samples(n.child_centers[j], radii, u[j], v[j], quad_n)
     return i, j, _loop_linking(n.child_centers[i], n.child_normals[i], radii, *samples, radii)
+
+
+def polygonal_entries(n, poly_n):
+    """polygonal_linking on the near pairs of n, in order, on poly_n-gons and with one generator from the package
+    seed, as link_matrix computed its entries before the disk crossings: the oracle."""
+    rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
+    (i, j), _ = _near_pairs(n)
+    loops = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles]
+    return np.array([polygonal_linking(loops[a], loops[b], rng=rng) for a, b in zip(i, j)], dtype=int)
 
 
 def crossing_pair(theta, delta, inside):
@@ -160,7 +171,7 @@ class TestLoopLinking:
     def test_signs_equal_the_polygonal_entries(self, m):
         n = build_necklace(m)
         i, j, values = near_pair_values(n, 64)
-        entries = link_matrix(n, poly_n=128).entries[i, j]
+        entries = polygonal_entries(n, 128)
         assert np.array_equal(np.rint(values), entries) and np.count_nonzero(entries) == m  # the adjacent pairs
 
     @pytest.mark.parametrize("height", [0.0, 0.5])
@@ -221,13 +232,131 @@ class TestLoopLinking:
     def test_link_matrix_evaluates_quad_n_points_per_near_pair(self, necklace40, monkeypatch):
         shapes = []
         monkeypatch.setattr(antoine.linking, "_loop_linking", lambda *args: shapes.append(args[3].shape) or _loop_linking(*args))
-        link_matrix(necklace40, poly_n=128, quad_n=64)
+        link_matrix(necklace40, quad_n=64)
         assert shapes == [(3, 40, 64)]  # one batch: 40 x 64 = 2,560 points
 
 
+def disk_lk(a, b):
+    """_disk_crossings on one pair of circles."""
+    (u, v), radius_a, radius_b = b.basis(), np.array([a.radius]), np.array([b.radius])
+    return int(_disk_crossings(a.center[None], a.normal[None], radius_a, b.center[None], u[None], v[None], radius_b)[0])
+
+
+def polygon_lk(a, b):
+    return polygonal_linking(PolyLoop.from_circle(a, 512), PolyLoop.from_circle(b, 512))
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two circles at least 5% of the larger radius apart: b about a random centre near a's (tilted and offset
+    pairs, mostly unlinked), about a point of a with a random normal (linked or not), or about a point of a with
+    its normal near a's tangent there and a radius under 2 r_a (Hopf links)."""
+    a = Circle3(draw(centres), draw(radii), draw(normals))
+    kind, offset, rb, nb, angle = draw(st.sampled_from(["offset", "on_a", "hopf"])), *draw(st.tuples(
+        vectors, radii, normals, st.floats(0.0, 2.0 * math.pi)))
+    if kind == "offset":
+        b = Circle3(a.center + 2.0 * offset, rb, nb)
+    else:
+        u, v = a.basis()
+        tangent = math.cos(angle) * v - math.sin(angle) * u
+        normal = tangent + 0.5 * offset if kind == "hopf" else nb
+        assume(np.linalg.norm(normal) > 0.1)
+        b = Circle3(a.point_at(angle) + 0.2 * offset, min(rb, 1.9 * a.radius) if kind == "hopf" else rb, normal)
+    assume(point_circle_distance(b, a.sample(1024)).min() > 0.05 * max(a.radius, b.radius))
+    return a, b
+
+
+def tilted(c, e3_to):
+    """The circle c carried by the minimal rotation from e3 to e3_to about the origin."""
+    return c.transform(Similarity3(1.0, Rotation3.aligning(E3, np.asarray(e3_to, dtype=float)), np.zeros(3)))
+
+
+class TestDiskCrossings:
+    """The closed-form disk-crossing kernel: polygonal_linking's integers, the symmetries of lk, and no guess."""
+
+    @pytest.mark.parametrize("m", [16, 38, 40, 64, 400])
+    def test_link_matrix_equals_polygonal_on_every_near_pair(self, m):
+        n = build_necklace(m)
+        (i, j), _ = _near_pairs(n)
+        assert np.array_equal(link_matrix(n).entries[i, j], polygonal_entries(n, 512))
+
+    @settings(max_examples=200)
+    @given(disjoint_pairs())
+    def test_random_disjoint_pairs_equal_polygonal(self, pair):
+        assert disk_lk(*pair) == polygon_lk(*pair)
+
+    @given(disjoint_pairs())
+    def test_symmetric_and_odd_under_a_flip(self, pair):
+        a, b = pair
+        lk = disk_lk(a, b)
+        flip_a, flip_b = (Circle3(c.center, c.radius, -c.normal) for c in (a, b))
+        assert disk_lk(b, a) == lk == -disk_lk(flip_a, b) == -disk_lk(a, flip_b) == disk_lk(flip_a, flip_b)
+
+    def test_hopf_pair_has_the_shared_sign(self):
+        assert disk_lk(HOPF_A, HOPF_B) == polygon_lk(HOPF_A, HOPF_B) == round(gauss_linking(HOPF_A, HOPF_B)) == 1
+
+    @pytest.mark.parametrize("b", [
+        Circle3(np.array([3.0, 0.0, 0.0]), 1.0, E3),  # coplanar, apart
+        Circle3(np.array([0.2, 0.1, 0.0]), 0.3, E3),  # coplanar, inside a's disk
+        Circle3(np.array([0.2, 0.1, 1e-14]), 0.3, np.array([1e-13, 0.0, 1.0])),  # nearly so
+        Circle3(np.array([0.1, 0.0, 0.0]), 3.0, np.array([0.0, 0.1, 1.0])),  # tilted about a, an unlinked chain
+        Circle3(np.array([3.0, 0.0, 0.5]), 0.5, np.array([0.0, 1.0, 0.0])),  # touches a's plane outside the disk
+        Circle3(np.array([0.3, 0.0, 0.5]), 0.5, np.array([0.0, 1.0, 0.0])),  # touches a's plane inside the disk
+        Circle3(np.array([0.0, 0.0, 2.0]), 1.0, E3),  # coaxial, above
+    ])
+    def test_degenerate_disjoint_pairs_are_unlinked(self, b):
+        # b misses a's plane, lies in it or nearly, or touches it, in any position: lk = 0 in either order
+        for turn in (E3, [1.0, 2.0, 2.0]):
+            a_turned, b_turned = tilted(HOPF_A, turn), tilted(b, turn)
+            assert disk_lk(a_turned, b_turned) == disk_lk(b_turned, a_turned) == 0
+
+    @pytest.mark.parametrize("centre, normal", [
+        ([1.6, 0.0, 0.8], [0.0, 1.0, 0.0]),  # crosses a's plane on circle a
+        ([1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),  # touches a's plane on circle a
+        ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]),  # meets circle a twice, across it
+        ([2.0, 0.0, 0.0], [0.0, 0.0, 1.0]),  # coplanar, touching
+        ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),  # coplanar, meeting twice
+    ])
+    def test_meeting_circles_raise_naming_the_pair(self, centre, normal):
+        # unit circles, and children 1 and 2 of an m = 10 necklace moved onto them, scaled by the ratio 4/m: no
+        # integer is returned for circles that meet, in either order
+        b = Circle3(np.array(centre), 1.0, np.array(normal))
+        for pair in ((HOPF_A, b), (b, HOPF_A)):
+            with pytest.raises(MinSeparationTooSmall, match="within the rounding allowance"):
+                disk_lk(*pair)
+        n = build_necklace(10)
+        r = n.contraction
+        unit = Similarity3(r, Rotation3(np.eye(3)), np.zeros(3))
+        moved = Similarity3(r, Rotation3.aligning(E3, np.array(normal)), r * np.array(centre))
+        for maps in ((unit, moved), (moved, unit)):
+            n = dataclasses.replace(n, child_maps=(*maps, *n.child_maps[2:]))
+            with pytest.raises(LinkBackendError, match=re.escape("child pair (1, 2): disk crossing ")) as info:
+                link_matrix(n)
+            assert isinstance(info.value.cause, MinSeparationTooSmall)
+
+    def test_non_finite_pair_raises(self):
+        b = Circle3(np.array([math.nan, 0.0, 0.0]), 1.0, E3)
+        with pytest.raises(MinSeparationTooSmall):
+            disk_lk(HOPF_A, b)
+
+    def test_evaluates_the_40_adjacent_pairs_at_m40(self, necklace40, monkeypatch):
+        # the replacement of the 40 polygonal_linking calls: one batch of exactly the adjacent pairs, no far pair
+        batches, original = [], antoine.linking._disk_crossings
+        child = {tuple(c): k for k, c in enumerate(necklace40.child_centers.tolist())}
+
+        def recording(centers, normals, radii, centers_b, u_b, v_b, radii_b):
+            pairs = zip(centers.tolist(), centers_b.tolist())
+            batches.append(sorted(tuple(sorted((child[tuple(p)], child[tuple(q)]))) for p, q in pairs))
+            return original(centers, normals, radii, centers_b, u_b, v_b, radii_b)
+
+        monkeypatch.setattr(antoine.linking, "_disk_crossings", recording)
+        link_matrix(necklace40)
+        assert batches == [sorted([(k, k + 1) for k in range(39)] + [(0, 39)])]
+
+
 def fresh_link_matrix(n, poly_n=512, quad_n=64):
-    """link_matrix as computed before it shared each child's polygon among its near pairs: two fresh polygons
-    per near pair, in the same order, the oracle."""
+    """link_matrix pair by pair, the oracle: the entries from polygonal_linking on two fresh polygons per near pair
+    (one generator from the package seed, the pairs in order) and the gap from gauss_linking."""
     m = n.multiplicity
     rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
     (i, j), _ = _near_pairs(n)
@@ -250,7 +379,7 @@ class TestLinkMatrix:
         assert got.max_gauss_gap == want.max_gauss_gap
 
     def test_fields_are_the_entries_and_the_gap(self, necklace16):
-        lm = link_matrix(necklace16, poly_n=128)
+        lm = link_matrix(necklace16)
         assert [f.name for f in dataclasses.fields(lm)] == ["entries", "max_gauss_gap"]
         assert lm.to_json_dict()["m"] == len(lm.entries) == 16
         assert not lm.entries.flags.writeable
@@ -260,44 +389,44 @@ class TestLinkMatrix:
         with pytest.raises(ValueError, match=re.escape(f"must be a square integer matrix, not of shape {shape}")):
             LinkMatrix(np.zeros(shape, dtype=int), 0.0)
 
-    @pytest.mark.parametrize("sizes", [{"poly_n": 32}, {"quad_n": 8}, {"quad_n": -1}, {"poly_n": 64.5},
-                                       {"quad_n": 64.0}, {"poly_n": True}])
-    def test_small_grids_rejected_before_any_pair(self, necklace16, sizes, monkeypatch):
-        monkeypatch.setattr(antoine.linking, "polygonal_linking", None)  # a pair measured first raises TypeError
-        (name,) = sizes
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {dict(poly_n=64, quad_n=16)[name]}, "):
-            link_matrix(necklace16, **sizes)
+    @pytest.mark.parametrize("quad_n", [8, -1, 64.0, 64.5, True])
+    def test_small_grids_rejected_before_any_pair(self, necklace16, quad_n, monkeypatch):
+        monkeypatch.setattr(antoine.linking, "_disk_crossings", None)  # a pair measured first raises TypeError
+        with pytest.raises(ValueError, match=r"^quad_n must be an integer >= 16, "):
+            link_matrix(necklace16, quad_n=quad_n)
 
     def test_package_backend_error_names_its_pair(self, necklace16, monkeypatch):
-        def failing(a, b, rng=None):
-            raise NoGenericProjection("no generic projection after 64 tries")
+        def failing(*args):  # the batch's third pair, (2, 3), is the first offending one
+            raise MinSeparationTooSmall("disk crossing 1.000e-17 from circle a, within the rounding allowance", 2)
 
-        monkeypatch.setattr(antoine.linking, "polygonal_linking", failing)
-        with pytest.raises(LinkBackendError, match=re.escape("child pair (1, 2): no generic projection")):
+        monkeypatch.setattr(antoine.linking, "_disk_crossings", failing)
+        with pytest.raises(LinkBackendError, match=re.escape("child pair (2, 3): disk crossing 1.000e-17")) as info:
             link_matrix(necklace16)
+        assert info.value.pair == (2, 3)
 
     def test_foreign_backend_error_propagates(self, necklace16, monkeypatch):
         # only the package's own errors are validation failures; a TypeError is a fault and keeps its type
-        def failing(a, b, rng=None):
+        def failing(*args):
             raise TypeError("backend fault")
 
-        monkeypatch.setattr(antoine.linking, "polygonal_linking", failing)
+        monkeypatch.setattr(antoine.linking, "_disk_crossings", failing)
         with pytest.raises(TypeError, match="^backend fault$"):
             link_matrix(necklace16)
 
     @pytest.mark.parametrize("m,tube_factor", [(40, 1.0), (16, 2.0)])
-    def test_one_polygon_per_child_in_a_near_pair(self, m, tube_factor, monkeypatch):
-        # each child's polygon is built at its first near pair and serves every later one; the doubled tube at
+    def test_one_kernel_evaluation_per_near_pair(self, m, tube_factor, monkeypatch):
+        # one disk-crossing batch whose rows are the near pairs, each once, child i as a; the doubled tube at
         # m = 16 gives each child four near pairs
         n = build_necklace(m)
         n = dataclasses.replace(n, child_tube=tube_factor * n.child_tube)
-        builds = []
-        original = PolyLoop.from_circle
-        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(lambda c, k: builds.append(c) or original(c, k)))
+        batches = []
+        original = antoine.linking._disk_crossings
+        monkeypatch.setattr(antoine.linking, "_disk_crossings", lambda *args: batches.append(args) or original(*args))
         link_matrix(n, quad_n=64)
         (i, j), _ = _near_pairs(n)
         assert len(i) == m * tube_factor
-        assert sorted(map(id, builds)) == sorted(id(n.child_circles[k]) for k in np.union1d(i, j))
+        ((centers, _, _, centers_b, *_),) = batches
+        assert np.array_equal(centers, n.child_centers[i]) and np.array_equal(centers_b, n.child_centers[j])
 
     def test_warm_call_takes_few_page_faults(self):
         # fresh quad_n x quad_n grids per pair once took about 14,000 minor faults at m = 40; the one-loop

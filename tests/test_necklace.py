@@ -161,6 +161,19 @@ class TestChildViews:
         with pytest.raises(TypeError):
             dataclasses.replace(necklace40, child_circles=necklace40.child_circles)
 
+    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 400, 1000])
+    def test_child_frames_are_the_per_circle_frames(self, m):
+        # one stacked circle_frames call, lazily: building the necklace does not pay for it; its rows have the
+        # bits of each circle's own one-row frame, and each child circle's basis() then returns its row
+        n = build_necklace(m)
+        assert "child_frames" not in vars(n)
+        u, v = n.child_frames
+        assert n.child_frames is n.child_frames and not u.flags.writeable and not v.flags.writeable
+        for k, (c, own) in enumerate(zip(n.child_circles, build_necklace(m).child_circles)):
+            own_u, own_v = own.basis()  # a one-row circle_frames call: that necklace's frames are not stacked
+            assert np.array_equal(u[k], own_u) and np.array_equal(v[k], own_v)
+            assert all(np.shares_memory(row, frame) for row, frame in zip(c.basis(), (u, v)))
+
 
 class TestValidate:
     def test_m_star_geometry_passes(self, geometry_report40):
@@ -225,7 +238,7 @@ class TestValidate:
         # a child tube of 0.001 passes every other check, yet the maps do not carry the parent torus into the
         # child tori: at m = 40 the classifier labels every chaos-game point escaped
         thin = dataclasses.replace(build_necklace(m), child_tube=0.001)
-        report = validate_necklace(thin, poly_n=128)
+        report = validate_necklace(thin)
         assert [c.name for c in report.checks if not c.passed] == ["children_nest"]
         if m == 40:
             status, _, _ = dynamics.classify_points(thin, dynamics.chaos_game_sample(thin, 500, 20, seed=1), 40)
@@ -358,7 +371,7 @@ class TestNearPairPass:
             n = moved_child(n, 9, 1e-3 * np.array([2.0, -1.0, 2.0]) / 3.0)
         elif request.param == "m40-flipped-child":
             n = flipped_child(n, 9)
-        return n, validate_necklace(n, poly_n=128, quad_n=64), exhaustive_pair_checks(n, poly_n=128, quad_n=64)
+        return n, validate_necklace(n, quad_n=64), exhaustive_pair_checks(n, poly_n=128, quad_n=64)
 
     def test_same_entries_and_pass_flags(self, pair_checks):
         _, report, (_, entries, _, passed) = pair_checks
@@ -393,9 +406,9 @@ class TestNearPairPass:
         flipped = necklace40.child_circles[9]
         assert np.array_equal(n.child_circles[9].center, flipped.center)
         assert np.array_equal(n.child_circles[9].normal, -flipped.normal)
-        entries = validate_necklace(n, poly_n=128, quad_n=64).link_matrix.entries
+        entries = validate_necklace(n, quad_n=64).link_matrix.entries
         loops = [PolyLoop.from_circle(n.child_circles[k], 128) for k in (8, 9)]
-        unflipped = validate_necklace(necklace40, poly_n=128, quad_n=64).link_matrix.entries
+        unflipped = validate_necklace(necklace40, quad_n=64).link_matrix.entries
         assert entries[8, 9] == polygonal_linking(*loops) == -unflipped[8, 9]
 
     @pytest.mark.parametrize("k", [0, 9])
@@ -426,38 +439,31 @@ class TestNearPairPass:
 
     def test_far_pair_entries_are_never_computed(self, necklace40, monkeypatch):
         index = {id(c): k for k, c in enumerate(necklace40.child_circles)}
-        evaluated = {name: [] for name in ("circle_circle_distance", "_loop_linking", "polygonal_linking")}
-        polygons = {}  # each polygon's child, by identity
-        from_circle = PolyLoop.from_circle
+        child = {tuple(c): k for k, c in enumerate(necklace40.child_centers.tolist())}
+        evaluated = {name: [] for name in ("circle_circle_distance", "_loop_linking", "_disk_crossings")}
+        original = necklace.circle_circle_distance
 
-        def built(c, n):
-            loop = from_circle(c, n)
-            polygons[id(loop)] = index[id(c)]
-            return loop
+        def distance(a, b, *args):
+            evaluated["circle_circle_distance"].append((index[id(a)], index[id(b)]))
+            return original(a, b, *args)
 
-        def recording(module, name, child):
-            original = getattr(module, name)
+        monkeypatch.setattr(necklace, "circle_circle_distance", distance)
+        loop_linking, disk_crossings = linking._loop_linking, linking._disk_crossings
 
-            def wrapper(a, b, *args, **kwargs):
-                evaluated[name].append((child(a), child(b)))
-                return original(a, b, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        monkeypatch.setattr(PolyLoop, "from_circle", staticmethod(built))
-        recording(necklace, "circle_circle_distance", lambda c: index[id(c)])
-        loop_linking = linking._loop_linking
-
-        def batch(centers, normals, radii, points, tangents, radii_b):  # a by its centre, b by its first sample
+        def loops(centers, normals, radii, points, tangents, radii_b):  # a by its centre, b by its first sample
             for c, p in zip(centers, points[:, :, 0].T):
-                a = int(np.flatnonzero((necklace40.child_centers == c).all(axis=1))[0])
                 b = int(np.argmin([point_circle_distance(k, p) for k in necklace40.child_circles]))
-                evaluated["_loop_linking"].append((a, b))
+                evaluated["_loop_linking"].append((child[tuple(c.tolist())], b))
             return loop_linking(centers, normals, radii, points, tangents, radii_b)
 
-        monkeypatch.setattr(linking, "_loop_linking", batch)
-        recording(linking, "polygonal_linking", lambda p: polygons[id(p)])
-        report = validate_necklace(necklace40, poly_n=128, quad_n=64)
+        def disks(centers, normals, radii, centers_b, u_b, v_b, radii_b):  # a and b by their centres
+            for p, q in zip(centers.tolist(), centers_b.tolist()):
+                evaluated["_disk_crossings"].append((child[tuple(p)], child[tuple(q)]))
+            return disk_crossings(centers, normals, radii, centers_b, u_b, v_b, radii_b)
+
+        monkeypatch.setattr(linking, "_loop_linking", loops)
+        monkeypatch.setattr(linking, "_disk_crossings", disks)
+        report = validate_necklace(necklace40, quad_n=64)
         adjacent = adjacent_pairs(40)
         assert all(sorted(pairs) == sorted(adjacent) for pairs in evaluated.values()), evaluated
         linked = np.zeros((40, 40), dtype=bool)
@@ -468,7 +474,7 @@ class TestNearPairPass:
 
 class TestMultiplicityScan:
     def test_scan_links_only_what_the_geometry_admits(self):
-        (m38, r38), (m40, r40) = scan_multiplicities([38, 40], poly_n=128, quad_n=64)
+        (m38, r38), (m40, r40) = scan_multiplicities([38, 40], quad_n=64)
         assert (m38, m40) == (38, 40)
         assert not r38.passed and r38.link_matrix is None
         assert r40.passed and r40.link_matrix is not None
@@ -477,11 +483,11 @@ class TestMultiplicityScan:
         linked = []
         link_matrix = linking.link_matrix
         monkeypatch.setattr(linking, "link_matrix", lambda n, **kw: linked.append(n.multiplicity) or link_matrix(n, **kw))
-        m, report = next((m, r) for m, r in scan_multiplicities(range(10, 1001, 2), poly_n=128, quad_n=64) if r.passed)
+        m, report = next((m, r) for m, r in scan_multiplicities(range(10, 1001, 2), quad_n=64) if r.passed)
         assert m == M_STAR
         assert report.passed
         assert linked == [M_STAR]  # every smaller m fails a geometric check, so it is never linked
-        direct = validate_necklace(build_necklace(M_STAR), poly_n=128, quad_n=64)
+        direct = validate_necklace(build_necklace(M_STAR), quad_n=64)
         assert report.to_json_dict() == direct.to_json_dict()
         assert np.array_equal(report.link_matrix.entries, direct.link_matrix.entries)
 
