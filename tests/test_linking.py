@@ -130,15 +130,6 @@ def near_pair_values(n, quad_n):
     return i, j, _loop_linking(n.child_centers[i], n.child_normals[i], radii, *samples, radii)
 
 
-def polygonal_entries(n, poly_n):
-    """polygonal_linking on the near pairs of n, in order, on poly_n-gons and with one generator from the package
-    seed, as link_matrix computed its entries before the disk crossings: the oracle."""
-    rng = np.random.default_rng(DEFAULT_PROJECTION_SEED)
-    (i, j), _ = _near_pairs(n)
-    loops = [PolyLoop.from_circle(c, poly_n) for c in n.child_circles]
-    return np.array([polygonal_linking(loops[a], loops[b], rng=rng) for a, b in zip(i, j)], dtype=int)
-
-
 def crossing_pair(theta, delta, inside):
     """Unit circles (a, b): b about the origin with normal e2, and a, whose wire runs along e2 at distance delta
     from b's point at angle theta, outside b's disc (one close approach, unlinked) or inside it (two, linked)."""
@@ -171,7 +162,7 @@ class TestLoopLinking:
     def test_signs_equal_the_polygonal_entries(self, m):
         n = build_necklace(m)
         i, j, values = near_pair_values(n, 64)
-        entries = polygonal_entries(n, 128)
+        entries = fresh_link_matrix(n, poly_n=128).entries[i, j]
         assert np.array_equal(np.rint(values), entries) and np.count_nonzero(entries) == m  # the adjacent pairs
 
     @pytest.mark.parametrize("height", [0.0, 0.5])
@@ -274,12 +265,6 @@ def tilted(c, e3_to):
 class TestDiskCrossings:
     """The closed-form disk-crossing kernel: polygonal_linking's integers, the symmetries of lk, and no guess."""
 
-    @pytest.mark.parametrize("m", [16, 38, 40, 64, 400])
-    def test_link_matrix_equals_polygonal_on_every_near_pair(self, m):
-        n = build_necklace(m)
-        (i, j), _ = _near_pairs(n)
-        assert np.array_equal(link_matrix(n).entries[i, j], polygonal_entries(n, 512))
-
     @settings(max_examples=200)
     @given(disjoint_pairs())
     def test_random_disjoint_pairs_equal_polygonal(self, pair):
@@ -371,8 +356,9 @@ def fresh_link_matrix(n, poly_n=512, quad_n=64):
 
 
 class TestLinkMatrix:
-    @pytest.mark.parametrize("m", [16, 40, 64])
+    @pytest.mark.parametrize("m", [16, 38, 40, 64, 400])
     def test_equals_fresh_loop(self, m):
+        # the disk crossings give polygonal_linking's integers (512-gons, package seed) on every near pair
         n = build_necklace(m)
         got, want = link_matrix(n), fresh_link_matrix(n)
         assert np.array_equal(got.entries, want.entries)
