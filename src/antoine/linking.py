@@ -89,7 +89,7 @@ def _disk_crossings(centers, normals, radii, centers_b, u_b, v_b, radii_b) -> np
     and B differ from the coefficients of the exact circles (a's unit normal, an exact orthonormal frame of b) by
     less than e in sum: each fixed-order dot product is within 3u of exact, d and the products by r_b add u each
     (4u s + 8u r_b), and u_b and v_b lie within 4u and 6u of an exact frame (circle_frames' first cross product,
-    with a basis vector, is exact; unit_rows and the second one round: 10u r_b more). A normal's length 1 +- 2u
+    with a basis vector, is exact; unit_rows and the second one round: 10u r_b more). A normal's length 1 +- 3u
     scales h and moves no crossing. So the exact height is h~(t) + err(t), h~ the computed coefficients' sinusoid
     taken exactly, |err| and |err'| <= e, and |h~''| <= R. Budgeting 4 ulps each for hypot, atan2, arccos, cos and
     sin, with q = R^2 - h0^2 (so that R sin theta = sqrt(q)):
