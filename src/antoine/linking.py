@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntoineError, MinSeparationTooSmall, NoGenericProjection
-from .geom3 import Circle3, _check_int, _height_and_rho, circle_frames, unit_rows
-from .necklace import Necklace, _near_pairs
+from .geom3 import Circle3, _check_int, _height_and_rho, _loop_samples, circle_frames, unit_rows
+from .necklace import Necklace
 
 logger = logging.getLogger(__name__)
 
@@ -61,15 +61,6 @@ def gauss_linking(a: Circle3, b: Circle3, quad_n: int = 64) -> float:
     _check_int("quad_n", quad_n, 16)
     samples = _loop_samples(b.center[None], np.array([b.radius]), *(x[None] for x in b.basis()), quad_n)
     return float(_loop_linking(a.center[None], a.normal[None], np.array([a.radius]), *samples, np.array([b.radius]))[0])
-
-
-def _loop_samples(centers, radii, u, v, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(3, P, quad_n) points p_k of P circles, given by their (P, 3) centres and in-plane frames (u, v) and their
-    (P,) radii, at the angles t_k = 2 pi k / quad_n (the bits of Circle3.sample), and their line elements
-    dl_k = p'(t_k) 2 pi / quad_n."""
-    cos, sin = (f(np.arange(quad_n) * (2.0 * math.pi / quad_n)) for f in (np.cos, np.sin))
-    center, radius, u, v = centers.T[..., None], radii[:, None], u.T[..., None], v.T[..., None]
-    return center + radius * (cos * u + sin * v), radius * (2.0 * math.pi / quad_n) * (cos * v - sin * u)
 
 
 def _disk_crossings(centers, normals, radii, centers_b, u_b, v_b, radii_b) -> np.ndarray:
@@ -356,7 +347,7 @@ def link_matrix(n: Necklace, quad_n: int = 64) -> LinkMatrix:
     """Linking numbers for all unordered child pairs, each near pair certified on its own.
 
     A pair whose certified ball gap exceeds twice the child tube is unlinked with no evaluation (see
-    necklace._near_pairs) and gets entry 0. The near pairs get their exact integers from the disk crossings
+    Necklace.near_pairs) and gets entry 0. The near pairs get their exact integers from the disk crossings
     (_disk_crossings) and the Gauss integral (_loop_linking, quad_n points per loop) as the cross-check, each
     kernel in one batch over the pairs and the stacked child frames (Necklace.child_frames); the largest gap
     between the two is max_gauss_gap. A kernel's MinSeparationTooSmall is re-raised as LinkBackendError naming
@@ -364,7 +355,7 @@ def link_matrix(n: Necklace, quad_n: int = 64) -> LinkMatrix:
     """
     _check_int("quad_n", quad_n, 16)  # checked before any pair is measured
     m = n.multiplicity
-    (i, j), _ = _near_pairs(n)
+    (i, j), _ = n.near_pairs
     (u, v), radii = n.child_frames, np.full(len(i), n.contraction)
     a, centers_b, u_b, v_b = (n.child_centers[i], n.child_normals[i], radii), n.child_centers[j], u[j], v[j]
     try:

@@ -28,9 +28,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidMultiplicity
-from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, circle_circle_distance, point_circle_distance
-from .geom3 import _as_readonly, _check_int, _circle_distance, _rodrigues, _sampled_distances, circle_frames
-from .geom3 import project_rotations
+from .geom3 import Circle3, Rotation3, Similarity3, SolidTorus, point_circle_distance, project_rotations
+from .geom3 import _as_readonly, _check_int, _circle_distance, _rodrigues, _sampled_distance_bounds, circle_frames
 
 if TYPE_CHECKING:
     from .linking import LinkMatrix
@@ -59,6 +58,38 @@ def _checked_multiplicity(m) -> int:
     if not isinstance(m, (int, np.integer)) or m % 2 != 0 or m < 10:
         raise InvalidMultiplicity(f"multiplicity must be an even integer >= 10, got {m!r}")
     return int(m)
+
+
+def _near_pairs(n: Necklace) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The child pairs (i, j), i < j, that need their own pair checks, as read-only index arrays, and the smallest
+    certified ball gap of the others (inf if there are none).
+
+    A pair's ball gap g = |c_i - c_j| - 2 r (r = 4/m, every child's radius) bounds the distance between its two
+    circles from below: each lies in the closed ball of radius r about its centre. A pair whose computed gap, less
+    the rounding allowance below, exceeds 2 child_tube is certified with no evaluation: its tori are disjoint (the
+    core distance is at least g), and it is unlinked (circle j misses the ball that holds the disk circle i
+    bounds). Every other pair is near.
+
+    Rounding, with u = eps / 2: in the fixed order ((dx^2 + dy^2) + dz^2) every difference, square and addition
+    is within a factor (1 + u) of exact, so the sum is within (1 + gamma_5) of d^2 and its rounded sqrt within
+    3.6 u d of d; subtracting 2 r (exact, a doubling) adds at most u (d + 2 r). The computed g is thus off by
+    less than 2.5 eps (d + 2 r), and the allowance 4 eps (d + 2 r) also covers its own rounding and that of
+    subtracting it.
+    """
+    i, j = np.triu_indices(n.multiplicity, 1)
+    two_r, gap = 2.0 * n.contraction, np.zeros(len(i))
+    for x in n.child_centers.T:  # in place: one (m choose 2) temporary per gather
+        dx = x.take(i)
+        dx -= x.take(j)
+        dx *= dx
+        gap += dx
+    np.sqrt(gap, out=gap)
+    allowance = gap + two_r
+    allowance *= 4.0 * np.finfo(float).eps
+    gap -= two_r
+    gap -= allowance
+    near = gap <= 2.0 * n.child_tube
+    return tuple(_as_readonly(x[near], np.intp) for x in (i, j)), float(np.min(gap, where=~near, initial=math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +142,10 @@ class Necklace:
 
     @cached_property
     def child_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m, 3) stacked in-plane frames (u, v) of the child circles, read-only: one circle_frames call, whose rows
-        have the bits of the one-row calls. Each child circle's basis() is its row from then on (a circle whose
-        basis() ran first keeps its own, equal, frame)."""
-        u, v = (_as_readonly(x) for x in circle_frames(self.child_normals))
-        for c, frame in zip(self.child_circles, zip(u, v)):
-            c.__dict__.setdefault("_frame", frame)  # the cache that Circle3._frame fills
-        return u, v
+        """(m, 3) stacked child circle frames (u, v), read-only: one circle_frames call, each row its basis()'s bits."""
+        return tuple(_as_readonly(x) for x in circle_frames(self.child_normals))
+
+    near_pairs = cached_property(_near_pairs)  # computed once per necklace; a replace() copy starts afresh
 
     @property
     def contraction(self) -> float:
@@ -316,38 +344,6 @@ def _circle_deviation(a: Circle3, b: Circle3) -> float:
     return max(center_dev, radius_dev, normal_dev)
 
 
-def _near_pairs(n: Necklace) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-    """The child pairs (i, j), i < j, that need their own pair checks, and the smallest certified ball gap of the
-    others (inf if there are none).
-
-    A pair's ball gap g = |c_i - c_j| - 2 r (r = 4/m, every child's radius) bounds the distance between its two
-    circles from below: each lies in the closed ball of radius r about its centre. A pair whose computed gap, less
-    the rounding allowance below, exceeds 2 child_tube is certified with no evaluation: its tori are disjoint (the
-    core distance is at least g), and it is unlinked (circle j misses the ball that holds the disk circle i
-    bounds). Every other pair is near.
-
-    Rounding, with u = eps / 2: in the fixed order ((dx^2 + dy^2) + dz^2) every difference, square and addition
-    is within a factor (1 + u) of exact, so the sum is within (1 + gamma_5) of d^2 and its rounded sqrt within
-    3.6 u d of d; subtracting 2 r (exact, a doubling) adds at most u (d + 2 r). The computed g is thus off by
-    less than 2.5 eps (d + 2 r), and the allowance 4 eps (d + 2 r) also covers its own rounding and that of
-    subtracting it.
-    """
-    i, j = np.triu_indices(n.multiplicity, 1)
-    two_r, gap = 2.0 * n.contraction, np.zeros(len(i))
-    for x in n.child_centers.T:  # in place: one (m choose 2) temporary per gather
-        dx = x.take(i)
-        dx -= x.take(j)
-        dx *= dx
-        gap += dx
-    np.sqrt(gap, out=gap)
-    allowance = gap + two_r
-    allowance *= 4.0 * np.finfo(float).eps
-    gap -= two_r
-    gap -= allowance
-    near = gap <= 2.0 * n.child_tube
-    return (i[near], j[near]), float(np.min(gap, where=~near, initial=math.inf))
-
-
 def _nest_check(child_tube: float, ratio: float, parent_tube: float) -> CheckRecord:
     """children_nest: child_tube >= ratio * parent_tube, so that each child map carries the parent torus into its
     child torus; with disjoint and contained children, the stage-k tori then nest and are disjoint at every k, by
@@ -366,10 +362,7 @@ def _nest_check(child_tube: float, ratio: float, parent_tube: float) -> CheckRec
 
 
 def validate_necklace(
-    n: Necklace,
-    clearance_grid: int = 512,
-    quad_n: int = 64,
-    check_linking: bool = True,
+    n: Necklace, clearance_grid: int = 512, quad_n: int = 64, check_linking: bool = True
 ) -> ValidationReport:
     """Run every stage-1 hypothesis check and record pass/fail with margins.
 
@@ -387,28 +380,29 @@ def validate_necklace(
       link_gauss_agreement  quadrature linking within GAUSS_TOL of the
                           exact integers (linking._disk_crossings)
 
-    The clearance and containment margins are Lipschitz-certified (sampling
-    error subtracted), so a positive margin is a proof at stated grid sizes,
-    not a heuristic. A pair whose certified ball gap exceeds twice the child
-    tube is disjoint and unlinked with no evaluation (see _near_pairs); every
-    other pair gets its own clearance bound and linking numbers. The link
-    matrix is computed once and kept on the report.
+    The clearance and containment margins are Lipschitz-certified (sampling error subtracted), so a positive margin
+    is a proof at stated grid sizes, not a heuristic. A pair whose certified ball gap exceeds twice the child tube is
+    disjoint and unlinked with no evaluation (Necklace.near_pairs, which link_matrix reads too). Each near pair gets
+    its own linking numbers, and its clearance bound is the better of its two rows, one each way, in one stacked
+    geom3._sampled_distance_bounds pass (which checks clearance_grid even with no near pair). Containment is one more
+    pass, of the children against the base circle. The link matrix is computed once and kept on the report.
     """
     m = n.multiplicity
     checks: list[CheckRecord] = []
+    centers, normals, (u, v), circles = n.child_centers, n.child_normals, n.child_frames, n.child_circles
 
-    # (a) pairwise disjointness of the child solid tori: a clearance bound per
-    # near pair, the ball gap for the others
-    (i, j), far_gap = _near_pairs(n)
-    circles = n.child_circles
-    n.child_frames  # one stacked circle_frames call: every child circle's basis() is its row
-    bounds = [circle_circle_distance(circles[a], circles[b], clearance_grid) for a, b in zip(i, j)]
-    checks.append(CheckRecord("children_disjoint", min([*bounds, far_gap]) - 2.0 * n.child_tube, 0.0))
+    # (a) pairwise disjointness of the child solid tori: a clearance bound per near pair, the ball gap for the others
+    (i, j), far_gap = n.near_pairs
+    src, dst, r = np.concatenate([i, j]), np.concatenate([j, i]), np.full(2 * len(i), n.contraction)
+    lo, _ = _sampled_distance_bounds(centers[src], r, u[src], v[src], clearance_grid, centers[dst], normals[dst], r)
+    nearest = float(np.min(np.maximum(lo[: len(i)], lo[len(i) :]), initial=math.inf))  # each pair's better row
+    checks.append(CheckRecord("children_disjoint", min(nearest, far_gap) - 2.0 * n.child_tube, 0.0))
 
     # (b) containment in the open parent torus
-    sampled = (_sampled_distances(c, n.base_torus.core, CONTAINMENT_SAMPLES) for c in circles)
-    reach = max(float(np.max(d)) + lipschitz for d, lipschitz in sampled)
-    checks.append(CheckRecord("children_contained", n.parent_tube - (reach + n.child_tube), 0.0))
+    core, r = n.base_torus.core, np.full(m, n.contraction)
+    _, hi = _sampled_distance_bounds(centers, r, u, v, CONTAINMENT_SAMPLES, np.broadcast_to(core.center, (m, 3)),
+                                     np.broadcast_to(core.normal, (m, 3)), np.full(m, core.radius))
+    checks.append(CheckRecord("children_contained", n.parent_tube - (float(hi.max()) + n.child_tube), 0.0))
     checks.append(_nest_check(n.child_tube, n.contraction, n.parent_tube))
 
     # (c) rotation equivariance: rho(child j) = child j+2, indices wrapping to 1, 2

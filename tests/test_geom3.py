@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from antoine import geom3
 from antoine.errors import NoUniqueFixedPoint
 from antoine.geom3 import (
     Circle3,
     _rodrigues,
+    _sampled_distance_bounds,
     Rotation3,
     Similarity3,
     SolidTorus,
@@ -380,6 +382,50 @@ class TestCircleCircleDistance:
             bound = circle_circle_distance(a, b, 128)
             oracle = np.linalg.norm(a.sample(2048)[:, None] - b.sample(2048)[None], axis=2).min()
             assert bound <= oracle + 1e-12
+
+
+def stacked_rows(sources, targets):
+    """_sampled_distance_bounds' arguments before and after grid_n: the circles sources, each against its row of
+    targets, as stacked rows."""
+    def stack(circles, *names):
+        return [np.array([getattr(c, k) for c in circles]) for k in names]
+
+    c, r = stack(sources, "center", "radius")
+    u, v = (np.array(x) for x in zip(*(s.basis() for s in sources)))
+    return (c, r, u, v), stack(targets, "center", "normal", "radius")
+
+
+class TestSampledDistanceBounds:
+    def random_rows(self, rng, count):
+        circles = [
+            Circle3(rng.normal(size=3) * 2.0, rng.uniform(0.1, 2), rng.normal(size=3)) for _ in range(2 * count)
+        ]
+        return circles[:count], circles[count:]
+
+    @pytest.mark.parametrize("grid_n", [8, 100, 512, 4097])
+    def test_rows_are_their_own_one_sided_bounds(self, grid_n):
+        # row k: the least and greatest distance from sources[k].sample(grid_n) to targets[k], less and plus the
+        # half step, bit for bit, whatever the rows per pass (512 at grid 8, one at grid 4097)
+        sources, targets = self.random_rows(np.random.default_rng(grid_n), 37)
+        rows, to = stacked_rows(sources, targets)
+        lo, hi = _sampled_distance_bounds(*rows, grid_n, *to)
+        for k, (s, t) in enumerate(zip(sources, targets)):
+            d, lip = point_circle_distance(t, s.sample(grid_n)), 0.5 * (2.0 * math.pi / grid_n) * s.radius
+            assert (lo[k], hi[k]) == (float(np.min(d)) - lip, float(np.max(d)) + lip)
+
+    @pytest.mark.parametrize("budget", [1, 64, 1000, 10**6])
+    def test_passes_change_no_bit(self, monkeypatch, budget):
+        sources, targets = self.random_rows(np.random.default_rng(5), 23)
+        rows, to = stacked_rows(sources, targets)
+        want = _sampled_distance_bounds(*rows, 64, *to)
+        monkeypatch.setattr(geom3, "_SAMPLE_BUDGET", budget)
+        got = _sampled_distance_bounds(*rows, 64, *to)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_no_rows(self):
+        empty = np.zeros((0, 3))
+        lo, hi = _sampled_distance_bounds(empty, np.zeros(0), empty, empty, 512, empty, empty, np.zeros(0))
+        assert lo.shape == hi.shape == (0,)
 
 
 class TestCircleInput:

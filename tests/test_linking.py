@@ -15,7 +15,8 @@ from oracles import double_integral_linking
 
 import antoine
 from antoine.errors import MinSeparationTooSmall, NoGenericProjection
-from antoine.geom3 import Circle3, Rotation3, Similarity3, circle_frames, point_circle_distance, unit_rows
+from antoine.geom3 import Circle3, Rotation3, Similarity3, _loop_samples, circle_frames, point_circle_distance
+from antoine.geom3 import unit_rows
 from antoine.linking import (
     _GUARD,
     DEFAULT_PROJECTION_SEED,
@@ -24,7 +25,6 @@ from antoine.linking import (
     PolyLoop,
     _disk_crossings,
     _loop_linking,
-    _loop_samples,
     _try_projection,
     gauss_linking,
     link_matrix,

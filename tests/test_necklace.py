@@ -164,15 +164,26 @@ class TestChildViews:
     @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 400, 1000])
     def test_child_frames_are_the_per_circle_frames(self, m):
         # one stacked circle_frames call, lazily: building the necklace does not pay for it; its rows have the
-        # bits of each circle's own one-row frame, and each child circle's basis() then returns its row
+        # bits of each circle's own one-row frame
         n = build_necklace(m)
         assert "child_frames" not in vars(n)
         u, v = n.child_frames
         assert n.child_frames is n.child_frames and not u.flags.writeable and not v.flags.writeable
-        for k, (c, own) in enumerate(zip(n.child_circles, build_necklace(m).child_circles)):
+        for k, own in enumerate(build_necklace(m).child_circles):
             own_u, own_v = own.basis()  # a one-row circle_frames call: that necklace's frames are not stacked
             assert np.array_equal(u[k], own_u) and np.array_equal(v[k], own_v)
-            assert all(np.shares_memory(row, frame) for row, frame in zip(c.basis(), (u, v)))
+
+    def test_near_pairs_are_a_lazy_read_only_view(self, necklace40):
+        n = dataclasses.replace(necklace40)
+        assert "near_pairs" not in vars(n)
+        (i, j), far_gap = n.near_pairs
+        assert n.near_pairs is n.near_pairs and not i.flags.writeable and not j.flags.writeable
+        (own_i, own_j), own_gap = _near_pairs(n)
+        assert np.array_equal(i, own_i) and np.array_equal(j, own_j) and far_gap == own_gap
+        # a replace() copy recomputes it: a tripled tube makes the pairs two slots apart near too
+        thick = dataclasses.replace(n, child_tube=3.0 * n.child_tube)
+        assert "near_pairs" not in vars(thick)
+        assert len(thick.near_pairs[0][0]) == 80 and len(i) == 40
 
 
 class TestValidate:
@@ -193,6 +204,13 @@ class TestValidate:
     def test_non_integer_or_small_clearance_grid_rejected(self, necklace40, sizes):
         with pytest.raises(ValueError, match=r"^grid_n must be an integer >= 8, "):
             validate_necklace(necklace40, check_linking=False, **sizes)
+
+    @pytest.mark.parametrize("grid", [4, 7.5, "x"])
+    def test_clearance_grid_rejected_with_no_near_pair(self, grid):
+        n = spread_necklace()
+        assert len(_near_pairs(n)[0][0]) == 0
+        with pytest.raises(ValueError, match=r"^grid_n must be an integer >= 8, "):
+            validate_necklace(n, clearance_grid=grid)
 
     def test_symmetry_margins_tight(self, geometry_report40):
         by_name = {c.name: c for c in geometry_report40.checks}
@@ -259,17 +277,44 @@ class TestValidate:
         assert not _nest_check(scaled * (1.0 - 1e-14), 4.0 / 40, 8.0 / 40).passed
         assert _nest_check(scaled, 4.0 / 40, 8.0 / 40).margin == 4.0 * np.finfo(float).eps * scaled
 
-    @pytest.mark.parametrize("m", [10, 16, 38, 40, 64, 100, 400])
-    def test_sampled_bounds_equal_their_own_forms(self, m):
-        # the clearance and containment bounds share one sampling helper: each keeps the bits of its own form
-        n = build_necklace(m)
-        margins = {c.name: c.margin for c in validate_necklace(n, check_linking=False).checks}
+    @pytest.mark.parametrize(
+        "m, grid", [(10, 512), (16, 512), (38, 512), (40, 512), (64, 512), (100, 512), (400, 512), (1000, 512),
+                    (40, 8), (40, 4097), ("spread", 512)],
+    )
+    def test_sampled_bounds_equal_their_own_forms(self, m, grid):
+        # the clearance and containment bounds are one stacked pass each: each keeps the bits of its own
+        # per-object form, at 512 rows per pass (grid 8), one (grid 4097) or with no near pair (spread)
+        n = spread_necklace() if m == "spread" else build_necklace(m)
+        margins = {c.name: c.margin for c in validate_necklace(n, clearance_grid=grid, check_linking=False).checks}
         assert margins["children_contained"] == own_grid_containment_clearance(n)
         c = n.child_circles
         (i, j), far_gap = _near_pairs(n)
-        bounds = [own_grid_circle_circle_distance(c[a], c[b], 512) for a, b in zip(i, j)]
-        assert margins["children_disjoint"] == min(bounds) - 2.0 * n.child_tube
-        assert far_gap > min(bounds)  # a far pair never binds on the built necklace
+        bounds = [own_grid_circle_circle_distance(c[a], c[b], grid) for a, b in zip(i, j)]
+        assert margins["children_disjoint"] == min([*bounds, far_gap]) - 2.0 * n.child_tube
+        assert far_gap > min(bounds, default=-math.inf)  # a far pair never binds on the built necklace
+        assert (m == "spread") == (not bounds)
+
+    def test_one_kernel_row_per_directed_near_pair_and_per_child(self, necklace40, monkeypatch):
+        # the clearance pass takes the 40 adjacent pairs both ways, the containment pass the 40 children against
+        # the base circle, each in one call
+        calls = kernel_rows(monkeypatch, necklace40)
+        validate_necklace(necklace40)
+        pairs, children = calls
+        adjacent = adjacent_pairs(40)
+        assert sorted(pairs) == sorted(adjacent | {(b, a) for a, b in adjacent}) and len(pairs) == 80
+        assert children == [(k, None) for k in range(40)]
+
+    def test_validation_and_linking_read_the_one_view(self, necklace40, monkeypatch):
+        # validate_necklace and link_matrix both read the cached Necklace.near_pairs and compute no pairs of their
+        # own: a pair left out of the cached value is neither bounded nor linked
+        n = dataclasses.replace(necklace40)
+        (i, j), far_gap = _near_pairs(n)
+        assert (i[0], j[0]) == (0, 1)
+        n.__dict__["near_pairs"] = (i[1:], j[1:]), far_gap
+        calls = kernel_rows(monkeypatch, n)
+        entries = validate_necklace(n, quad_n=64).link_matrix.entries
+        assert len(calls[0]) == 78 and (0, 1) not in calls[0] and (1, 0) not in calls[0]
+        assert entries[0, 1] == 0 and np.count_nonzero(entries) == 78
 
     def test_json_shape(self, geometry_report40):
         doc = geometry_report40.to_json_dict()
@@ -320,6 +365,27 @@ def exhaustive_pair_checks(n, poly_n, quad_n):
         "link_gauss_agreement": max(gaps.values()) < GAUSS_TOL,
     }
     return margin, entries, gaps, passed
+
+
+def spread_necklace():
+    """build_necklace(10) with every child shift scaled by 10: the child balls lie far apart, so no pair is near."""
+    n = build_necklace(10)
+    return dataclasses.replace(n, child_maps=tuple(Similarity3(s.scale, s.rot, 10.0 * s.shift) for s in n.child_maps))
+
+
+def kernel_rows(monkeypatch, n):
+    """The rows of each geom3._sampled_distance_bounds call that validate_necklace makes on n, a list per call, as
+    (source child, target child), or (source child, None) for the base circle, the children found by their
+    centres."""
+    child = {tuple(c): k for k, c in enumerate(n.child_centers.tolist())}
+    calls, kernel = [], necklace._sampled_distance_bounds
+
+    def rows(centers, radii, u, v, grid_n, to_centers, to_normals, to_radii):
+        calls.append([(child[tuple(p)], child.get(tuple(q))) for p, q in zip(centers.tolist(), to_centers.tolist())])
+        return kernel(centers, radii, u, v, grid_n, to_centers, to_normals, to_radii)
+
+    monkeypatch.setattr(necklace, "_sampled_distance_bounds", rows)
+    return calls
 
 
 def with_child_map(n, k, s):
@@ -431,23 +497,14 @@ class TestNearPairPass:
         outside = dataclasses.replace(necklace40, child_tube=0.5 * (gap - 8.0 * ulps))
         assert gap > 2.0 * inside.child_tube > 2.0 * outside.child_tube
         assert (0, 2) in near_pair_set(inside) and (0, 2) not in near_pair_set(outside)
-        measured = []
-        original = necklace.circle_circle_distance
-        monkeypatch.setattr(necklace, "circle_circle_distance", lambda a, b, n: measured.append((a, b)) or original(a, b, n))
+        calls = kernel_rows(monkeypatch, inside)
         validate_necklace(inside, check_linking=False)
-        assert any(a is inside.child_circles[0] and b is inside.child_circles[2] for a, b in measured)
+        assert (0, 2) in calls[0] and (2, 0) in calls[0]
 
     def test_far_pair_entries_are_never_computed(self, necklace40, monkeypatch):
-        index = {id(c): k for k, c in enumerate(necklace40.child_circles)}
         child = {tuple(c): k for k, c in enumerate(necklace40.child_centers.tolist())}
-        evaluated = {name: [] for name in ("circle_circle_distance", "_loop_linking", "_disk_crossings")}
-        original = necklace.circle_circle_distance
-
-        def distance(a, b, *args):
-            evaluated["circle_circle_distance"].append((index[id(a)], index[id(b)]))
-            return original(a, b, *args)
-
-        monkeypatch.setattr(necklace, "circle_circle_distance", distance)
+        evaluated = {name: [] for name in ("_loop_linking", "_disk_crossings")}
+        bounds = kernel_rows(monkeypatch, necklace40)
         loop_linking, disk_crossings = linking._loop_linking, linking._disk_crossings
 
         def loops(centers, normals, radii, points, tangents, radii_b):  # a by its centre, b by its first sample
@@ -464,6 +521,7 @@ class TestNearPairPass:
         monkeypatch.setattr(linking, "_loop_linking", loops)
         monkeypatch.setattr(linking, "_disk_crossings", disks)
         report = validate_necklace(necklace40, quad_n=64)
+        evaluated["_sampled_distance_bounds"] = [(a, b) for a, b in bounds[0] if a < b]  # the (b, a) rows mirror them
         adjacent = adjacent_pairs(40)
         assert all(sorted(pairs) == sorted(adjacent) for pairs in evaluated.values()), evaluated
         linked = np.zeros((40, 40), dtype=bool)
